@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -251,7 +252,7 @@ def _run_reduce(session: Session, order: int, trials: int, seed: int) -> tuple[R
     system = session.require("system")
     change = session.require("coordinate_change")
     if system.solved is None:
-        system = solve_for_highest(system, seed=seed)
+        system = solve_for_highest(system)
     reduced, rrep = reduce_system(system, None, change, trials=trials, seed=seed)
     rep.show(
         "reduced system",
@@ -266,7 +267,7 @@ def _run_reduce(session: Session, order: int, trials: int, seed: int) -> tuple[R
         targets = [
             str(reduced.ctx.coord(name, k)) for name, k in rrep.orders.items() if k > 0
         ]
-        solved_red = solve_for_highest(reduced, targets=targets, seed=seed)
+        solved_red = solve_for_highest(reduced, targets=targets)
         for t in targets:
             solved_text[t] = solved_red.solved[sp.Symbol(t)]
         rep.show(
@@ -286,7 +287,7 @@ def _run_equivalence(session: Session, order: int, trials: int, seed: int) -> Re
         raise MissingSessionDataError("matrix A")
     A = session.matrices["A"]
     convention = session.conventions.get("A", "inverse_dx")
-    sigma = sigma_from_A(A, session.ctx, convention, seed=seed)
+    sigma = sigma_from_A(A, session.ctx, convention)
     rep.show("induced twist", [repr(sigma.mat)])
     rt = standardizing_roundtrip(
         fields, A, order, convention, trials=trials, seed=seed, deny=session.deny
@@ -304,7 +305,7 @@ def _run_equivalence(session: Session, order: int, trials: int, seed: int) -> Re
             rep.check("transport equation D_x A = A sigma", ok)
         else:
             ok, residual = verify_A_sigma(
-                A.inverse(seed=seed), session.sigma, session.ctx, trials=trials, seed=seed
+                A.inverse(), session.sigma, session.ctx, trials=trials, seed=seed
             )
             rep.check("transport equation D_x A^-1 = A^-1 sigma", ok)
     return rep
@@ -315,7 +316,7 @@ def _run_gauge(session: Session, order: int, trials: int, seed: int) -> Report:
     sigma = session.require("sigma")
     if "B" not in session.matrices:
         raise MissingSessionDataError("matrix B")
-    out = gauge_transform_sigma(session.matrices["B"], sigma, session.ctx, seed=seed)
+    out = gauge_transform_sigma(session.matrices["B"], sigma, session.ctx)
     rep.show("gauged twist", [repr(out.mat)])
     rep.check("gauge transform computed", True)
     return rep
@@ -364,7 +365,7 @@ def _run_oracle(session: Session, order: int, trials: int, seed: int) -> Report:
     system = session.require("system")
     spec = session.require("oracle")
     if system.solved is None:
-        system = solve_for_highest(system, seed=seed)
+        system = solve_for_highest(system)
     h = float(spec.step)
     traj = integrate(system, spec.initial, (0.0, float(spec.t1)), h)
     endpoint = ", ".join(
@@ -476,8 +477,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    import os
-
     text = (
         report.to_json(os.path.basename(args.session), args.seed, args.numeric_trials)
         if args.json
@@ -486,8 +485,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-            if extra and args.command == "reduce":
-                pass
     else:
         print(text)
     if extra is not None and args.out:

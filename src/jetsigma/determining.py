@@ -9,7 +9,7 @@ from typing import Sequence
 
 import sympy as sp
 
-from .exprs import Expr, ExprError, ZeroVerdict, normalize, print_expr
+from .exprs import Expr, ExprError, ZeroVerdict, atomize, normalize, print_expr
 from .jets import JetContext, VectorField, VectorFieldSet
 from .prolong import SigmaMatrix
 from .reduction import ODESystem, SymmetryReport, verify_sigma_symmetry
@@ -147,22 +147,13 @@ def verify_candidate(
     return verify_sigma_symmetry(Xs, sigma, sys, trials=trials, seed=seed, deny=deny)
 
 
-def _atomize(e: sp.Expr):
-    """Replace kernel and opaque applications by fresh symbols; returns the
-    replaced expression and the inverse map."""
-    mapping: dict[sp.Expr, sp.Symbol] = {}
-    for node in sorted(e.atoms(sp.Function), key=sp.default_sort_key):
-        mapping[node] = sp.Dummy(f"k{len(mapping)}")
-    return e.xreplace(mapping), {v: k for k, v in mapping.items()}
-
-
 def _default_collect_vars(residuals, ctx: JetContext) -> list[sp.Symbol]:
     """Jet coordinates of order >= 1 that occur polynomially (outside every
     kernel/opaque argument) in the residuals."""
     candidates: set[sp.Symbol] = set()
     hidden: set[sp.Symbol] = set()
     for r in residuals:
-        atomized, restore = _atomize(r.sym)
+        (atomized,), restore = atomize([r.sym])
         for s in atomized.free_symbols:
             base, sep, sub = s.name.partition("_")
             if base in ctx.dependents and sep and sub.isdigit() and int(sub) >= 1:
@@ -185,7 +176,7 @@ def collect_coefficients(residual: Expr, collect_vars: Sequence[sp.Symbol | str]
         raise NotPolynomialInVarsError(
             f"residual denominator {denom} involves the collection variables"
         )
-    atomized, restore = _atomize(numer)
+    (atomized,), restore = atomize([numer])
     for dummy, atom in restore.items():
         if any(s in atom.free_symbols for s in syms):
             raise NotPolynomialInVarsError(

@@ -41,15 +41,13 @@ def _check_base_matrix(A: ExprMatrix, ctx: JetContext, what: str = "transformati
                 raise ExprError(f"{what} must live on the base (x, u): entry {print_expr(e)}")
 
 
-def sigma_from_A(
-    A: ExprMatrix, ctx: JetContext, convention: Convention = "inverse_dx", seed: int = 0
-) -> SigmaMatrix:
+def sigma_from_A(A: ExprMatrix, ctx: JetContext, convention: Convention = "inverse_dx") -> SigmaMatrix:
     """Twist matrix induced by an invertible matrix of base functions."""
     _check_base_matrix(A, ctx)
     if convention == "inverse_dx":
-        raw = A.inverse(seed=seed) @ A.total_derivative(ctx)
+        raw = A.inverse() @ A.total_derivative(ctx)
     elif convention == "dx_inverse":
-        raw = A @ A.inverse(seed=seed).total_derivative(ctx)
+        raw = A @ A.inverse().total_derivative(ctx)
     else:
         raise ExprError(f"unknown convention {convention!r}")
     return SigmaMatrix(ctx, raw.entries)
@@ -109,10 +107,10 @@ def standardizing_roundtrip(
     if convention == "dx_inverse":
         P = A
     elif convention == "inverse_dx":
-        P = A.inverse(seed=seed)
+        P = A.inverse()
     else:
         raise ExprError(f"unknown convention {convention!r}")
-    sigma_raw = P @ P.inverse(seed=seed).total_derivative(ctx)
+    sigma_raw = P @ P.inverse().total_derivative(ctx)
     sigma = SigmaMatrix(ctx, sigma_raw.entries)
     Zs = VectorFieldSet([standard_prolong(W, n) for W in Ws])
     transformed = transform_fields(P, Zs)
@@ -128,19 +126,15 @@ def standardizing_roundtrip(
     return RoundtripReport(sigma, transformed, twisted, residuals, verdicts)
 
 
-def gauge_transform_sigma(
-    B: ExprMatrix, sigma: SigmaMatrix, ctx: JetContext, seed: int = 0
-) -> SigmaMatrix:
+def gauge_transform_sigma(B: ExprMatrix, sigma: SigmaMatrix, ctx: JetContext) -> SigmaMatrix:
     """Twist under a change of module generators: B sigma B^-1 + B D_x(B^-1)."""
     _check_base_matrix(B, ctx, "gauge matrix")
-    Binv = B.inverse(seed=seed)
+    Binv = B.inverse()
     raw = (B @ sigma.mat @ Binv) + (B @ Binv.total_derivative(ctx))
     return SigmaMatrix(ctx, raw.entries)
 
 
-def theta_from_mu(
-    A: ExprMatrix, Ys: VectorFieldSet, mu: StructureFunctions, seed: int = 0
-) -> StructureFunctions:
+def theta_from_mu(A: ExprMatrix, Ys: VectorFieldSet, mu: StructureFunctions) -> StructureFunctions:
     """Structure functions of the transformed set Z_i = A[i][j] Y_j:
 
         theta[i][j][k] = (A[i][m] mu[m][l][h] A[j][l]
@@ -149,7 +143,7 @@ def theta_from_mu(
     r = len(Ys)
     if mu.r != r or A.nrows != r or A.ncols != r:
         raise ExprError("dimension mismatch between matrix, set, and structure functions")
-    Ainv = A.inverse(seed=seed)
+    Ainv = A.inverse()
     upper: dict[tuple[int, int], list[Expr]] = {}
     for i in range(r):
         for j in range(i + 1, r):
@@ -202,7 +196,7 @@ def mu_sigma_bridge(
         raise ExprError("component matrix must be square (as many fields as dependents)")
     if (S is None) == (M is None):
         raise ExprError("exactly one of S and M must be given")
-    Phinv = Phi.inverse(seed=seed)
+    Phinv = Phi.inverse()
     if S is not None:
         M = Phi @ S.transpose() @ Phinv
     else:

@@ -32,6 +32,7 @@ __all__ = [
     "ZeroVerdict",
     "parse",
     "normalize",
+    "atomize",
     "is_zero",
     "diff",
     "substitute",
@@ -399,10 +400,24 @@ ONE = Expr.number(1)
 
 
 def normalize(e: Expr | sp.Expr | int) -> Expr:
-    """Total; idempotent on its own output."""
+    """Total; an Expr is already in normal form and is returned unchanged."""
     if isinstance(e, Expr):
-        return Expr(e.sym)
+        return e
     return Expr(e)
+
+
+def atomize(exprs: Iterable[sp.Expr]) -> tuple[list[sp.Expr], dict[sp.Symbol, sp.Expr]]:
+    """Replace kernel and opaque applications by fresh symbols ``a0, a1, ...``,
+    numbered in order of first appearance (within one expression, in
+    ``default_sort_key`` order).  Returns the replaced expressions and the map
+    from each fresh symbol back to its application."""
+    exprs = list(exprs)
+    atom_map: dict[sp.Expr, sp.Symbol] = {}
+    for e in exprs:
+        for node in sorted(e.atoms(sp.Function), key=sp.default_sort_key):
+            if node not in atom_map:
+                atom_map[node] = sp.Dummy(f"a{len(atom_map)}")
+    return [e.xreplace(atom_map) for e in exprs], {v: k for k, v in atom_map.items()}
 
 
 def diff(e: Expr, s: str | sp.Symbol, table: SymbolTable | None = None) -> Expr:

@@ -551,8 +551,7 @@ def partial_rank_triple() -> CaseStudy:
                 total_derivative(zeta3, ctx) - zeta2,
                 total_derivative(total_derivative(zeta1, ctx), ctx) - zeta3 * 2,
             ],
-        ),
-        seed=3,
+        )
     )
     u, v, w = sp.symbols("u v w")
     xi, xi_1, xi_2 = sp.symbols("xi xi_1 xi_2")

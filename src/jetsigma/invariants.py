@@ -10,8 +10,7 @@ import sympy as sp
 
 from .exprs import Expr, ExprError, ZeroVerdict, is_zero, normalize, print_expr
 from .jets import JetContext, VectorFieldSet, total_derivative
-from .linalg import PivotUndecidableError
-from .exprs import is_zero as _is_zero
+from .linalg import ExprMatrix
 
 __all__ = [
     "InvariantTable",
@@ -152,7 +151,7 @@ def generate_invariants(
         chains.append(chain)
         provenance.append(prov)
     table = InvariantTable(normalize(eta), chains, provenance, list(extra_base))
-    report = independence_check(table.all_entries(), ctx, seed=seed)
+    report = independence_check(table.all_entries(), ctx)
     if report.dependent:
         raise DependentSeedsError(
             f"table entries {sorted(i + 1 for i in report.dependent)} are functionally "
@@ -164,49 +163,20 @@ def generate_invariants(
 @dataclass
 class IndependenceReport:
     rank: int
-    dependent: list[int]  # indices of expressions in the span of the others
+    dependent: list[int]  # indices of expressions in the span of the ones before them
 
 
-def independence_check(exprs: Sequence[Expr], ctx: JetContext, seed: int = 0) -> IndependenceReport:
-    """Symbolic rank of the Jacobian with respect to x and all jet coordinates;
-    a row reducing to zero flags its expression as functionally dependent."""
+def independence_check(exprs: Sequence[Expr], ctx: JetContext) -> IndependenceReport:
+    """Symbolic rank of the Jacobian with respect to x and all jet coordinates.
+    An expression is functionally dependent when its Jacobian row lies in the
+    span of the rows of the expressions before it."""
     exprs = [normalize(e) for e in exprs]
+    if not exprs:
+        return IndependenceReport(0, [])
     max_order = max([ctx.jet_order_of(e) for e in exprs] + [ctx.max_order])
     coords: list[sp.Symbol] = [ctx.x] + [
         ctx.coord(a, k) for a in range(ctx.p) for k in range(max_order + 1)
     ]
-    jac = [[Expr(sp.diff(e.sym, c)) for c in coords] for e in exprs]
-    m, n = len(exprs), len(coords)
-    row_of = list(range(m))  # original expression index per current row
-    rank = 0
-    dependent: list[int] = []
-    rows = [list(r) for r in jac]
-    for col in range(n):
-        if rank == m:
-            break
-        pivot_row = None
-        for i in range(rank, m):
-            entry = rows[i][col]
-            if entry.sym == 0:
-                continue
-            verdict = _is_zero(entry, trials=12, seed=seed + col + 31 * i)
-            if verdict.is_nonzero:
-                pivot_row = i
-                break
-            if verdict.status == "unknown":
-                raise PivotUndecidableError(
-                    f"cannot decide Jacobian pivot: {print_expr(entry)}"
-                )
-        if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        row_of[rank], row_of[pivot_row] = row_of[pivot_row], row_of[rank]
-        piv = rows[rank][col]
-        for i in range(rank + 1, m):
-            if rows[i][col].sym != 0:
-                factor = rows[i][col] / piv
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    for i in range(rank, m):
-        dependent.append(row_of[i])
-    return IndependenceReport(rank, sorted(dependent))
+    jac_t = ExprMatrix([[Expr(sp.diff(e.sym, c)) for e in exprs] for c in coords])
+    pivots = jac_t.pivot_columns()
+    return IndependenceReport(len(pivots), [i for i in range(len(exprs)) if i not in pivots])

@@ -10,9 +10,9 @@ from typing import Sequence
 
 import sympy as sp
 
-from .exprs import Expr, ExprError, ZeroVerdict, eval_numeric, is_zero, normalize, print_expr
+from .exprs import Expr, ExprError, ZeroVerdict, atomize, eval_numeric, is_zero, normalize, print_expr
 from .jets import JetContext, VectorField, VectorFieldSet, lie_bracket, total_derivative
-from .linalg import PivotUndecidableError, linear_solve
+from .linalg import linear_solve
 from .prolong import SigmaMatrix, sigma_prolong
 
 __all__ = [
@@ -77,82 +77,6 @@ class StructureFunctions:
         return "StructureFunctions(" + "; ".join(parts) + ")"
 
 
-# ---------------------------------------------------------------------------
-# exact rational elimination for the constant-coefficient fast path
-# ---------------------------------------------------------------------------
-
-
-def _solve_rational(rows: list[list[Fraction]], rhs: list[Fraction]):
-    """Exact solve over Q; free variables are pinned to zero.  Returns the
-    solution list or None if inconsistent."""
-    m, n = len(rows), len(rows[0]) if rows else 0
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    pivots = []
-    rank = 0
-    for col in range(n):
-        sel = next((i for i in range(rank, m) if aug[i][col] != 0), None)
-        if sel is None:
-            continue
-        aug[rank], aug[sel] = aug[sel], aug[rank]
-        piv = aug[rank][col]
-        aug[rank] = [v / piv for v in aug[rank]]
-        for i in range(m):
-            if i != rank and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[rank])]
-        pivots.append(col)
-        rank += 1
-    for i in range(rank, m):
-        if aug[i][n] != 0:
-            return None
-    solution = [Fraction(0)] * n
-    for row_idx, col in enumerate(pivots):
-        solution[col] = aug[row_idx][n]
-    return solution
-
-
-def _rational_rank(rows: list[list[Fraction]]) -> int:
-    m = len(rows)
-    if m == 0:
-        return 0
-    n = len(rows[0])
-    work = [list(r) for r in rows]
-    rank = 0
-    for col in range(n):
-        sel = next((i for i in range(rank, m) if work[i][col] != 0), None)
-        if sel is None:
-            continue
-        work[rank], work[sel] = work[sel], work[rank]
-        piv = work[rank][col]
-        for i in range(rank + 1, m):
-            if work[i][col] != 0:
-                f = work[i][col] / piv
-                work[i] = [a - f * b for a, b in zip(work[i], work[rank])]
-        rank += 1
-    return rank
-
-
-def _atomized_components(fields: Sequence[VectorField], extra: Sequence[VectorField]):
-    """Component tables with kernel/opaque atoms replaced by shared dummies so
-    points can be sampled with exact rational arithmetic."""
-    from .exprs import _is_opaque  # internal, deliberate
-
-    all_syms: list[sp.Expr] = []
-    for f in list(fields) + list(extra):
-        for c in f.components():
-            all_syms.append(c.sym)
-    atom_map: dict[sp.Expr, sp.Symbol] = {}
-    for s in all_syms:
-        for node in sorted(s.atoms(sp.Function), key=sp.default_sort_key):
-            if node not in atom_map:
-                atom_map[node] = sp.Dummy(f"a{len(atom_map)}")
-
-    def atomize(e: Expr):
-        return e.sym.xreplace(atom_map)
-
-    return atomize
-
-
 def _sample_rational_point(symbols, rng: random.Random):
     return {
         s: sp.Rational((-1 if rng.random() < 0.5 else 1) * rng.randint(1, 19), rng.randint(1, 7))
@@ -214,57 +138,38 @@ def expand_in_basis(
         [c for f in list(basis) + [bracket] for c in f.components()]
     )
     # fast path: constant coefficients, confirmed symbolically
-    atomize = _atomized_components(basis, [bracket])
-    basis_syms = [[atomize(c) for c in f.components()] for f in basis]
-    bracket_syms = [atomize(c) for c in bracket.components()]
-    symbols = sorted(
-        {s for col in basis_syms + [bracket_syms] for e in col for s in e.free_symbols},
-        key=lambda s: s.name,
-    )
+    comps = [f.components() for f in [*basis, bracket]]
+    flat, _ = atomize(c.sym for cs in comps for c in cs)
+    it = iter(flat)
+    *basis_syms, bracket_syms = [[next(it) for _ in cs] for cs in comps]
+    symbols = sorted({s for e in flat for s in e.free_symbols}, key=lambda s: s.name)
     rng = random.Random(seed)
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    rows: list[list[Expr]] = []
+    rhs: list[Expr] = []
     points = 0
     attempts = 0
     while points < max(3, r) and attempts < 40:
         attempts += 1
         pt = _sample_rational_point(symbols, rng)
-        try:
-            new_rows = []
-            new_rhs = []
-            for comp in range(len(bracket_syms)):
-                row = []
-                for k in range(r):
-                    v = basis_syms[k][comp].xreplace(pt)
-                    if not v.is_Rational:
-                        raise ValueError
-                    row.append(Fraction(int(v.p), int(v.q)))
-                b = bracket_syms[comp].xreplace(pt)
-                if not b.is_Rational:
-                    raise ValueError
-                new_rows.append(row)
-                new_rhs.append(Fraction(int(b.p), int(b.q)))
-        except ValueError:
+        new_rows = [
+            [basis_syms[k][comp].xreplace(pt) for k in range(r)] for comp in range(len(bracket_syms))
+        ]
+        new_rhs = [b.xreplace(pt) for b in bracket_syms]
+        if not all(v.is_Rational for row in new_rows + [new_rhs] for v in row):
             continue
-        rows.extend(new_rows)
-        rhs.extend(new_rhs)
+        rows.extend([Expr(v) for v in row] for row in new_rows)
+        rhs.extend(Expr(b) for b in new_rhs)
         points += 1
     if points >= 3:
-        candidate = _solve_rational(rows, rhs)
-        if candidate is not None:
-            coeffs = [Expr.number(c) for c in candidate]
-            if _expansion_residual_is_zero(bracket, basis, coeffs):
-                return coeffs
-        # pointwise rank pre-check: if adjoining the bracket raises the rank of
-        # the coefficient matrix at a sample point, no expansion can exist and
-        # the costly symbolic elimination is skipped
+        candidate = linear_solve(rows, rhs)
+        if candidate.ok and _expansion_residual_is_zero(bracket, basis, candidate.solution):
+            return candidate.solution
+        # pointwise rank pre-check: if the expansion is inconsistent at a
+        # sample point, no expansion can exist and the costly symbolic
+        # elimination is skipped
         ncomp = len(bracket_syms)
-        for block in range(points):
-            seg = rows[block * ncomp : (block + 1) * ncomp]
-            seg_rhs = rhs[block * ncomp : (block + 1) * ncomp]
-            basis_rank = _rational_rank([list(r) for r in seg])
-            full_rank = _rational_rank([r + [b] for r, b in zip(seg, seg_rhs)])
-            if full_rank > basis_rank:
+        for block in range(0, len(rows), ncomp):
+            if not linear_solve(rows[block : block + ncomp], rhs[block : block + ncomp]).ok:
                 return None
     # symbolic path
     mat = [[basis[k].components()[comp] for k in range(r)] for comp in range(len(bracket.components()))]
@@ -274,7 +179,7 @@ def expand_in_basis(
         size += sum(sp.count_ops(e.sym) for e in vec)
         if size > complexity_budget:
             return None
-    result = linear_solve(mat, vec, seed=seed)
+    result = linear_solve(mat, vec)
     if result.status == "inconsistent":
         return None
     coeffs = result.solution

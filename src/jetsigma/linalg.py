@@ -1,5 +1,14 @@
-"""Exact linear algebra over the expression field: fraction-free Gaussian
-elimination with randomized-zero-test pivoting, and small symbolic matrices."""
+"""Exact linear algebra over the expression field, and small symbolic matrices.
+
+Every elimination goes through one routine, ``_lift``: the entries become a
+``DomainMatrix`` over the rational-function field QQ(symbols, atoms), whose
+generators are the free symbols plus the kernel and opaque applications
+(atomized into fresh symbols), and sympy's ``rref``, ``det`` or ``inv`` runs
+there.  A pivot is an exact nonzero test in that field: an entry is a pivot
+unless its normal form vanishes identically over the atom ring.  Nothing is
+sampled, so no verdict depends on a seed or on the size of a value; identities
+among kernel atoms outside the rewrite set (sin^2 + cos^2 = 1) are not seen.
+"""
 
 from __future__ import annotations
 
@@ -7,36 +16,36 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import sympy as sp
+from sympy.polys.domains import QQ
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
 
-from .exprs import Expr, ExprError, ZeroVerdict, is_zero, normalize, print_expr
+from .exprs import Expr, ExprError, atomize, normalize, print_expr
 
 __all__ = [
     "ExprMatrix",
     "LinearSolveResult",
-    "PivotUndecidableError",
     "SingularMatrixError",
     "linear_solve",
 ]
-
-
-class PivotUndecidableError(ExprError):
-    """A candidate pivot could not be certified nonzero by the zero test."""
 
 
 class SingularMatrixError(ExprError):
     """A matrix required to be invertible has identically vanishing determinant."""
 
 
-def _decide_nonzero(e: Expr, seed: int) -> bool:
-    """True if e is certified nonzero, False if zero; Unknown is an error."""
-    if e.sym == 0:
-        return False
-    verdict = is_zero(e, trials=8, seed=seed)
-    if verdict.is_nonzero:
-        return True
-    if verdict.is_zero:
-        return False
-    raise PivotUndecidableError(f"cannot decide whether pivot candidate vanishes: {e}")
+def _lift(rows: Sequence[Sequence[Expr]]) -> tuple[DomainMatrix, Callable[..., Expr]]:
+    """The entries as a DomainMatrix over QQ(symbols, atoms), and the map from
+    an element of that field back to an Expr."""
+    ncols = len(rows[0])
+    flat, restore = atomize(normalize(e).sym for row in rows for e in row)
+    gens = sorted(set().union(*(e.free_symbols for e in flat)), key=sp.default_sort_key)
+    K = QQ.frac_field(*gens) if gens else QQ
+    elems = [K.from_sympy(e) for e in flat]
+    dm = DomainMatrix(
+        [elems[i : i + ncols] for i in range(0, len(elems), ncols)], (len(rows), ncols), K
+    )
+    return dm, lambda el: Expr(K.to_sympy(el).xreplace(restore))
 
 
 @dataclass
@@ -51,93 +60,31 @@ class LinearSolveResult:
         return self.status != "inconsistent"
 
 
-def _clear_denominators(row: list[sp.Expr]) -> list[sp.Expr]:
-    factor = sp.S.One
-    for entry in row:
-        _, d = sp.fraction(sp.together(entry))
-        if d != 1:
-            try:
-                factor = sp.lcm(factor, d)
-            except sp.PolynomialError:
-                factor = factor * d
-    if factor == 1:
-        return row
-    return [sp.cancel(entry * factor) for entry in row]
+def linear_solve(mat: Sequence[Sequence[Expr]], rhs: Sequence[Expr]) -> LinearSolveResult:
+    """Solve M x = b exactly by reducing [M | b] to reduced row echelon form.
 
-
-def linear_solve(mat: Sequence[Sequence[Expr]], rhs: Sequence[Expr], seed: int = 0) -> LinearSolveResult:
-    """Solve M x = b exactly by Bareiss-style fraction-free elimination.
-
-    Returns the unique solution, an inconsistency witness (a reduced equation
-    with zero coefficients but nonzero right side), or an underdetermined
-    result whose particular solution sets the free variables to zero.
+    Returns the unique solution, an inconsistency witness (the reduced
+    equation with zero coefficients and nonzero right side; in reduced row
+    echelon form that right side is 1), or an underdetermined result whose
+    particular solution sets the free variables to zero.  Pivot columns are
+    the first columns that are independent over the expression field.
     """
     m = len(mat)
     if m == 0:
         return LinearSolveResult("underdetermined", [], [])
     n = len(mat[0])
-    # kernel and opaque applications become plain symbols for the elimination:
-    # the gcd machinery is dramatically faster over a pure polynomial ring
-    atom_map: dict[sp.Expr, sp.Symbol] = {}
-    for seq in list(mat) + [rhs]:
-        for entry in seq:
-            for node in sorted(normalize(entry).sym.atoms(sp.Function), key=sp.default_sort_key):
-                if node not in atom_map:
-                    atom_map[node] = sp.Dummy(f"g{len(atom_map)}")
-    restore = {v: k for k, v in atom_map.items()}
-
-    def enc(e: Expr) -> sp.Expr:
-        return normalize(e).sym.xreplace(atom_map)
-
-    rows = [
-        _clear_denominators([enc(mat[i][j]) for j in range(n)] + [enc(rhs[i])])
-        for i in range(m)
-    ]
-    pivot_cols: list[int] = []
-    prev_pivot = sp.S.One
-    r = 0
-    for col in range(n):
-        pivot_row = None
-        for i in range(r, m):
-            if _decide_nonzero(Expr(rows[i][col]), seed=seed + 17 * i + col):
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pivot = rows[r][col]
-        for i in range(r + 1, m):
-            if rows[i][col] == 0:
-                # still rescale so the Bareiss divisions below stay exact
-                rows[i] = [sp.cancel((pivot * rows[i][j]) / prev_pivot) for j in range(n + 1)]
-                continue
-            rows[i] = [
-                sp.cancel((pivot * rows[i][j] - rows[i][col] * rows[r][j]) / prev_pivot)
-                for j in range(n + 1)
-            ]
-        prev_pivot = pivot
-        pivot_cols.append(col)
-        r += 1
-        if r == m:
-            break
-    # consistency: rows below the rank must have zero right side
-    for i in range(r, m):
-        rhs_entry = Expr(rows[i][n])
-        if _decide_nonzero(rhs_entry, seed=seed + 101 * i):
-            return LinearSolveResult("inconsistent", witness=Expr(rows[i][n].xreplace(restore)))
-    free = [c for c in range(n) if c not in pivot_cols]
-    solution = [sp.S.Zero] * n
-    for back in range(r - 1, -1, -1):
-        col = pivot_cols[back]
-        acc = rows[back][n]
-        for j in range(col + 1, n):
-            if rows[back][j] != 0:
-                acc = acc - rows[back][j] * solution[j]
-        solution[col] = sp.cancel(acc / rows[back][col])
-    out = [Expr(s.xreplace(restore)) for s in solution]
+    aug, decode = _lift([[*row, b] for row, b in zip(mat, rhs)])
+    reduced, pivots = aug.rref()
+    rows = reduced.to_list()
+    if n in pivots:
+        return LinearSolveResult("inconsistent", witness=decode(rows[len(pivots) - 1][n]))
+    solution = [Expr.number(0)] * n
+    for i, col in enumerate(pivots):
+        solution[col] = decode(rows[i][n])
+    free = [c for c in range(n) if c not in pivots]
     if free:
-        return LinearSolveResult("underdetermined", out, free)
-    return LinearSolveResult("solved", out, [])
+        return LinearSolveResult("underdetermined", solution, free)
+    return LinearSolveResult("solved", solution, [])
 
 
 class ExprMatrix:
@@ -237,51 +184,24 @@ class ExprMatrix:
     def det(self) -> Expr:
         if not self.is_square:
             raise ExprError("determinant of a non-square matrix")
-        n = self.nrows
-        if n == 1:
-            return self.entries[0][0]
-        # Laplace expansion: the matrices here stay tiny (r <= 3)
-        acc = sp.S.Zero
-        for j in range(n):
-            minor = ExprMatrix(
-                [
-                    [self.entries[i][c] for c in range(n) if c != j]
-                    for i in range(1, n)
-                ]
-            )
-            term = self.entries[0][j].sym * minor.det().sym
-            acc = acc + (term if j % 2 == 0 else -term)
-        return Expr(acc)
+        dm, decode = _lift(self.entries)
+        return decode(dm.det())
 
-    def inverse(self, seed: int = 0) -> "ExprMatrix":
-        """Symbolic adjugate/determinant inverse; the determinant must be
-        certified nonzero by the randomized zero test."""
+    def inverse(self) -> "ExprMatrix":
+        """Exact inverse over the expression field; the determinant must not
+        vanish identically."""
         if not self.is_square:
             raise ExprError("inverse of a non-square matrix")
-        d = self.det()
-        if not _decide_nonzero_det(d, seed):
-            raise SingularMatrixError(f"matrix determinant vanishes identically: {print_expr(d)}")
-        n = self.nrows
-        if n == 1:
-            return ExprMatrix([[Expr.number(1) / self.entries[0][0]]])
-        cof = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                minor = ExprMatrix(
-                    [
-                        [self.entries[r][c] for c in range(n) if c != j]
-                        for r in range(n)
-                        if r != i
-                    ]
-                )
-                sign = 1 if (i + j) % 2 == 0 else -1
-                row.append(minor.det() * sign)
-            cof.append(row)
-        # adjugate is the transposed cofactor matrix
-        return ExprMatrix(
-            [[cof[j][i] / d for j in range(n)] for i in range(n)]
-        )
+        dm, decode = _lift(self.entries)
+        try:
+            inv = dm.inv()
+        except DMNonInvertibleMatrixError:
+            raise SingularMatrixError("matrix determinant vanishes identically") from None
+        return ExprMatrix([[decode(e) for e in row] for row in inv.to_list()])
+
+    def pivot_columns(self) -> list[int]:
+        """Indices of the columns outside the span of the columns before them."""
+        return list(_lift(self.entries)[0].rref()[1])
 
     def total_derivative(self, ctx) -> "ExprMatrix":
         from .jets import total_derivative
@@ -298,13 +218,3 @@ class ExprMatrix:
         rows = "; ".join(", ".join(print_expr(e) for e in row) for row in self.entries)
         return f"ExprMatrix[{rows}]"
 
-
-def _decide_nonzero_det(d: Expr, seed: int) -> bool:
-    if d.sym == 0:
-        return False
-    verdict = is_zero(d, trials=8, seed=seed)
-    if verdict.is_nonzero:
-        return True
-    if verdict.is_zero:
-        return False
-    raise PivotUndecidableError(f"cannot decide invertibility: determinant {d}")

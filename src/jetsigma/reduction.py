@@ -170,9 +170,7 @@ def restrict(e: Expr, sys: ODESystem) -> Expr:
     return restrict_with(e, sys.solved, sys.ctx, sys.order)
 
 
-def solve_for_highest(
-    sys: ODESystem, targets: Sequence[sp.Symbol | str] | None = None, seed: int = 0
-) -> ODESystem:
+def solve_for_highest(sys: ODESystem, targets: Sequence[sp.Symbol | str] | None = None) -> ODESystem:
     """Solve the equations for the designated highest derivatives (by default
     the order-q coordinate of every dependent); the equations must be affine
     in those coordinates."""
@@ -204,7 +202,7 @@ def solve_for_highest(
                 raise NonAffineInHighestError(f"equation {print_expr(e)} is not affine")
         rows.append(row)
         consts.append(-rest)
-    result = linear_solve(rows, consts, seed=seed)
+    result = linear_solve(rows, consts)
     if result.status == "inconsistent":
         raise SingularJacobianError(
             f"equations are inconsistent in the highest derivatives: 0 = {print_expr(result.witness)}"
@@ -247,7 +245,7 @@ def verify_sigma_symmetry(
 ) -> SymmetryReport:
     """Prolong the set to the system order with the twist and check that each
     field maps each equation to zero on the solution manifold."""
-    solved_sys = solve_for_highest(sys, seed=seed) if sys.solved is None else sys
+    solved_sys = solve_for_highest(sys) if sys.solved is None else sys
     Ys = sigma_prolong(Xs, sigma, sys.order)
     residuals = {}
     verdicts = {}

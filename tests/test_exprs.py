@@ -235,3 +235,13 @@ def test_finite_difference_agreement(table):
 def test_float_rejected():
     with pytest.raises(Exception):
         Expr(sp.Float(0.5) * sp.Symbol("u"))
+
+
+@pytest.mark.xfail(strict=True, reason="the exp normal form is not canonical")
+def test_exp_normal_form_is_canonical(table):
+    """Equal values should have one normal form; with exp atoms they do not
+    yet: the difference normalizes to 0 while the two forms stay distinct."""
+    a = parse("1/(u + exp(u - v))", table)
+    b = parse("exp(v)/(u*exp(v) + exp(u))", table)
+    assert (a - b).sym == 0
+    assert a == b

@@ -111,6 +111,9 @@ def test_independence_examples():
     assert rep.rank == 2 and not rep.dependent
     rep2 = independence_check([P("u"), P("2*u")], ctx)
     assert rep2.rank == 1 and rep2.dependent == [1]
+    # every sampled Jacobian entry is below 1e-9; the rank is still exact
+    rep3 = independence_check([P("u/10^15")], ctx)
+    assert rep3.rank == 1 and not rep3.dependent
 
 
 def test_independence_seven_invariant_basis():

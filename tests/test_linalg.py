@@ -68,6 +68,10 @@ def test_matrix_inverse_and_det(ctx):
     Ainv = A.inverse()
     assert (A @ Ainv) == ExprMatrix.identity(2)
     assert (Ainv @ A) == ExprMatrix.identity(2)
+    # a pivot is decided exactly, never by the size of sampled values
+    tiny = ExprMatrix([[P("u/10^15")]])
+    assert tiny.det() == P("u/10^15")
+    assert tiny.inverse() == ExprMatrix([[P("10^15/u")]])
 
 
 def test_singular_matrix_rejected(ctx):
