@@ -25,6 +25,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import sympy as sp
 from sympy.core.function import AppliedUndef
+from sympy.polys.domains import QQ
+from sympy.polys.matrices import DomainMatrix
 
 __all__ = [
     "Expr",
@@ -33,6 +35,7 @@ __all__ = [
     "parse",
     "normalize",
     "atomize",
+    "exp_monomials",
     "is_zero",
     "diff",
     "substitute",
@@ -418,6 +421,54 @@ def atomize(exprs: Iterable[sp.Expr]) -> tuple[list[sp.Expr], dict[sp.Symbol, sp
             if node not in atom_map:
                 atom_map[node] = sp.Dummy(f"a{len(atom_map)}")
     return [e.xreplace(atom_map) for e in exprs], {v: k for k, v in atom_map.items()}
+
+
+def exp_monomials(restore: dict[sp.Symbol, sp.Expr]) -> dict[sp.Symbol, sp.Expr]:
+    """Rewrite the exp atoms of an ``atomize`` map as monomials in
+    exponentials of Q-independent arguments, so that exp(u)*exp(v) and
+    exp(u + v) become the same monomial, as the normal form makes them the
+    same expression.  Arguments are compared term by term after ``expand``.
+    Extends ``restore`` with any new base exponential and returns the
+    substitution of the atom symbols; empty when the arguments are already
+    independent."""
+    exps = [(s, a.args[0]) for s, a in restore.items() if isinstance(a, sp.exp)]
+    if len(exps) < 2:
+        return {}
+    coeffs = []
+    for _, arg in exps:
+        terms: dict[sp.Expr, sp.Rational] = {}
+        for t in sp.Add.make_args(sp.expand(arg)):
+            c, m = t.as_coeff_Mul()
+            terms[m] = terms.get(m, sp.S.Zero) + c
+        coeffs.append(terms)
+    monomials = list(dict.fromkeys(m for terms in coeffs for m in terms))
+    # columns are the arguments; rref expresses each non-pivot argument in
+    # the pivot arguments before it
+    cols = DomainMatrix(
+        [[QQ.from_sympy(terms.get(m, sp.S.Zero)) for terms in coeffs] for m in monomials],
+        (len(monomials), len(exps)),
+        QQ,
+    )
+    reduced, pivots = cols.rref()
+    if len(pivots) == len(exps):
+        return {}
+    rel = reduced.to_Matrix()
+    subs: dict[sp.Symbol, sp.Expr] = {}
+    bases = []  # (symbol, power): exp(pivot argument) = symbol**power
+    for i, p in enumerate(pivots):
+        sym, arg = exps[p]
+        # the base exp(arg/scale) makes every exponent below an integer
+        scale = sp.ilcm(1, *(rel[i, k].q for k in range(len(exps))))
+        if scale != 1:
+            base = sp.Dummy(f"{sym.name}_{scale}")
+            restore[base] = sp.exp(arg / scale)
+            subs[sym] = base**scale
+            sym = base
+        bases.append((sym, scale))
+    for k, (sym, _) in enumerate(exps):
+        if k not in pivots:
+            subs[sym] = sp.Mul(*(b ** (rel[i, k] * s) for i, (b, s) in enumerate(bases)))
+    return subs
 
 
 def diff(e: Expr, s: str | sp.Symbol, table: SymbolTable | None = None) -> Expr:

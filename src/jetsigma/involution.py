@@ -10,7 +10,7 @@ from typing import Sequence
 
 import sympy as sp
 
-from .exprs import Expr, ExprError, ZeroVerdict, atomize, eval_numeric, is_zero, normalize, print_expr
+from .exprs import Expr, ExprError, ZeroVerdict, atomize, eval_numeric, exp_monomials, is_zero, normalize, print_expr
 from .jets import JetContext, VectorField, VectorFieldSet, lie_bracket, total_derivative
 from .linalg import linear_solve
 from .prolong import SigmaMatrix, sigma_prolong
@@ -139,7 +139,11 @@ def expand_in_basis(
     )
     # fast path: constant coefficients, confirmed symbolically
     comps = [f.components() for f in [*basis, bracket]]
-    flat, _ = atomize(c.sym for cs in comps for c in cs)
+    flat, restore = atomize(c.sym for cs in comps for c in cs)
+    # related exp atoms get related sample values, so a point of the
+    # pointwise pre-check below lies on the actual field
+    subs = exp_monomials(restore)
+    flat = [e.xreplace(subs) for e in flat]
     it = iter(flat)
     *basis_syms, bracket_syms = [[next(it) for _ in cs] for cs in comps]
     symbols = sorted({s for e in flat for s in e.free_symbols}, key=lambda s: s.name)

@@ -4,10 +4,14 @@ Every elimination goes through one routine, ``_lift``: the entries become a
 ``DomainMatrix`` over the rational-function field QQ(symbols, atoms), whose
 generators are the free symbols plus the kernel and opaque applications
 (atomized into fresh symbols), and sympy's ``rref``, ``det`` or ``inv`` runs
-there.  A pivot is an exact nonzero test in that field: an entry is a pivot
-unless its normal form vanishes identically over the atom ring.  Nothing is
-sampled, so no verdict depends on a seed or on the size of a value; identities
-among kernel atoms outside the rewrite set (sin^2 + cos^2 = 1) are not seen.
+there.  The exp atoms are first rewritten as monomials in exponentials of
+Q-independent arguments (``exprs.exp_monomials``), so the field obeys the rewrite
+exp(a)*exp(b) = exp(a + b) of the normal form: exp(u)*exp(v) - exp(u + v) is
+zero there, and so is the determinant of [[exp(u), exp(u + v)], [1, exp(v)]].
+A pivot is an exact nonzero test in that field.  Nothing is sampled, so no
+verdict depends on a seed or on the size of a value.  Identities that the
+normal form does not apply either are not seen: sin^2 + cos^2 - 1 is a
+nonzero pivot.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from sympy.polys.domains import QQ
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
 
-from .exprs import Expr, ExprError, atomize, normalize, print_expr
+from .exprs import Expr, ExprError, atomize, exp_monomials, normalize, print_expr
 
 __all__ = [
     "ExprMatrix",
@@ -39,6 +43,9 @@ def _lift(rows: Sequence[Sequence[Expr]]) -> tuple[DomainMatrix, Callable[..., E
     an element of that field back to an Expr."""
     ncols = len(rows[0])
     flat, restore = atomize(normalize(e).sym for row in rows for e in row)
+    subs = exp_monomials(restore)
+    if subs:
+        flat = [e.xreplace(subs) for e in flat]
     gens = sorted(set().union(*(e.free_symbols for e in flat)), key=sp.default_sort_key)
     K = QQ.frac_field(*gens) if gens else QQ
     elems = [K.from_sympy(e) for e in flat]

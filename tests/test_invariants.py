@@ -114,6 +114,11 @@ def test_independence_examples():
     # every sampled Jacobian entry is below 1e-9; the rank is still exact
     rep3 = independence_check([P("u/10^15")], ctx)
     assert rep3.rank == 1 and not rep3.dependent
+    # exp(2u) + exp(2v) + 2 exp(u + v) is the square of exp(u) + exp(v)
+    rep4 = independence_check([P("exp(u) + exp(v)"), P("exp(2*u) + exp(2*v) + 2*exp(u + v)")], ctx)
+    assert rep4.rank == 1 and rep4.dependent == [1]
+    rep5 = independence_check([P("exp(u/2)"), P("exp(u/3)"), P("exp(u)*v")], ctx)
+    assert rep5.rank == 2 and rep5.dependent == [1]
 
 
 def test_independence_seven_invariant_basis():

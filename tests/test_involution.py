@@ -190,3 +190,13 @@ def test_expand_in_basis_rejects_new_singularities():
     # generically in the span, but only with coefficients singular on u_1 = 0
     assert expand_in_basis(target, [y1, y2, y3, y4], restrict_singularities=True) is None
     assert expand_in_basis(target, [y1, y2, y3, y4]) is not None
+
+
+def test_expand_in_basis_with_related_exp_atoms():
+    ctx = _ctx1()
+    P = ctx.parse
+    y1 = VectorField.on_base(ctx, 0, [P("exp(u + v)"), P("exp(v)")])
+    # exp(u) * y1; the sampled pre-check must not treat exp(u + v), exp(v)
+    # and exp(2u + v) as independent values
+    target = VectorField.on_base(ctx, 0, [P("exp(2*u + v)"), P("exp(u + v)")])
+    assert expand_in_basis(target, [y1]) == [P("exp(u)")]

@@ -79,6 +79,25 @@ def test_singular_matrix_rejected(ctx):
     A = ExprMatrix([[P("u"), P("u")], [P("v"), P("v")]])
     with pytest.raises(SingularMatrixError):
         A.inverse()
+    # exp(u)*exp(v) = exp(u + v): the rows are proportional
+    B = ExprMatrix([[P("exp(u)"), P("exp(u + v)")], [P("1"), P("exp(v)")]])
+    assert B.det().sym == 0
+    with pytest.raises(SingularMatrixError):
+        B.inverse()
+    C = ExprMatrix([[P("exp(u/2)"), P("exp(u)")], [P("1"), P("exp(u/2)")]])
+    with pytest.raises(SingularMatrixError):
+        C.inverse()
+
+
+def test_solve_with_exp_product_pivots(ctx):
+    P = ctx.parse
+    mat = [[P("exp(u)"), P("exp(u + v)")], [P("1"), P("exp(v)")]]
+    result = linear_solve(mat, [P("exp(u)"), P("1")])
+    assert result.status == "underdetermined"
+    assert result.free_indices == [1]
+    assert result.solution[0] == P("1")
+    result = linear_solve(mat, [P("1"), P("1")])
+    assert result.status == "inconsistent"
 
 
 def test_matrix_algebra(ctx):
