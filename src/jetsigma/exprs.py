@@ -410,14 +410,15 @@ def normalize(e: Expr | sp.Expr | int) -> Expr:
 
 
 def atomize(exprs: Iterable[sp.Expr]) -> tuple[list[sp.Expr], dict[sp.Symbol, sp.Expr]]:
-    """Replace kernel and opaque applications by fresh symbols ``a0, a1, ...``,
-    numbered in order of first appearance (within one expression, in
-    ``default_sort_key`` order).  Returns the replaced expressions and the map
-    from each fresh symbol back to its application."""
+    """Replace kernel and opaque applications, and the constants e and pi,
+    by fresh symbols ``a0, a1, ...``, numbered in order of first appearance
+    (within one expression, in ``default_sort_key`` order).  Returns the
+    replaced expressions and the map from each fresh symbol back to its
+    application."""
     exprs = list(exprs)
     atom_map: dict[sp.Expr, sp.Symbol] = {}
     for e in exprs:
-        for node in sorted(e.atoms(sp.Function), key=sp.default_sort_key):
+        for node in sorted(e.atoms(sp.Function, sp.NumberSymbol), key=sp.default_sort_key):
             if node not in atom_map:
                 atom_map[node] = sp.Dummy(f"a{len(atom_map)}")
     return [e.xreplace(atom_map) for e in exprs], {v: k for k, v in atom_map.items()}
@@ -431,7 +432,11 @@ def exp_monomials(restore: dict[sp.Symbol, sp.Expr]) -> dict[sp.Symbol, sp.Expr]
     Extends ``restore`` with any new base exponential and returns the
     substitution of the atom symbols; empty when the arguments are already
     independent."""
-    exps = [(s, a.args[0]) for s, a in restore.items() if isinstance(a, sp.exp)]
+    exps = [
+        (s, sp.S.One if a is sp.E else a.args[0])
+        for s, a in restore.items()
+        if a is sp.E or isinstance(a, sp.exp)
+    ]
     if len(exps) < 2:
         return {}
     coeffs = []

@@ -2,10 +2,11 @@
 
 Every elimination goes through one routine, ``_lift``: the entries become a
 ``DomainMatrix`` over the rational-function field QQ(symbols, atoms), whose
-generators are the free symbols plus the kernel and opaque applications
-(atomized into fresh symbols), and sympy's ``rref``, ``det`` or ``inv`` runs
-there.  The exp atoms are first rewritten as monomials in exponentials of
-Q-independent arguments (``exprs.exp_monomials``), so the field obeys the rewrite
+generators are the free symbols plus the kernel and opaque applications and
+the constants e and pi (atomized into fresh symbols), and sympy's ``rref``,
+``det`` or ``inv`` runs there.  The exp atoms are first rewritten as
+monomials in exponentials of Q-independent arguments
+(``exprs.exp_monomials``), so the field obeys the rewrite
 exp(a)*exp(b) = exp(a + b) of the normal form: exp(u)*exp(v) - exp(u + v) is
 zero there, and so is the determinant of [[exp(u), exp(u + v)], [1, exp(v)]].
 A pivot is an exact nonzero test in that field.  Nothing is sampled, so no

@@ -87,6 +87,10 @@ def test_singular_matrix_rejected(ctx):
     C = ExprMatrix([[P("exp(u/2)"), P("exp(u)")], [P("1"), P("exp(u/2)")]])
     with pytest.raises(SingularMatrixError):
         C.inverse()
+    # exp(1) is the constant e, and exp(u + 1) = e*exp(u)
+    D = ExprMatrix([[P("exp(u + 1)"), P("exp(1)*exp(u)")], [P("1"), P("1")]])
+    with pytest.raises(SingularMatrixError):
+        D.inverse()
 
 
 def test_solve_with_exp_product_pivots(ctx):
