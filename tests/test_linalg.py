@@ -41,6 +41,9 @@ def test_inconsistent_witness(ctx):
     result = linear_solve([[P("1")], [P("1")]], [P("u"), P("u + 1")])
     assert result.status == "inconsistent"
     assert result.witness is not None
+    # the rows of [[exp(u), exp(u + v)], [1, exp(v)]] are proportional
+    mat = [[P("exp(u)"), P("exp(u + v)")], [P("1"), P("exp(v)")]]
+    assert linear_solve(mat, [P("1"), P("1")]).status == "inconsistent"
 
 
 def test_underdetermined_free_indices(ctx):
@@ -49,6 +52,11 @@ def test_underdetermined_free_indices(ctx):
     assert result.status == "underdetermined"
     assert result.free_indices == [1]
     assert result.solution[0] == P("v") and result.solution[1].sym == 0
+    mat = [[P("exp(u)"), P("exp(u + v)")], [P("1"), P("exp(v)")]]
+    result = linear_solve(mat, [P("exp(u)"), P("1")])
+    assert result.status == "underdetermined"
+    assert result.free_indices == [1]
+    assert result.solution[0] == P("1")
 
 
 def test_solve_with_expression_pivots(ctx):
@@ -91,17 +99,6 @@ def test_singular_matrix_rejected(ctx):
     D = ExprMatrix([[P("exp(u + 1)"), P("exp(1)*exp(u)")], [P("1"), P("1")]])
     with pytest.raises(SingularMatrixError):
         D.inverse()
-
-
-def test_solve_with_exp_product_pivots(ctx):
-    P = ctx.parse
-    mat = [[P("exp(u)"), P("exp(u + v)")], [P("1"), P("exp(v)")]]
-    result = linear_solve(mat, [P("exp(u)"), P("1")])
-    assert result.status == "underdetermined"
-    assert result.free_indices == [1]
-    assert result.solution[0] == P("1")
-    result = linear_solve(mat, [P("1"), P("1")])
-    assert result.status == "inconsistent"
 
 
 def test_matrix_algebra(ctx):
