@@ -8,7 +8,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
+from functools import partial
 
 import sympy as sp
 
@@ -28,27 +28,11 @@ from .involution import (
     structure_functions,
 )
 from .invariants import generate_invariants
-from .jets import VectorFieldSet, lie_bracket
-from .oracle import integrate, invariant_along_trajectory
-from .prolong import SigmaMatrix, sigma_prolong, standard_prolong
-from .reduction import reconstruction_check, reduce_system, solve_for_highest, verify_sigma_symmetry
+from .jets import lie_bracket
+from .oracle import integrate
+from .prolong import SigmaMatrix
+from .reduction import reduce_system, solve_for_highest, verify_sigma_symmetry
 from .session import MissingSessionDataError, Session, dump_reduced_session, load_session
-
-COMMANDS = [
-    "prolong",
-    "bracket",
-    "involution",
-    "theorem2",
-    "check-symmetry",
-    "ibdp",
-    "reduce",
-    "equivalence",
-    "gauge",
-    "bridge",
-    "determining",
-    "oracle",
-    "all",
-]
 
 SCHEMA = "jetsigma-report/1"
 
@@ -74,6 +58,7 @@ class Report:
     command: str
     entries: list[Entry] = field(default_factory=list)
     objects: list[tuple[str, list[str]]] = field(default_factory=list)
+    reduced_session: str | None = None  # set by reduce: the reduced system as session text
 
     def check(self, name: str, verdict: ZeroVerdict | bool, residual: Expr | None = None):
         if isinstance(verdict, bool):
@@ -94,6 +79,8 @@ class Report:
     def merge(self, other: "Report"):
         self.entries.extend(other.entries)
         self.objects.extend(other.objects)
+        if other.reduced_session is not None:
+            self.reduced_session = other.reduced_session
 
     @property
     def exit_status(self) -> int:
@@ -140,19 +127,9 @@ class Report:
         return json.dumps(payload, indent=2, sort_keys=False)
 
 
-def _prolonged(session: Session, order: int):
-    """Twisted prolongation of the session fields; equivalence-style sessions
-    (a transformation matrix A present) hold standard-prolongation generators,
-    whose twist describes the transformed set instead."""
-    fields = session.require("fields")
-    if session.sigma is not None and "A" not in session.matrices:
-        return sigma_prolong(fields, session.sigma, order)
-    return VectorFieldSet([standard_prolong(X, order) for X in fields])
-
-
 def _run_prolong(session: Session, order: int, trials: int, seed: int) -> Report:
     rep = Report("prolong")
-    Ys = _prolonged(session, order)
+    Ys = session.prolonged(order)
     for name, Y in zip(session.field_names, Ys):
         rep.show(f"prolonged field {name}", [str(Y)])
     return rep
@@ -160,7 +137,7 @@ def _run_prolong(session: Session, order: int, trials: int, seed: int) -> Report
 
 def _run_bracket(session: Session, order: int, trials: int, seed: int) -> Report:
     rep = Report("bracket")
-    Ys = _prolonged(session, order)
+    Ys = session.prolonged(order)
     for i in range(len(Ys)):
         for j in range(i + 1, len(Ys)):
             br = lie_bracket(Ys[i], Ys[j])
@@ -173,7 +150,7 @@ def _run_involution(session: Session, order: int, trials: int, seed: int) -> Rep
     """Purely a report: involutivity is a finding about the set, not a check
     that can fail, so this command never drives a nonzero exit on its own."""
     rep = Report("involution")
-    Ys = _prolonged(session, order)
+    Ys = session.prolonged(order)
     try:
         sf = structure_functions(Ys, seed=seed)
         rep.show("involutive", ["yes"])
@@ -211,7 +188,7 @@ def _run_theorem2(session: Session, order: int, trials: int, seed: int) -> Repor
 def _run_check_symmetry(session: Session, order: int, trials: int, seed: int, zero_sigma=False) -> Report:
     rep = Report("check-symmetry")
     fields = session.require("fields")
-    system = session.require("system")
+    system = session.solved_system()
     sigma = session.sigma
     if zero_sigma or sigma is None:
         sigma = SigmaMatrix.zero(session.ctx, len(fields))
@@ -230,11 +207,10 @@ def _run_check_symmetry(session: Session, order: int, trials: int, seed: int, ze
 def _run_ibdp(session: Session, order: int, trials: int, seed: int) -> Report:
     rep = Report("ibdp")
     session.require("seeds")
-    Ys = _prolonged(session, order)
-    eta = session.eta if session.eta is not None else session.ctx.parse("x")
+    Ys = session.prolonged(order)
     table = generate_invariants(
         Ys,
-        eta,
+        session.require("eta"),
         session.seeds,
         order,
         extra_base=session.extra_base,
@@ -247,12 +223,11 @@ def _run_ibdp(session: Session, order: int, trials: int, seed: int) -> Report:
     return rep
 
 
-def _run_reduce(session: Session, order: int, trials: int, seed: int) -> tuple[Report, str]:
+def _run_reduce(session: Session, order: int, trials: int, seed: int) -> Report:
     rep = Report("reduce")
-    system = session.require("system")
+    session.require("system")
     change = session.require("coordinate_change")
-    if system.solved is None:
-        system = solve_for_highest(system)
+    system = session.solved_system()
     reduced, rrep = reduce_system(system, None, change, trials=trials, seed=seed)
     rep.show(
         "reduced system",
@@ -277,7 +252,8 @@ def _run_reduce(session: Session, order: int, trials: int, seed: int) -> tuple[R
     except ExprError:
         pass
     rep.check("reduction emitted", True)
-    return rep, dump_reduced_session(reduced, solved_text or None)
+    rep.reduced_session = dump_reduced_session(reduced, solved_text or None)
+    return rep
 
 
 def _run_equivalence(session: Session, order: int, trials: int, seed: int) -> Report:
@@ -362,10 +338,9 @@ def _run_determining(session: Session, order: int, trials: int, seed: int) -> Re
 
 def _run_oracle(session: Session, order: int, trials: int, seed: int) -> Report:
     rep = Report("oracle")
-    system = session.require("system")
+    session.require("system")
     spec = session.require("oracle")
-    if system.solved is None:
-        system = solve_for_highest(system)
+    system = session.solved_system()
     h = float(spec.step)
     traj = integrate(system, spec.initial, (0.0, float(spec.t1)), h)
     endpoint = ", ".join(
@@ -381,64 +356,48 @@ def _run_oracle(session: Session, order: int, trials: int, seed: int) -> Report:
     return rep
 
 
+def _run_all(session: Session, order: int, trials: int, seed: int) -> Report:
+    rep = Report("all")
+    for runner, applies in COMMANDS.values():
+        if applies is not None and applies(session):
+            rep.merge(runner(session, order, trials, seed))
+    return rep
+
+
+# Every command with its runner and the session data without which `all`
+# skips it, in the order `all` runs them.
+COMMANDS = {
+    "prolong": (_run_prolong, lambda s: s.fields is not None),
+    "bracket": (_run_bracket, lambda s: s.fields is not None),
+    "involution": (_run_involution, lambda s: s.fields is not None and "A" not in s.matrices),
+    "theorem2": (
+        _run_theorem2,
+        lambda s: s.fields is not None and s.sigma is not None and "A" not in s.matrices,
+    ),
+    "check-symmetry": (_run_check_symmetry, lambda s: s.fields is not None and s.system is not None),
+    "ibdp": (_run_ibdp, lambda s: bool(s.seeds)),
+    "reduce": (_run_reduce, lambda s: s.system is not None and s.change is not None),
+    "equivalence": (_run_equivalence, lambda s: "A" in s.matrices and s.fields is not None),
+    "gauge": (_run_gauge, lambda s: "B" in s.matrices and s.sigma is not None),
+    "bridge": (_run_bridge, lambda s: "Phi" in s.matrices),
+    "determining": (_run_determining, lambda s: s.ansatz is not None and s.system is not None),
+    "oracle": (_run_oracle, lambda s: s.oracle is not None and s.system is not None),
+    "all": (_run_all, None),
+}
+
+
 def run(command: str, session: Session, order: int | None = None, trials: int = 20, seed: int = 0, zero_sigma: bool = False):
     """Dispatch a command against a loaded session; returns (Report, extra)
-    where extra is a reduced-session text for the reduce command."""
-    ctx_order = order if order is not None else session.ctx.max_order
-    extra = None
-    if command == "prolong":
-        rep = _run_prolong(session, ctx_order, trials, seed)
-    elif command == "bracket":
-        rep = _run_bracket(session, ctx_order, trials, seed)
-    elif command == "involution":
-        rep = _run_involution(session, ctx_order, trials, seed)
-    elif command == "theorem2":
-        rep = _run_theorem2(session, ctx_order, trials, seed)
-    elif command == "check-symmetry":
-        rep = _run_check_symmetry(session, ctx_order, trials, seed, zero_sigma)
-    elif command == "ibdp":
-        rep = _run_ibdp(session, ctx_order, trials, seed)
-    elif command == "reduce":
-        rep, extra = _run_reduce(session, ctx_order, trials, seed)
-    elif command == "equivalence":
-        rep = _run_equivalence(session, ctx_order, trials, seed)
-    elif command == "gauge":
-        rep = _run_gauge(session, ctx_order, trials, seed)
-    elif command == "bridge":
-        rep = _run_bridge(session, ctx_order, trials, seed)
-    elif command == "determining":
-        rep = _run_determining(session, ctx_order, trials, seed)
-    elif command == "oracle":
-        rep = _run_oracle(session, ctx_order, trials, seed)
-    elif command == "all":
-        rep = Report("all")
-        if session.fields is not None:
-            rep.merge(_run_prolong(session, ctx_order, trials, seed))
-            rep.merge(_run_bracket(session, ctx_order, trials, seed))
-            if "A" not in session.matrices:
-                rep.merge(_run_involution(session, ctx_order, trials, seed))
-        if session.fields is not None and session.sigma is not None and "A" not in session.matrices:
-            rep.merge(_run_theorem2(session, ctx_order, trials, seed))
-        if session.fields is not None and session.system is not None:
-            rep.merge(_run_check_symmetry(session, ctx_order, trials, seed))
-        if session.seeds:
-            rep.merge(_run_ibdp(session, ctx_order, trials, seed))
-        if session.system is not None and session.change is not None:
-            sub, extra = _run_reduce(session, ctx_order, trials, seed)
-            rep.merge(sub)
-        if "A" in session.matrices and session.fields is not None:
-            rep.merge(_run_equivalence(session, ctx_order, trials, seed))
-        if "B" in session.matrices and session.sigma is not None:
-            rep.merge(_run_gauge(session, ctx_order, trials, seed))
-        if "Phi" in session.matrices:
-            rep.merge(_run_bridge(session, ctx_order, trials, seed))
-        if session.ansatz is not None and session.system is not None:
-            rep.merge(_run_determining(session, ctx_order, trials, seed))
-        if session.oracle is not None and session.system is not None:
-            rep.merge(_run_oracle(session, ctx_order, trials, seed))
-    else:
+    where extra is a reduced-session text for the reduce command (and for
+    `all` when it runs reduce).  `zero_sigma` applies to check-symmetry run
+    on its own."""
+    if command not in COMMANDS:
         raise ExprError(f"unknown command {command!r}")
-    return rep, extra
+    runner, _ = COMMANDS[command]
+    if zero_sigma and runner is _run_check_symmetry:
+        runner = partial(_run_check_symmetry, zero_sigma=True)
+    rep = runner(session, order if order is not None else session.ctx.max_order, trials, seed)
+    return rep, rep.reduced_session
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -446,7 +405,7 @@ def main(argv: list[str] | None = None) -> int:
         prog="jetsigma",
         description="Twisted joint prolongations, differential invariants, and order reduction.",
     )
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=list(COMMANDS))
     parser.add_argument("--session", required=True, help="session file to load")
     parser.add_argument("--json", action="store_true", help="emit a JSON report")
     parser.add_argument("--numeric-trials", type=int, default=20)

@@ -4,12 +4,12 @@ collection for parameter-only templates."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import sympy as sp
 
-from .exprs import Expr, ExprError, ZeroVerdict, atomize, normalize, print_expr
+from .exprs import Expr, ExprError, atomize
 from .jets import JetContext, VectorField, VectorFieldSet
 from .prolong import SigmaMatrix
 from .reduction import ODESystem, SymmetryReport, verify_sigma_symmetry

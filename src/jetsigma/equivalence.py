@@ -7,12 +7,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
-import sympy as sp
-
-from .exprs import Expr, ExprError, ZeroVerdict, is_zero, normalize, print_expr
+from .exprs import Expr, ExprError, ZeroVerdict, is_zero, print_expr
 from .involution import StructureFunctions
-from .jets import JetContext, VectorField, VectorFieldSet
-from .linalg import ExprMatrix, SingularMatrixError
+from .jets import JetContext, VectorFieldSet
+from .linalg import ExprMatrix
 from .prolong import SigmaMatrix, sigma_prolong, standard_prolong
 
 __all__ = [

@@ -16,7 +16,6 @@ callers goes through the small surface below.
 
 from __future__ import annotations
 
-import math
 import random
 import re
 from dataclasses import dataclass
@@ -24,7 +23,6 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 import sympy as sp
-from sympy.core.function import AppliedUndef
 from sympy.polys.domains import QQ
 from sympy.polys.matrices import DomainMatrix
 

@@ -4,14 +4,14 @@ and the conditions on twist matrices that preserve involution relations."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import sympy as sp
 
-from .exprs import Expr, ExprError, ZeroVerdict, atomize, eval_numeric, exp_monomials, is_zero, normalize, print_expr
-from .jets import JetContext, VectorField, VectorFieldSet, lie_bracket, total_derivative
+from .exprs import Expr, ExprError, atomize, exp_monomials, is_zero, print_expr
+from .jets import VectorField, VectorFieldSet, lie_bracket, total_derivative
 from .linalg import linear_solve
 from .prolong import SigmaMatrix, sigma_prolong
 

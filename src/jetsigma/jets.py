@@ -2,21 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import sympy as sp
 
-from .exprs import (
-    Expr,
-    ExprError,
-    SymbolTable,
-    ZeroVerdict,
-    diff,
-    is_zero,
-    normalize,
-    print_expr,
-)
+from .exprs import Expr, ExprError, SymbolTable, normalize, print_expr
 
 __all__ = ["JetContext", "VectorField", "VectorFieldSet", "total_derivative", "lie_bracket"]
 

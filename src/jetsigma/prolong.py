@@ -13,12 +13,12 @@ the r = 1 case, and the untwisted operators are the sigma = 0 degenerations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import sympy as sp
 
-from .exprs import Expr, ExprError, ZeroVerdict, is_zero, normalize, print_expr
+from .exprs import Expr, ExprError, ZeroVerdict, is_zero, print_expr
 from .jets import JetContext, VectorField, VectorFieldSet, total_derivative
 from .linalg import ExprMatrix
 

@@ -3,7 +3,7 @@ symmetry verification, and order reduction through invariant coordinates."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np

@@ -14,8 +14,8 @@ from .determining import Ansatz
 from .exprs import Expr, ExprError, SymbolTable, parse, print_expr
 from .jets import JetContext, VectorField, VectorFieldSet
 from .linalg import ExprMatrix
-from .prolong import SigmaMatrix
-from .reduction import CoordinateChange, ODESystem
+from .prolong import SigmaMatrix, sigma_prolong, standard_prolong
+from .reduction import CoordinateChange, ODESystem, solve_for_highest
 
 __all__ = ["Session", "SessionError", "MissingSessionDataError", "load_session", "loads_session", "dump_reduced_session"]
 
@@ -56,12 +56,34 @@ class Session:
     ansatz: Ansatz | None = None
     oracle: OracleSpec | None = None
     deny: list[Expr] = field(default_factory=list)
+    _prolonged: dict[int, VectorFieldSet] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _solved: ODESystem | None = field(default=None, init=False, repr=False, compare=False)
 
     def require(self, what: str):
         value = getattr(self, what if what != "coordinate_change" else "change")
         if value is None or (isinstance(value, (list, dict)) and not value):
             raise MissingSessionDataError(what)
         return value
+
+    def prolonged(self, order: int) -> VectorFieldSet:
+        """The fields prolonged to `order`, built once per order.  They are
+        twisted-prolonged with the session twist, except in equivalence-style
+        sessions (a transformation matrix A present): those hold
+        standard-prolongation generators, whose twist describes the
+        transformed set instead."""
+        if order not in self._prolonged:
+            fields = self.require("fields")
+            if self.sigma is not None and "A" not in self.matrices:
+                self._prolonged[order] = sigma_prolong(fields, self.sigma, order)
+            else:
+                self._prolonged[order] = VectorFieldSet([standard_prolong(X, order) for X in fields])
+        return self._prolonged[order]
+
+    def solved_system(self) -> ODESystem:
+        """The system solved for its highest derivatives, solved once."""
+        if self._solved is None:
+            self._solved = solve_for_highest(self.require("system"))
+        return self._solved
 
 
 def _split_top_commas(text: str) -> list[str]:
@@ -323,6 +345,8 @@ def loads_session(text: str) -> Session:
         else:
             raise SessionError(f"unknown section [{keyword}]")
 
+    if session.eta is None:
+        session.eta = Expr(ctx.x)
     if fields:
         session.fields = VectorFieldSet(fields)
     if session.sigma is not None and session.fields is not None:

@@ -1,0 +1,33 @@
+"""Every module-level import of the library is used: referenced somewhere in
+its module or re-exported through ``__all__``."""
+
+import ast
+import os
+
+import pytest
+
+SRC = os.path.join(os.path.dirname(__file__), "..", "src", "jetsigma")
+MODULES = sorted(f for f in os.listdir(SRC) if f.endswith(".py") and f != "__init__.py")
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    imported = set()
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported.update(ast.literal_eval(node.value))
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(imported - used - exported)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unused_imports(module):
+    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), module)
+    assert _unused_imports(tree) == []
