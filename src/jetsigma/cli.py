@@ -389,12 +389,14 @@ COMMANDS = {
 def run(command: str, session: Session, order: int | None = None, trials: int = 20, seed: int = 0, zero_sigma: bool = False):
     """Dispatch a command against a loaded session; returns (Report, extra)
     where extra is a reduced-session text for the reduce command (and for
-    `all` when it runs reduce).  `zero_sigma` applies to check-symmetry run
-    on its own."""
+    `all` when it runs reduce).  `zero_sigma` applies to check-symmetry only;
+    any other command given it raises `ExprError`."""
     if command not in COMMANDS:
         raise ExprError(f"unknown command {command!r}")
     runner, _ = COMMANDS[command]
-    if zero_sigma and runner is _run_check_symmetry:
+    if zero_sigma:
+        if command != "check-symmetry":
+            raise ExprError("--zero-sigma applies to check-symmetry only")
         runner = partial(_run_check_symmetry, zero_sigma=True)
     rep = runner(session, order if order is not None else session.ctx.max_order, trials, seed)
     return rep, rep.reduced_session
@@ -415,7 +417,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--zero-sigma",
         action="store_true",
-        help="override the session twist with the zero matrix (check-symmetry)",
+        help="override the session twist with the zero matrix (check-symmetry only)",
     )
     args = parser.parse_args(argv)
 

@@ -9,9 +9,11 @@ once its argument is recursively normalized).  Rational constants use exact
 arbitrary-precision arithmetic throughout; no floats ever enter a symbolic
 expression.
 
-The heavy lifting (polynomial arithmetic, multivariate gcd cancellation,
-derivatives of the five kernels) is delegated to sympy; everything visible to
-callers goes through the small surface below.
+The heavy lifting (polynomial arithmetic, derivatives of the five kernels) is
+delegated to sympy; the multivariate gcd cancellation runs in sympy's sparse
+rational-function field (``sympy.polys.fields``), and the result is stored as
+a sympy expression tree.  Everything visible to callers goes through the
+small surface below.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import sympy as sp
 from sympy.polys.domains import QQ
+from sympy.polys.fields import sfield
 from sympy.polys.matrices import DomainMatrix
 
 __all__ = [
@@ -246,9 +249,12 @@ def _fracnorm(e: sp.Expr) -> sp.Expr:
     if e.is_Atom:
         return e
     try:
-        return sp.cancel(sp.together(e))
+        field, frac = sfield(e)
     except (sp.PolynomialError, ZeroDivisionError, AttributeError):
         return sp.together(sp.expand(e))
+    if not field.gens:
+        return e.expand()
+    return frac.numer.as_expr() / frac.denom.as_expr()
 
 
 def _canon_atoms(e: sp.Expr) -> sp.Expr:

@@ -232,6 +232,57 @@ def test_finite_difference_agreement(table):
     assert checked >= 20
 
 
+def test_normal_form_matches_cancel_reference(monkeypatch):
+    """The normal form, cancelled in sympy's sparse field, against a
+    reference pipeline that cancels with the expression-tree
+    ``cancel(together(.))``.  Most trees are identical.  They may differ only
+    where an exp or log argument is a rational function: the sparse field
+    keeps ``exp((-u - 1)/(v^2 + 1))`` as a numerator atom, where the reference
+    factors out its sign and moves the exp into the denominator, and it does
+    not split ``log(256)`` off a log argument.  There the reference maps the
+    sparse-field tree onto its own tree of the raw input, so both trees are
+    the same value."""
+    from jetsigma import exprs
+
+    def cancel_fracnorm(e):
+        if e.is_Atom:
+            return e
+        try:
+            return sp.cancel(sp.together(e))
+        except (sp.PolynomialError, ZeroDivisionError, AttributeError):
+            return sp.together(sp.expand(e))
+
+    syms = [sp.Symbol(s) for s in ("x", "u", "v", "u_1", "v_1")]
+    x, u, v, u_1, v_1 = syms
+    A = exprs._opaque_class("A", 2)
+    rng = random.Random(0)
+    raws = []
+    for _ in range(60):
+        a = random_expr(rng, syms + [A(u, v_1)]).sym
+        b = random_expr(rng, syms + [A(u, v_1)]).sym
+        raws += [a + b, a * b, a / (b**2 + 1)]
+    exp_arg_u = (u**2 * u_1 + u_1) / (u**4 + 2 * u**2 + u_1**2 + 1)
+    exp_arg_v = (-12 * v**2 - 12) / (16 * v**4 + 32 * v**2 + 25)
+    exp_sum = sp.exp(exp_arg_u) + sp.exp(exp_arg_v)
+    log_arg = (256 * u**4 + 512 * u**2 + 81 * v**2 + 256) / (256 * u**4 + 512 * u**2 + 256)
+    shapes = [exp_sum, exp_sum * (u * x * sp.sin(u) + u * sp.sin(u)), sp.log(log_arg)]
+
+    got = [Expr(raw).sym for raw in raws + shapes]
+    # the sparse field keeps the sum of exps expanded and the log unsplit
+    assert got[-3] == sp.exp(sp.cancel(exp_arg_u)) + sp.exp(sp.cancel(exp_arg_v))
+    assert not got[-1].has(sp.log(2))
+
+    monkeypatch.setattr(exprs, "_fracnorm", cancel_fracnorm)
+    differ = 0
+    for raw, tree in zip(raws + shapes, got):
+        reference = exprs._normal(raw)
+        if tree != reference:
+            differ += 1
+            assert tree.has(sp.exp) or tree.has(sp.log), raw
+            assert exprs._normal(tree) == reference, raw
+    assert differ <= 3 + len(raws) // 20
+
+
 def test_float_rejected():
     with pytest.raises(Exception):
         Expr(sp.Float(0.5) * sp.Symbol("u"))

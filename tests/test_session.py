@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from jetsigma.cli import main, run
+from jetsigma.exprs import ExprError
 from jetsigma.session import (
     MissingSessionDataError,
     SessionError,
@@ -128,6 +129,15 @@ def test_zero_sigma_override_fails_with_witness():
     rep, _ = run("check-symmetry", s, zero_sigma=True)
     assert rep.exit_status == 1
     assert any(e.verdict == "NonZero" and e.witness for e in rep.entries)
+
+
+@pytest.mark.parametrize("command", ["all", "prolong"])
+def test_zero_sigma_rejected_outside_check_symmetry(command, capsys):
+    path = _path("exp_coupled_pair")
+    with pytest.raises(ExprError, match="--zero-sigma applies to check-symmetry only"):
+        run(command, load_session(path), zero_sigma=True)
+    assert main([command, "--session", path, "--zero-sigma"]) == 1
+    assert "--zero-sigma applies to check-symmetry only" in capsys.readouterr().err
 
 
 def test_missing_session_data():
