@@ -49,7 +49,7 @@ class Ansatz:
                 raise ExprError("phi template row length does not match the dependents")
         if self.xi is None:
             self.xi = [Expr.number(0)] * r
-        if self.xi_zero and any(x.sym != 0 for x in self.xi):
+        if self.xi_zero and any(not x.is_rational_zero for x in self.xi):
             raise ExprError("xi templates must vanish when xi_zero is set")
         for row in self.phi:
             for e in row:
@@ -127,7 +127,7 @@ def generate_determining(
         seen = set()
         unique = []
         for e in coeff_eqs:
-            if e.sym != 0 and e.sym not in seen:
+            if not e.is_rational_zero and e.sym not in seen:
                 seen.add(e.sym)
                 unique.append(e)
         coeff_eqs = unique
@@ -169,7 +169,7 @@ def collect_coefficients(residual: Expr, collect_vars: Sequence[sp.Symbol | str]
     joint vanishing is equivalent to the residual vanishing identically in
     those variables."""
     syms = [sp.Symbol(v) if isinstance(v, str) else v for v in collect_vars]
-    if residual.sym == 0 or not syms:
+    if residual.is_rational_zero or not syms:
         return []
     numer, denom = sp.fraction(residual.sym)
     if any(s in denom.free_symbols for s in syms):

@@ -153,7 +153,7 @@ def theta_from_mu(A: ExprMatrix, Ys: VectorFieldSet, mu: StructureFunctions) -> 
                     for m in range(r):
                         for l in range(r):
                             muml = mu[m, l, h]
-                            if muml.sym != 0:
+                            if not muml.is_rational_zero:
                                 inner = inner + A[i, m] * muml * A[j, l]
                     for m in range(r):
                         inner = inner + A[i, m] * Ys[m].apply(A[j, h]) - A[j, m] * Ys[m].apply(A[i, h])

@@ -9,25 +9,33 @@ once its argument is recursively normalized).  Rational constants use exact
 arbitrary-precision arithmetic throughout; no floats ever enter a symbolic
 expression.
 
-The heavy lifting (polynomial arithmetic, derivatives of the five kernels) is
-delegated to sympy; the multivariate gcd cancellation runs in sympy's sparse
-rational-function field (``sympy.polys.fields``), and the result is stored as
-a sympy expression tree.  Everything visible to callers goes through the
-small surface below.
+An expression without kernel or opaque atoms carries its value as an element
+of one ambient sparse rational-function field over QQ (``sympy.polys.fields``)
+whose generators are every symbol seen so far; ``+ - * /``, integer powers,
+``diff`` and ``derivation`` (a sum of c * de/ds) stay in that field, and the
+sympy tree is built only when asked for (printing, hashing and equality,
+``lambdify``, numeric evaluation).  Any operand with atoms takes the tree
+path: the operation is applied to the sympy trees and the result normalized,
+with the gcd cancellation again in a sparse field.  Both paths give the same
+tree for the same value.  Everything visible to callers goes through the small
+surface below.
 """
 
 from __future__ import annotations
 
 import random
 import re
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 import sympy as sp
 from sympy.polys.domains import QQ
-from sympy.polys.fields import sfield
+from sympy.polys.fields import FracField, sfield
 from sympy.polys.matrices import DomainMatrix
+from sympy.polys.orderings import lex
+from sympy.polys.polyutils import _sort_gens
 
 __all__ = [
     "Expr",
@@ -39,6 +47,7 @@ __all__ = [
     "exp_monomials",
     "is_zero",
     "diff",
+    "derivation",
     "substitute",
     "eval_numeric",
     "print_expr",
@@ -303,6 +312,129 @@ def _normal(raw: sp.Expr) -> sp.Expr:
 
 
 # ---------------------------------------------------------------------------
+# the ambient rational-function field
+# ---------------------------------------------------------------------------
+
+
+class _AmbientField:
+    """The one sparse field QQ(s1, ..., sn) whose generators are every symbol
+    seen so far.  The generators are kept in ``_sort_gens`` order, the order
+    ``sfield`` gives a tree's symbols, so ``cancel`` fixes signs exactly as the
+    tree path does.  A new symbol replaces the field by a larger one; elements
+    of an earlier field are moved in when next used.  ``state`` is the field
+    and its symbol -> generator index, swapped as one value."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.state = self._state(())
+
+    @staticmethod
+    def _state(symbols):
+        return FracField(symbols, QQ, lex), {s: i for i, s in enumerate(symbols)}
+
+    def grow(self, symbols: Iterable[sp.Symbol]):
+        """The state, first grown to hold ``symbols``."""
+        symbols = list(symbols)
+        if all(s in self.state[1] for s in symbols):
+            return self.state
+        with self._lock:
+            field, index = self.state
+            new = dict.fromkeys(s for s in symbols if s not in index)
+            if new:
+                self.state = self._state(_sort_gens([*field.symbols, *new]))
+            return self.state
+
+    def value(self, e: sp.Expr):
+        """The element of a normalized tree, or False if it has kernel or
+        opaque atoms.  Constants and symbols are built without ``cancel``."""
+        if e.is_Rational:
+            field = self.state[0]
+            return field.raw_new(field.ring.ground_new(e.p), field.ring.ground_new(e.q))
+        if e.is_Symbol:
+            field, index = self.grow((e,))
+            return field.gens[index[e]]
+        if not _is_rational_tree(e):
+            return False
+        field, _ = self.grow(e.free_symbols)
+        numer, denom = e.as_numer_denom()
+        return _fraction(field, field.ring.from_expr(numer), field.ring.from_expr(denom))
+
+
+def _is_rational_tree(e: sp.Expr) -> bool:
+    if e.is_Symbol or e.is_Rational:
+        return True
+    if e.is_Add or e.is_Mul:
+        return all(_is_rational_tree(a) for a in e.args)
+    return e.is_Pow and e.exp.is_Integer and _is_rational_tree(e.base)
+
+
+_AMBIENT = _AmbientField()
+
+
+def _field_values(exprs: Sequence["Expr"]):
+    """The elements of ``exprs``, all in the current ambient field, and that
+    field's generator index; None when one of them has kernel or opaque
+    atoms."""
+    while True:
+        field, index = _AMBIENT.state
+        values = []
+        for x in exprs:
+            f = x._field()
+            if f is False:
+                return None
+            values.append(f)
+        if all(f.field is field for f in values):
+            return values, index
+        # converting an operand grew the field: move the others in too
+
+
+def _fraction(field, numer, denom):
+    """numer/denom in lowest terms: the pair ``cancel`` gives (integer
+    coefficients, coprime contents, denominator with a positive leading
+    coefficient), without its round trip through ZZ when the denominator is
+    a constant."""
+    if not denom.is_ground:
+        return field.new(numer, denom)
+    if denom.LC != 1:
+        numer = numer.quo_ground(denom.LC)
+    c, numer = numer.clear_denoms()
+    return field.raw_new(numer, field.ring.ground_new(c))
+
+
+def _add(f, g):
+    if not f:
+        return g
+    if not g:
+        return f
+    if f.denom == g.denom:
+        return _fraction(f.field, f.numer + g.numer, f.denom)
+    return _fraction(f.field, f.numer * g.denom + g.numer * f.denom, f.denom * g.denom)
+
+
+def _mul(f, g):
+    if not f or not g:
+        return f.field.zero
+    return _fraction(f.field, f.numer * g.numer, f.denom * g.denom)
+
+
+def _div(f, g):
+    """f/g for a nonzero g."""
+    return _fraction(f.field, f.numer * g.denom, f.denom * g.numer)
+
+
+def _pow(f, n: int):
+    """f**n; f is nonzero when n < 0."""
+    if n == 0:
+        return f.field.one
+    if n > 0:
+        return f.raw_new(f.numer**n, f.denom**n)
+    numer, denom = f.denom**-n, f.numer**-n
+    if denom.LC < 0:
+        numer, denom = -numer, -denom
+    return f.raw_new(numer, denom)
+
+
+# ---------------------------------------------------------------------------
 # the Expr wrapper
 # ---------------------------------------------------------------------------
 
@@ -317,18 +449,47 @@ def _sym(v) -> sp.Expr:
     raise TypeError(f"cannot interpret {v!r} as an expression")
 
 
-class Expr:
-    """An immutable symbolic expression, always kept in normal form."""
+def _operand(v) -> "Expr | None":
+    """An arithmetic operand as an Expr when that needs no normalization."""
+    if isinstance(v, Expr):
+        return v
+    if isinstance(v, (int, Fraction)) or isinstance(v, sp.Expr) and (v.is_Rational or v.is_Symbol):
+        return Expr._wrapped(_sym(v))
+    return None
 
-    __slots__ = ("sym",)
+
+class Expr:
+    """An immutable symbolic expression, always kept in normal form.
+
+    A kernel-free value lives in the ambient field (``_frac``) and its tree
+    (``sym``) is built on first use; a value with kernel or opaque atoms is a
+    normalized tree only.  ``_frac`` is None until first needed and False for
+    a tree with atoms."""
+
+    __slots__ = ("_sym", "_frac")
 
     def __init__(self, raw):
-        object.__setattr__(self, "sym", _normal(_sym(raw)))
+        if isinstance(raw, Expr):
+            sym, frac = raw._sym, raw._frac
+        else:
+            sym, frac = _sym(raw), None
+            if not (sym.is_Symbol or sym.is_Rational):
+                sym = _normal(sym)
+        object.__setattr__(self, "_sym", sym)
+        object.__setattr__(self, "_frac", frac)
 
     @staticmethod
     def _wrapped(normalized: sp.Expr) -> "Expr":
         e = object.__new__(Expr)
-        object.__setattr__(e, "sym", normalized)
+        object.__setattr__(e, "_sym", normalized)
+        object.__setattr__(e, "_frac", None)
+        return e
+
+    @staticmethod
+    def _of(frac) -> "Expr":
+        e = object.__new__(Expr)
+        object.__setattr__(e, "_sym", None)
+        object.__setattr__(e, "_frac", frac)
         return e
 
     @staticmethod
@@ -340,35 +501,87 @@ class Expr:
     def __setattr__(self, *a):
         raise AttributeError("Expr is immutable")
 
+    @property
+    def sym(self) -> sp.Expr:
+        """The normalized sympy tree."""
+        s = self._sym
+        if s is None:
+            f = self._frac
+            s = f.numer.as_expr() / f.denom.as_expr()
+            object.__setattr__(self, "_sym", s)
+        return s
+
+    def _field(self):
+        """The element in the current ambient field, or False."""
+        f = self._frac
+        if f is None:
+            f = _AMBIENT.value(self._sym)
+        else:
+            field = _AMBIENT.state[0]
+            if f is False or f.field is field:
+                return f
+            f = field.raw_new(f.numer.set_ring(field.ring), f.denom.set_ring(field.ring))
+        object.__setattr__(self, "_frac", f)
+        return f
+
+    def _pair(self, other):
+        b = _operand(other)
+        values = None if b is None else _field_values((self, b))
+        return None if values is None else values[0]
+
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, other):
+        p = self._pair(other)
+        if p is not None:
+            return Expr._of(_add(p[0], p[1]))
         return Expr(self.sym + _sym(other))
 
     __radd__ = __add__
 
     def __sub__(self, other):
+        p = self._pair(other)
+        if p is not None:
+            return Expr._of(_add(p[0], -p[1]))
         return Expr(self.sym - _sym(other))
 
     def __rsub__(self, other):
+        p = self._pair(other)
+        if p is not None:
+            return Expr._of(_add(p[1], -p[0]))
         return Expr(_sym(other) - self.sym)
 
     def __mul__(self, other):
+        p = self._pair(other)
+        if p is not None:
+            return Expr._of(_mul(p[0], p[1]))
         return Expr(self.sym * _sym(other))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        p = self._pair(other)
+        if p is not None and p[1]:
+            return Expr._of(_div(p[0], p[1]))
         return Expr(self.sym / _sym(other))
 
     def __rtruediv__(self, other):
+        p = self._pair(other)
+        if p is not None and p[0]:
+            return Expr._of(_div(p[1], p[0]))
         return Expr(_sym(other) / self.sym)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
             raise ExprError("only integer powers are supported")
+        f = self._field()
+        if f is not False and (n >= 0 or f):
+            return Expr._of(_pow(f, n))
         return Expr(self.sym ** n)
 
     def __neg__(self):
+        f = self._field()
+        if f is not False:
+            return Expr._of(-f)
         return Expr(-self.sym)
 
     # -- structure ----------------------------------------------------------
@@ -380,16 +593,26 @@ class Expr:
 
     @property
     def is_rational_zero(self) -> bool:
+        f = self._frac
+        if f is not None and f is not False:
+            return not f
         return self.sym is sp.S.Zero or self.sym == 0 and self.sym.is_Rational
 
     @property
     def free_symbols(self) -> frozenset:
-        return frozenset(self.sym.free_symbols)
+        f = self._frac
+        if f is None or f is False:
+            return frozenset(self.sym.free_symbols)
+        return frozenset(
+            s
+            for s, dn, dd in zip(f.field.symbols, f.numer.degrees(), f.denom.degrees())
+            if dn > 0 or dd > 0
+        )
 
     def jet_order(self, table: SymbolTable) -> int:
         """Highest jet order among the coordinates appearing in the expression."""
         order = 0
-        for s in self.sym.free_symbols:
+        for s in self.free_symbols:
             base, sep, sub = s.name.partition("_")
             if sep and base in table.dependents and sub.isdigit():
                 order = max(order, int(sub))
@@ -484,7 +707,28 @@ def diff(e: Expr, s: str | sp.Symbol, table: SymbolTable | None = None) -> Expr:
     """Formal partial derivative with respect to one symbol."""
     if isinstance(s, str):
         s = table.lookup(s) if table is not None else sp.Symbol(s)
-    return Expr(sp.diff(e.sym, s))
+    return derivation(e, [(s, ONE)])
+
+
+def derivation(e: Expr, terms: Iterable[tuple[sp.Symbol, Expr]]) -> Expr:
+    """The sum of c * de/ds over the (s, c) pairs of ``terms``.  When e and
+    every c are kernel-free it is computed in the ambient field; otherwise the
+    summed tree is normalized once."""
+    terms = [(s, c) for s, c in terms if not c.is_rational_zero]
+    values = _field_values([e, *(c for _, c in terms)])
+    if values is None:
+        return Expr(sp.Add(*[c.sym * sp.diff(e.sym, s) for s, c in terms]))
+    (f, *coeffs), index = values
+    numer, denom = f.numer, f.denom
+    ground = denom.is_ground
+    acc = f.field.zero
+    for (s, _), c in zip(terms, coeffs):
+        i = index.get(s)
+        if i is not None:
+            # d(N/D) = (dN*D - N*dD)/D**2, or dN/D for a constant D
+            d = numer.diff(i) if ground else numer.diff(i) * denom - numer * denom.diff(i)
+            acc = _add(acc, _fraction(f.field, c.numer * d, c.denom))
+    return Expr._of(_fraction(f.field, acc.numer, acc.denom * (denom if ground else denom**2)))
 
 
 def substitute(e: Expr, bindings: Mapping) -> Expr:
@@ -603,7 +847,7 @@ def is_zero(
     is Unknown (a possible identity outside the rewrite system)."""
     if trials < 1:
         raise ExprError("trials must be >= 1")
-    if e.sym == 0:
+    if e.is_rational_zero:
         return ZERO_VERDICT
     # opaque applications act as independent unknowns: a smooth function and
     # its formal derivatives are jointly unconstrained at a point

@@ -8,7 +8,7 @@ from typing import Sequence
 
 import sympy as sp
 
-from .exprs import Expr, ExprError, ZeroVerdict, is_zero, normalize, print_expr
+from .exprs import Expr, ExprError, ZeroVerdict, diff, is_zero, normalize, print_expr
 from .jets import JetContext, VectorFieldSet, total_derivative
 from .linalg import ExprMatrix
 
@@ -60,7 +60,7 @@ def verify_invariant(
 def ibdp_step(eta: Expr, zeta: Expr, ctx: JetContext) -> Expr:
     """One invariants-by-differentiation step: D_x zeta / D_x eta."""
     d_eta = total_derivative(eta, ctx)
-    if d_eta.sym == 0:
+    if d_eta.is_rational_zero:
         raise DegenerateBaseError(
             f"total derivative of the base invariant {print_expr(eta)} vanishes identically"
         )
@@ -177,6 +177,6 @@ def independence_check(exprs: Sequence[Expr], ctx: JetContext) -> IndependenceRe
     coords: list[sp.Symbol] = [ctx.x] + [
         ctx.coord(a, k) for a in range(ctx.p) for k in range(max_order + 1)
     ]
-    jac_t = ExprMatrix([[Expr(sp.diff(e.sym, c)) for e in exprs] for c in coords])
+    jac_t = ExprMatrix([[diff(e, c) for e in exprs] for c in coords])
     pivots = jac_t.pivot_columns()
     return IndependenceReport(len(pivots), [i for i in range(len(exprs)) if i not in pivots])

@@ -66,7 +66,7 @@ class StructureFunctions:
         return self.mu[i][j][k]
 
     def is_zero(self) -> bool:
-        return all(e.sym == 0 for plane in self.mu for row in plane for e in row)
+        return all(e.is_rational_zero for plane in self.mu for row in plane for e in row)
 
     def __repr__(self):
         parts = []
@@ -218,7 +218,7 @@ def structure_functions(Vs: VectorFieldSet, seed: int = 0) -> StructureFunctions
                 labels = bracket.coordinate_labels()
                 comps = bracket.components()
                 desc = ", ".join(
-                    f"{print_expr(c)}*{lab}" for c, lab in zip(comps, labels) if c.sym != 0
+                    f"{print_expr(c)}*{lab}" for c, lab in zip(comps, labels) if not c.is_rational_zero
                 )
                 raise NotInvolutiveError(i, j, bracket, desc)
             upper[(i, j)] = coeffs
@@ -242,7 +242,7 @@ class ClosureReport:
 
 def _pivot_coordinate(f: VectorField, seed: int) -> int | None:
     for idx, c in enumerate(f.components()):
-        if c.sym == 0:
+        if c.is_rational_zero:
             continue
         verdict = is_zero(c, trials=6, seed=seed + idx)
         if verdict.is_nonzero:
@@ -280,7 +280,7 @@ def _strip_rational_content(f: VectorField) -> tuple[VectorField, Expr]:
     contents = []
     leading = None
     for c in f.components():
-        if c.sym == 0:
+        if c.is_rational_zero:
             continue
         fr = _coefficient_content(c.sym)
         if leading is None:
@@ -305,7 +305,7 @@ def _strip_rational_content(f: VectorField) -> tuple[VectorField, Expr]:
 
 
 def _nonzero_count(f: VectorField) -> int:
-    return sum(1 for c in f.components() if c.sym != 0)
+    return sum(1 for c in f.components() if not c.is_rational_zero)
 
 
 def _reduce_against(residual: VectorField, base: Sequence[VectorField], seed: int) -> VectorField:
@@ -317,10 +317,10 @@ def _reduce_against(residual: VectorField, base: Sequence[VectorField], seed: in
         if piv is None:
             continue
         num = residual.components()[piv]
-        if num.sym == 0:
+        if num.is_rational_zero:
             continue
         ratio = num / g.components()[piv]
-        if ratio.sym.is_Rational and ratio.sym != 0:
+        if ratio.sym.is_Rational and not ratio.is_rational_zero:
             tentative = residual.minus(g.scaled(ratio))
             if _nonzero_count(tentative) < _nonzero_count(residual):
                 residual = tentative

@@ -6,7 +6,7 @@ from typing import Mapping, Sequence
 
 import sympy as sp
 
-from .exprs import Expr, ExprError, SymbolTable, normalize, print_expr
+from .exprs import ONE, Expr, ExprError, SymbolTable, derivation, normalize, print_expr
 
 __all__ = ["JetContext", "VectorField", "VectorFieldSet", "total_derivative", "lie_bracket"]
 
@@ -73,13 +73,13 @@ class JetContext:
 
 def total_derivative(e: Expr, ctx: JetContext) -> Expr:
     """D_x e = d_x e + sum over present coordinates of u^a_{k+1} * de/du^a_k."""
-    out = sp.diff(e.sym, ctx.x)
-    for s in sorted(e.sym.free_symbols, key=lambda t: t.name):
+    terms = [(ctx.x, ONE)]
+    for s in e.free_symbols:
         base, sep, sub = s.name.partition("_")
         if base in ctx.dependents and (not sep or sub.isdigit()):
             k = int(sub) if sep else 0
-            out = out + ctx.coord(base, k + 1) * sp.diff(e.sym, s)
-    return Expr(out)
+            terms.append((s, Expr(ctx.coord(base, k + 1))))
+    return derivation(e, terms)
 
 
 class VectorField:
@@ -112,7 +112,7 @@ class VectorField:
 
     @property
     def is_vertical(self) -> bool:
-        return self.xi.sym == 0
+        return self.xi.is_rational_zero
 
     def phi(self, a: int) -> Expr:
         return self.psi[a][0]
@@ -129,13 +129,10 @@ class VectorField:
             raise ExprError(
                 f"expression of jet order {order} cannot be acted on by an order-{self.order} field"
             )
-        out = self.xi.sym * sp.diff(e.sym, self.ctx.x)
+        terms = [(self.ctx.x, self.xi)]
         for a in range(self.ctx.p):
-            for k in range(self.order + 1):
-                c = self.psi[a][k].sym
-                if c != 0:
-                    out = out + c * sp.diff(e.sym, self.ctx.coord(a, k))
-        return Expr(out)
+            terms.extend((self.ctx.coord(a, k), self.psi[a][k]) for k in range(self.order + 1))
+        return derivation(e, terms)
 
     def __call__(self, e: Expr) -> Expr:
         return self.apply(e)
@@ -186,7 +183,7 @@ class VectorField:
         return labels
 
     def is_zero_field(self) -> bool:
-        return all(c.sym == 0 for c in self.components())
+        return all(c.is_rational_zero for c in self.components())
 
     def __eq__(self, other):
         return (
@@ -202,7 +199,7 @@ class VectorField:
     def __str__(self):
         parts = []
         for c, label in zip(self.components(), self.coordinate_labels()):
-            if c.sym == 0:
+            if c.is_rational_zero:
                 continue
             cs = print_expr(c)
             if cs == "1":

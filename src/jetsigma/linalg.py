@@ -217,7 +217,7 @@ class ExprMatrix:
         return self.map(lambda e: total_derivative(e, ctx))
 
     def is_zero_matrix(self) -> bool:
-        return all(e.sym == 0 for row in self.entries for e in row)
+        return all(e.is_rational_zero for row in self.entries for e in row)
 
     def __eq__(self, other):
         return isinstance(other, ExprMatrix) and self.entries == other.entries

@@ -7,13 +7,15 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-import numpy as np
 import sympy as sp
 
 from .exprs import Expr, ExprError, SingularPointError, eval_numeric
 from .jets import JetContext
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Trajectory",
@@ -47,6 +49,8 @@ class Trajectory:
         return pt
 
     def same_grid(self, other: "Trajectory") -> bool:
+        import numpy as np
+
         return len(self.ts) == len(other.ts) and bool(np.allclose(self.ts, other.ts, atol=1e-12))
 
 
@@ -70,6 +74,8 @@ def integrate(
 ) -> Trajectory:
     """Classical fixed-step RK4 on the first-order reformulation of a solved
     system; local error O(h^5)."""
+    import numpy as np
+
     if h <= 0:
         raise ExprError("step size must be positive")
     if sys.solved is None:
@@ -132,9 +138,11 @@ def integrate(
 def invariant_along_trajectory(e: Expr, traj: Trajectory):
     """Evaluate an expression on each jet sample of the trajectory and return
     (values, central-difference derivative on the interior grid)."""
+    import numpy as np
+
     ctx = traj.ctx
     names = [ctx.independent, *traj.samples.keys()]
-    free = {s.name for s in e.sym.free_symbols}
+    free = {s.name for s in e.free_symbols}
     unknown = free - set(names)
     if unknown:
         raise ExprError(f"expression needs coordinates not on the trajectory: {sorted(unknown)}")

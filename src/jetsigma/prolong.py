@@ -111,7 +111,7 @@ def _one_joint_step(
             if sigma is not None:
                 for j in range(r):
                     s = sigma[i, j]
-                    if s.sym != 0:
+                    if not s.is_rational_zero:
                         coeff = coeff + s * (psis[j][a][k] - u_next * Xs[j].xi)
             psis[i][a].append(coeff)
 
@@ -167,7 +167,7 @@ def mu_prolong_vertical(Xs: VectorFieldSet, Lambda: ExprMatrix, n: int) -> Vecto
                 coeff = total_derivative(psi[a][k], ctx)
                 for b in range(ctx.p):
                     lab = Lambda[a, b]
-                    if lab.sym != 0:
+                    if not lab.is_rational_zero:
                         coeff = coeff + lab * psi[b][k]
                 psi[a].append(coeff)
         out_ctx = ctx if ctx.max_order >= n else ctx.extended(n)
@@ -200,11 +200,11 @@ def chi_prolong(Xs: VectorFieldSet, chi: ChiData, n: int) -> VectorFieldSet:
                 coeff = total_derivative(psis[i][a][k], ctx)
                 for b in range(ctx.p):
                     lab = chi.Lambda[a, b]
-                    if lab.sym != 0:
+                    if not lab.is_rational_zero:
                         coeff = coeff + lab * psis[i][b][k]
                 for j in range(r):
                     t = theta_t[i, j]
-                    if t.sym != 0:
+                    if not t.is_rational_zero:
                         coeff = coeff - t * psis[j][a][k]
                 psis[i][a].append(coeff)
     out_ctx = ctx if ctx.max_order >= n else ctx.extended(n)
@@ -280,7 +280,7 @@ def check_prolongation_commutation(
             rhs = -twist_scalar * dc
             for j in range(len(Ys)):
                 s = sigma[i, j]
-                if s.sym != 0:
+                if not s.is_rational_zero:
                     rhs = rhs + s * Ys[j].apply(ce)
             residual = lhs - rhs
             residuals.append(

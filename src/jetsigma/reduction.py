@@ -6,10 +6,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import numpy as np
 import sympy as sp
 
-from .exprs import Expr, ExprError, ZeroVerdict, is_zero, normalize, print_expr, substitute
+from .exprs import Expr, ExprError, ZeroVerdict, diff, is_zero, normalize, print_expr, substitute
 from .jets import JetContext, VectorFieldSet, total_derivative
 from .linalg import linear_solve
 from .prolong import SigmaMatrix, sigma_prolong
@@ -81,7 +80,7 @@ class ODESystem:
             }
             designated = set(solved)
             for key, rhs in solved.items():
-                for s in rhs.sym.free_symbols:
+                for s in rhs.free_symbols:
                     if s in designated:
                         raise ExprError(
                             f"solved right side for {key} contains designated coordinate {s}"
@@ -89,7 +88,7 @@ class ODESystem:
             if validate:
                 for e in self.equations:
                     res = restrict_with(e, solved, ctx, order)
-                    if res.sym != 0:
+                    if not res.is_rational_zero:
                         verdict = is_zero(res, trials=trials, seed=seed)
                         if not verdict.is_zero:
                             raise ExprError(
@@ -149,7 +148,7 @@ def restrict_with(
     current = normalize(e)
     for _pass in range(order + 3):
         mapping = {}
-        for s in sorted(current.sym.free_symbols, key=lambda t: t.name):
+        for s in sorted(current.free_symbols, key=lambda t: t.name):
             r = rule_for(s)
             if r is not None:
                 mapping[s] = r
@@ -158,7 +157,7 @@ def restrict_with(
         current = substitute(current, mapping)
     # a well-formed solved form always reaches a fixed point: each pass lowers
     # the highest restrictable order present
-    for s in current.sym.free_symbols:
+    for s in current.free_symbols:
         if rule_for(s) is not None:
             raise ExprError("restriction did not reach a fixed point (malformed solved form)")
     return current
@@ -189,16 +188,16 @@ def solve_for_highest(sys: ODESystem, targets: Sequence[sp.Symbol | str] | None 
     for e in sys.equations:
         row = []
         for t in target_syms:
-            coeff = Expr(sp.diff(e.sym, t))
+            coeff = diff(e, t)
             for t2 in target_syms:
-                if t2 in coeff.sym.free_symbols:
+                if t2 in coeff.free_symbols:
                     raise NonAffineInHighestError(
                         f"equation {print_expr(e)} is not affine in {t}"
                     )
             row.append(coeff)
         rest = substitute(e, {t: Expr.number(0) for t in target_syms})
         for t2 in target_syms:
-            if t2 in rest.sym.free_symbols:
+            if t2 in rest.free_symbols:
                 raise NonAffineInHighestError(f"equation {print_expr(e)} is not affine")
         rows.append(row)
         consts.append(-rest)
@@ -383,7 +382,7 @@ def reduce_system(
     q = sys.order
     if table is not None:
         for name, definition in change.new.items():
-            found = any((definition - entry).sym == 0 for entry in table.all_entries())
+            found = any((definition - entry).is_rational_zero for entry in table.all_entries())
             if not found:
                 raise ExprError(
                     f"definition of '{name}' is not an entry of the invariant table"
@@ -418,7 +417,7 @@ def reduce_system(
     for name in new_ctx.dependents:
         k_max = 0
         for e in new_equations:
-            for s in e.sym.free_symbols:
+            for s in e.free_symbols:
                 base, sep, sub_ = s.name.partition("_")
                 if base == name and sep and sub_.isdigit():
                     k_max = max(k_max, int(sub_))
@@ -448,6 +447,8 @@ def reconstruction_check(
     """Along matching numeric trajectories, check that each reduced coordinate
     equals its defining invariant evaluated on the full jet samples; returns
     (verdict, max residual)."""
+    import numpy as np
+
     from .oracle import GridMismatchError, invariant_along_trajectory
 
     if not full_traj.same_grid(reduced_traj):

@@ -56,9 +56,9 @@ def random_unimodular(rng: random.Random, ctx: JetContext):
     return upper @ lower
 
 
-def random_expr(rng: random.Random, symbols, depth: int = 3) -> Expr:
-    """Random expression over +, *, integer powers, quotients, and the five
-    kernels, kept numerically mild."""
+def random_expr(rng: random.Random, symbols, depth: int = 3, kernels: bool = True) -> Expr:
+    """Random expression over +, *, integer powers, quotients, and (unless
+    ``kernels`` is false) the five kernels, kept numerically mild."""
 
     def build(d: int) -> sp.Expr:
         if d == 0 or rng.random() < 0.3:
@@ -72,7 +72,7 @@ def random_expr(rng: random.Random, symbols, depth: int = 3) -> Expr:
             return build(d - 1) * build(d - 1)
         if op < 0.7:
             return build(d - 1) ** rng.randint(2, 3)
-        if op < 0.78:
+        if op < 0.78 or not kernels:
             denom = build(d - 1)
             return build(d - 1) / (denom**2 + 1)
         kernel = rng.choice([sp.exp, sp.sin, sp.cos, sp.atan, sp.log])

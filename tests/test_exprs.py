@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import count
 
 import pytest
 import sympy as sp
+from sympy.polys.fields import FracElement
 
+from jetsigma import exprs
 from jetsigma.exprs import (
     ArityMismatchError,
     Expr,
@@ -11,6 +14,7 @@ from jetsigma.exprs import (
     SingularPointError,
     SymbolTable,
     UndeclaredSymbolError,
+    derivation,
     diff,
     eval_numeric,
     is_zero,
@@ -296,3 +300,153 @@ def test_exp_normal_form_is_canonical(table):
     b = parse("exp(v)/(u*exp(v) + exp(u))", table)
     assert (a - b).sym == 0
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# kernel-free arithmetic in the ambient field against the tree path
+# ---------------------------------------------------------------------------
+
+
+def _differing(cases, field_path=True):
+    """The (result, tree) cases whose result is not ==, or does not hash
+    equal, to Expr(tree); with ``field_path`` each result must also be a
+    field element."""
+    out = []
+    for got, tree in cases:
+        if field_path:
+            assert isinstance(got._frac, FracElement), tree
+        reference = Expr(tree)
+        if not (got == reference and hash(got) == hash(reference)):
+            out.append((got.sym, reference.sym))
+    return out
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_field_path_matches_tree_path(seed):
+    """Every field-path + - * / neg pow, diff and sum of c*de/ds on seeded
+    kernel-free inputs gives the tree Expr(<same tree operation>) gives."""
+    rng = random.Random(seed)
+    syms = [sp.Symbol(s) for s in ("x", "u", "v", "u_1", "v_1")]
+    corpus = [random_expr(rng, syms, depth=2, kernels=False) for _ in range(24)]
+    differing = []
+    for _ in range(40):
+        a, b, c = (rng.choice(corpus) for _ in range(3))
+        s, t = rng.sample(syms, 2)
+        ab = a * b  # a field-born operand
+        cases = [
+            (ab, a.sym * b.sym),
+            (a + b, a.sym + b.sym),
+            (a - b, a.sym - b.sym),
+            (3 - a, 3 - a.sym),
+            (a * Fraction(2, 3), a.sym * sp.Rational(2, 3)),
+            (-ab, -ab.sym),
+            (ab - c, ab.sym - c.sym),
+            (a**2, a.sym**2),
+            (diff(a, s), sp.diff(a.sym, s)),
+            (diff(ab, t), sp.diff(ab.sym, t)),
+            (derivation(a, [(s, b), (t, c)]), b.sym * sp.diff(a.sym, s) + c.sym * sp.diff(a.sym, t)),
+            (derivation(ab, [(s, c), (t, Expr.number(1))]), c.sym * sp.diff(ab.sym, s) + sp.diff(ab.sym, t)),
+        ]
+        if not b.is_rational_zero:
+            cases += [(a / b, a.sym / b.sym), (b**-2, b.sym**-2), (1 / b, 1 / b.sym)]
+        differing += _differing(cases)
+    assert differing == []
+
+
+def test_field_path_edge_cases():
+    x, u, v, w, u_1 = (sp.Symbol(n) for n in ("x", "u", "v", "w", "u_1"))
+    X, U, V, W = (Expr(s) for s in (x, u, v, w))
+    base = U * V + X
+    held = set(exprs._AMBIENT.state[1])
+    cases = [(base, u * v + x)]
+    # symbols first seen after the field holds others, sorting before,
+    # among and after its generators
+    for prefix in ("x", "u_", "zz"):
+        fresh = next(s for s in (sp.Symbol(f"{prefix}{i}") for i in count(7)) if s not in held)
+        F = Expr(fresh)
+        assert F.sym == fresh and print_expr(F) == fresh.name
+        cases += [(base * F + F, (u * v + x) * fresh + fresh), (F - U, fresh - u)]
+    U_1 = Expr(u_1)
+    assert U_1.sym == u_1
+    cases += [
+        (base + 1, u * v + x + 1),  # built before the field grew
+        (U_1 * X, u_1 * x),
+        # the sign of a quotient follows the generator order
+        ((U - V) / (V - W), (u - v) / (v - w)),
+        ((V - U) / (W - V), (v - u) / (w - v)),
+        ((W - U) / (U - V), (w - u) / (u - v)),
+        (1 / (X - U), 1 / (x - u)),
+        ((U - X) ** -3, (u - x) ** -3),
+        # rational coefficients
+        (U / 2 + 1, u / 2 + 1),
+        (U * Fraction(1, 2) + 1, u / 2 + 1),
+        ((2 * U + 3) / 6, (2 * u + 3) / 6),
+        (-U / 3 - V / 6, -u / 3 - v / 6),
+        ((U / 4 + V / 6) / (U / 2 - W / 3), (u / 4 + v / 6) / (u / 2 - w / 3)),
+        (derivation(U**2 / (V - W), [(u, V / 2), (w, 1 / U)]),
+         v / 2 * sp.diff(u**2 / (v - w), u) + 1 / u * sp.diff(u**2 / (v - w), w)),
+    ]
+    assert _differing(cases) == []
+    # kernel-free operands combined with an exp operand take the tree path
+    E = Expr(sp.exp(u))
+    mixed = [
+        (U + E, u + sp.exp(u)),
+        (E * (U - V), sp.exp(u) * (u - v)),
+        ((U - V) / E, (u - v) / sp.exp(u)),
+        (diff(E * U, u), sp.diff(sp.exp(u) * u, u)),
+        (derivation(U * V, [(u, E), (v, U)]), sp.exp(u) * v + u * u),
+        (derivation(E, [(u, U / 2)]), u / 2 * sp.exp(u)),
+    ]
+    assert _differing(mixed, field_path=False) == []
+
+
+def test_field_and_tree_born_values_are_interchangeable():
+    u, v = sp.symbols("u v")
+    field_born = Expr(u) * Expr(v) + 1
+    tree_born = Expr(u * v + 1)
+    assert isinstance(field_born._frac, FracElement)
+    assert field_born == tree_born and tree_born == field_born
+    assert hash(field_born) == hash(tree_born)
+    table = {tree_born: "value"}
+    assert table[field_born] == "value"
+    assert len({field_born, tree_born}) == 1
+    assert field_born.free_symbols == tree_born.free_symbols == {u, v}
+    assert (field_born - tree_born).is_rational_zero
+    with pytest.raises(AttributeError):
+        field_born.sym = u
+    with pytest.raises(AttributeError):
+        field_born._frac = None
+
+
+def test_field_growth_from_threads():
+    """Threads that bring in new symbols at once lose none of them, and each
+    result still matches the tree path."""
+    import sys
+    import threading
+
+    held = set(exprs._AMBIENT.state[1])
+    fresh = (f"th{k}" for k in count() if sp.Symbol(f"th{k}") not in held)
+    names = [next(fresh) for _ in range(48)]
+    groups = [names[i::4] for i in range(4)]
+    failures = []
+
+    def work(group):
+        syms = [sp.Symbol(n) for n in group]
+        for s, t in zip(syms, syms[1:]):
+            got = (Expr(s) - Expr(t)) / (Expr(t) + 1)
+            if got != Expr((s - t) / (t + 1)):
+                failures.append((s, t))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(g,)) for g in groups]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert failures == []
+    assert {sp.Symbol(n) for n in names} <= set(exprs._AMBIENT.state[1])

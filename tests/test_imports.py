@@ -1,8 +1,11 @@
 """Every module-level import of the library is used: referenced somewhere in
-its module or re-exported through ``__all__``."""
+its module or re-exported through ``__all__``; and importing the command-line
+front end leaves numpy unloaded."""
 
 import ast
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -31,3 +34,13 @@ def test_no_unused_imports(module):
     with open(os.path.join(SRC, module), encoding="utf-8") as fh:
         tree = ast.parse(fh.read(), module)
     assert _unused_imports(tree) == []
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    """numpy is imported by the functions that integrate, not at start-up."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(SRC, ".."))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, jetsigma.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert out.stdout.strip() == "False"
