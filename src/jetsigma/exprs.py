@@ -10,9 +10,9 @@ arbitrary-precision arithmetic throughout; no floats ever enter a symbolic
 expression.
 
 An expression without kernel or opaque atoms carries its value as an element
-of one ambient sparse rational-function field over QQ (``sympy.polys.fields``)
-whose generators are every symbol seen so far; ``+ - * /``, integer powers,
-``diff`` and ``derivation`` (a sum of c * de/ds) stay in that field, and the
+of one ambient sparse rational-function field (``sympy.polys.fields``) whose
+generators are every symbol seen so far; ``+ - * /``, integer powers, ``diff``
+and ``derivation`` (a sum of c * de/ds) stay in that field, and the
 sympy tree is built only when asked for (printing, hashing and equality,
 ``lambdify``, numeric evaluation).  Any operand with atoms takes the tree
 path: the operation is applied to the sympy trees and the result normalized,
@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 import sympy as sp
-from sympy.polys.domains import QQ
+from sympy.polys.domains import QQ, ZZ
 from sympy.polys.fields import FracField, sfield
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.orderings import lex
@@ -253,12 +253,23 @@ def opaque(name: str, arity: int, *args) -> "Expr":
 # ---------------------------------------------------------------------------
 
 
+def _gen_order(gens) -> tuple:
+    """Generators in one total order: ``_sort_gens`` order, with ties (such as
+    ``a1`` and ``a01``, or ``x`` and ``x0``) broken by name.  ``cancel`` fixes
+    a fraction's sign by the leading term, so both normal-form paths must
+    order generators alike."""
+    return _sort_gens(sorted(gens, key=str))
+
+
 def _fracnorm(e: sp.Expr) -> sp.Expr:
     """Single-fraction rational normal form over the atom ring."""
     if e.is_Atom:
         return e
     try:
         field, frac = sfield(e)
+        gens = _gen_order(field.symbols)
+        if gens != field.symbols:
+            field, frac = sfield(e, *gens)
     except (sp.PolynomialError, ZeroDivisionError, AttributeError):
         return sp.together(sp.expand(e))
     if not field.gens:
@@ -318,11 +329,14 @@ def _normal(raw: sp.Expr) -> sp.Expr:
 
 class _AmbientField:
     """The one sparse field QQ(s1, ..., sn) whose generators are every symbol
-    seen so far.  The generators are kept in ``_sort_gens`` order, the order
-    ``sfield`` gives a tree's symbols, so ``cancel`` fixes signs exactly as the
-    tree path does.  A new symbol replaces the field by a larger one; elements
-    of an earlier field are moved in when next used.  ``state`` is the field
-    and its symbol -> generator index, swapped as one value."""
+    seen so far, built as the fraction field of ZZ[s1, ..., sn]: the domain
+    ``sfield`` picks for a tree's integer numerator and denominator, where
+    ``cancel`` needs no round trip from QQ.  The generators are kept in
+    ``_gen_order``, the order ``_fracnorm`` gives a tree's symbols, so
+    ``cancel`` fixes signs exactly as the tree path does.  A new symbol
+    replaces the field by a larger one; elements of an earlier field are moved
+    in when next used.  ``state`` is the field and its symbol -> generator
+    index, swapped as one value."""
 
     def __init__(self):
         self._lock = threading.Lock()
@@ -330,7 +344,7 @@ class _AmbientField:
 
     @staticmethod
     def _state(symbols):
-        return FracField(symbols, QQ, lex), {s: i for i, s in enumerate(symbols)}
+        return FracField(symbols, ZZ, lex), {s: i for i, s in enumerate(symbols)}
 
     def grow(self, symbols: Iterable[sp.Symbol]):
         """The state, first grown to hold ``symbols``."""
@@ -341,7 +355,7 @@ class _AmbientField:
             field, index = self.state
             new = dict.fromkeys(s for s in symbols if s not in index)
             if new:
-                self.state = self._state(_sort_gens([*field.symbols, *new]))
+                self.state = self._state(_gen_order([*field.symbols, *new]))
             return self.state
 
     def value(self, e: sp.Expr):
@@ -357,7 +371,7 @@ class _AmbientField:
             return False
         field, _ = self.grow(e.free_symbols)
         numer, denom = e.as_numer_denom()
-        return _fraction(field, field.ring.from_expr(numer), field.ring.from_expr(denom))
+        return field.new(field.ring.from_expr(numer), field.ring.from_expr(denom))
 
 
 def _is_rational_tree(e: sp.Expr) -> bool:
@@ -388,50 +402,13 @@ def _field_values(exprs: Sequence["Expr"]):
         # converting an operand grew the field: move the others in too
 
 
-def _fraction(field, numer, denom):
-    """numer/denom in lowest terms: the pair ``cancel`` gives (integer
-    coefficients, coprime contents, denominator with a positive leading
-    coefficient), without its round trip through ZZ when the denominator is
-    a constant."""
-    if not denom.is_ground:
-        return field.new(numer, denom)
-    if denom.LC != 1:
-        numer = numer.quo_ground(denom.LC)
-    c, numer = numer.clear_denoms()
-    return field.raw_new(numer, field.ring.ground_new(c))
-
-
-def _add(f, g):
-    if not f:
-        return g
-    if not g:
-        return f
-    if f.denom == g.denom:
-        return _fraction(f.field, f.numer + g.numer, f.denom)
-    return _fraction(f.field, f.numer * g.denom + g.numer * f.denom, f.denom * g.denom)
-
-
-def _mul(f, g):
-    if not f or not g:
-        return f.field.zero
-    return _fraction(f.field, f.numer * g.numer, f.denom * g.denom)
-
-
-def _div(f, g):
-    """f/g for a nonzero g."""
-    return _fraction(f.field, f.numer * g.denom, f.denom * g.numer)
-
-
 def _pow(f, n: int):
-    """f**n; f is nonzero when n < 0."""
-    if n == 0:
-        return f.field.one
-    if n > 0:
-        return f.raw_new(f.numer**n, f.denom**n)
-    numer, denom = f.denom**-n, f.numer**-n
-    if denom.LC < 0:
-        numer, denom = -numer, -denom
-    return f.raw_new(numer, denom)
+    """f**n; f is nonzero when n < 0.  For n < 0 sympy swaps numerator and
+    denominator as they are, so the sign ``cancel`` would give is restored."""
+    g = f**n
+    if g.denom.LC < 0:
+        return g.raw_new(-g.numer, -g.denom)
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +510,7 @@ class Expr:
     def __add__(self, other):
         p = self._pair(other)
         if p is not None:
-            return Expr._of(_add(p[0], p[1]))
+            return Expr._of(p[0] + p[1])
         return Expr(self.sym + _sym(other))
 
     __radd__ = __add__
@@ -541,19 +518,19 @@ class Expr:
     def __sub__(self, other):
         p = self._pair(other)
         if p is not None:
-            return Expr._of(_add(p[0], -p[1]))
+            return Expr._of(p[0] - p[1])
         return Expr(self.sym - _sym(other))
 
     def __rsub__(self, other):
         p = self._pair(other)
         if p is not None:
-            return Expr._of(_add(p[1], -p[0]))
+            return Expr._of(p[1] - p[0])
         return Expr(_sym(other) - self.sym)
 
     def __mul__(self, other):
         p = self._pair(other)
         if p is not None:
-            return Expr._of(_mul(p[0], p[1]))
+            return Expr._of(p[0] * p[1])
         return Expr(self.sym * _sym(other))
 
     __rmul__ = __mul__
@@ -561,13 +538,13 @@ class Expr:
     def __truediv__(self, other):
         p = self._pair(other)
         if p is not None and p[1]:
-            return Expr._of(_div(p[0], p[1]))
+            return Expr._of(p[0] / p[1])
         return Expr(self.sym / _sym(other))
 
     def __rtruediv__(self, other):
         p = self._pair(other)
         if p is not None and p[0]:
-            return Expr._of(_div(p[1], p[0]))
+            return Expr._of(p[1] / p[0])
         return Expr(_sym(other) / self.sym)
 
     def __pow__(self, n: int):
@@ -719,16 +696,12 @@ def derivation(e: Expr, terms: Iterable[tuple[sp.Symbol, Expr]]) -> Expr:
     if values is None:
         return Expr(sp.Add(*[c.sym * sp.diff(e.sym, s) for s, c in terms]))
     (f, *coeffs), index = values
-    numer, denom = f.numer, f.denom
-    ground = denom.is_ground
     acc = f.field.zero
     for (s, _), c in zip(terms, coeffs):
         i = index.get(s)
         if i is not None:
-            # d(N/D) = (dN*D - N*dD)/D**2, or dN/D for a constant D
-            d = numer.diff(i) if ground else numer.diff(i) * denom - numer * denom.diff(i)
-            acc = _add(acc, _fraction(f.field, c.numer * d, c.denom))
-    return Expr._of(_fraction(f.field, acc.numer, acc.denom * (denom if ground else denom**2)))
+            acc += c * f.diff(f.field.gens[i])
+    return Expr._of(acc)
 
 
 def substitute(e: Expr, bindings: Mapping) -> Expr:

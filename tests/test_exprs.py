@@ -386,6 +386,17 @@ def test_field_path_edge_cases():
         (derivation(U**2 / (V - W), [(u, V / 2), (w, 1 / U)]),
          v / 2 * sp.diff(u**2 / (v - w), u) + 1 / u * sp.diff(u**2 / (v - w), w)),
     ]
+    # generators whose _sort_gens keys tie (a leading zero in the digit
+    # suffix, or no suffix against 0) take one order, whichever is seen first
+    for first, second in (("a1", "a01"), ("b01", "b1"), ("u_1", "u_01"), ("x0", "x")):
+        s1, s2 = sp.Symbol(first), sp.Symbol(second)
+        S1, S2 = Expr(s1), Expr(s2)
+        cases += [
+            (1 / (S1 - S2), 1 / (s1 - s2)),
+            (1 / (S2 - S1), 1 / (s2 - s1)),
+            ((S1 + 1) / (S2 - S1), (s1 + 1) / (s2 - s1)),
+            (derivation(1 / (S1 - S2), [(s1, S2)]), s2 * sp.diff(1 / (s1 - s2), s1)),
+        ]
     assert _differing(cases) == []
     # kernel-free operands combined with an exp operand take the tree path
     E = Expr(sp.exp(u))
@@ -398,6 +409,29 @@ def test_field_path_edge_cases():
         (derivation(E, [(u, U / 2)]), u / 2 * sp.exp(u)),
     ]
     assert _differing(mixed, field_path=False) == []
+
+
+def test_tied_generator_order_ignores_hash_seed():
+    """Symbol sets iterate in an order set by PYTHONHASHSEED; the normal form
+    of a quotient over tied generators must not follow it."""
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    code = (
+        "import sympy as sp; from jetsigma.exprs import Expr, print_expr; "
+        "a1, a01, x, x0 = sp.symbols('a1 a01 x x0'); "
+        "print(print_expr(Expr(1/(a1 - a01))), print_expr(Expr(1/(x - x0))))"
+    )
+    printed = {
+        subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(seed)),
+        ).stdout
+        for seed in (1, 3, 5)
+    }
+    assert len(printed) == 1
 
 
 def test_field_and_tree_born_values_are_interchangeable():
