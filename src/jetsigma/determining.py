@@ -9,7 +9,7 @@ from typing import Sequence
 
 import sympy as sp
 
-from .exprs import Expr, ExprError, atomize
+from .exprs import _AMBIENT, Expr, ExprError, _used
 from .jets import JetContext, VectorField, VectorFieldSet
 from .prolong import SigmaMatrix
 from .reduction import ODESystem, SymmetryReport, verify_sigma_symmetry
@@ -153,13 +153,16 @@ def _default_collect_vars(residuals, ctx: JetContext) -> list[sp.Symbol]:
     candidates: set[sp.Symbol] = set()
     hidden: set[sp.Symbol] = set()
     for r in residuals:
-        (atomized,), restore = atomize([r.sym])
-        for s in atomized.free_symbols:
-            base, sep, sub = s.name.partition("_")
+        f = r._field()
+        for i in _used(f):
+            g = f.field.symbols[i]
+            atom = _AMBIENT.atoms.get(g)
+            if atom is not None:
+                hidden |= atom.free_symbols
+                continue
+            base, sep, sub = g.name.partition("_")
             if base in ctx.dependents and sep and sub.isdigit() and int(sub) >= 1:
-                candidates.add(s)
-        for atom in restore.values():
-            hidden |= atom.free_symbols
+                candidates.add(g)
     return sorted(candidates - hidden, key=lambda s: s.name)
 
 
@@ -167,23 +170,25 @@ def collect_coefficients(residual: Expr, collect_vars: Sequence[sp.Symbol | str]
     """Coefficients of the residual as a polynomial in the given coordinates
     (kernel and opaque applications count as part of the coefficients); their
     joint vanishing is equivalent to the residual vanishing identically in
-    those variables."""
+    those variables.  They are read off the numerator's terms, in decreasing
+    lex order of their exponents in the coordinates."""
     syms = [sp.Symbol(v) if isinstance(v, str) else v for v in collect_vars]
     if residual.is_rational_zero or not syms:
         return []
-    numer, denom = sp.fraction(residual.sym)
-    if any(s in denom.free_symbols for s in syms):
+    f = residual._field()
+    field, numer, denom = f.field, f.numer, f.denom
+    if Expr._of(field.raw_new(denom, field.ring.one)).free_symbols & set(syms):
         raise NotPolynomialInVarsError(
-            f"residual denominator {denom} involves the collection variables"
+            f"residual denominator {denom.as_expr()} involves the collection variables"
         )
-    (atomized,), restore = atomize([numer])
-    for dummy, atom in restore.items():
-        if any(s in atom.free_symbols for s in syms):
+    for atom in filter(None, (_AMBIENT.atoms.get(field.symbols[i]) for i in _used(f))):
+        if atom.free_symbols & set(syms):
             raise NotPolynomialInVarsError(
-                f"collection variable occurs inside the non-polynomial term {atom}"
+                f"collection variable occurs inside the non-polynomial term {atom.tree}"
             )
-    try:
-        poly = sp.Poly(atomized, *syms)
-    except sp.PolynomialError as exc:
-        raise NotPolynomialInVarsError(str(exc)) from exc
-    return [Expr(c.xreplace(restore) / denom) for c in poly.coeffs()]
+    slots = [field.symbols.index(s) for s in syms if s in field.symbols]
+    groups: dict[tuple, dict] = {}
+    for monom, c in numer.iterterms():
+        rest = tuple(0 if i in slots else k for i, k in enumerate(monom))
+        groups.setdefault(tuple(monom[i] for i in slots), {})[rest] = c
+    return [Expr._of(field.new(field.ring(groups[k]), denom)) for k in sorted(groups, reverse=True)]

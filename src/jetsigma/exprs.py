@@ -1,24 +1,38 @@
 """Immutable symbolic expressions over jet coordinates, parameters and opaque
 function kernels.
 
-Expressions are stored in a rational normal form: a single numerator/denominator
-pair of expanded polynomials over the commutative ring generated by the declared
-symbols and the kernel atoms (``exp``, ``log``, ``sin``, ``cos``, ``arctan``
-applications and opaque function applications, each treated as a fresh variable
-once its argument is recursively normalized).  Rational constants use exact
-arbitrary-precision arithmetic throughout; no floats ever enter a symbolic
-expression.
+Every expression is an element of one differential field over QQ, a sparse
+rational-function field (``sympy.polys.fields``) whose generators are the
+symbols plus interned atoms: a kernel (``exp``, ``log``, ``sin``, ``cos``,
+``arctan``) or an opaque function with derivative orders, applied to
+normalized arguments.  Each atom knows its own derivative, so ``derivation``
+never leaves the field (Bronstein's monomial-extension tower):
 
-An expression without kernel or opaque atoms carries its value as an element
-of one ambient sparse rational-function field (``sympy.polys.fields``) whose
-generators are every symbol seen so far; ``+ - * /``, integer powers, ``diff``
-and ``derivation`` (a sum of c * de/ds) stay in that field, and the
-sympy tree is built only when asked for (printing, hashing and equality,
-``lambdify``, numeric evaluation).  Any operand with atoms takes the tree
-path: the operation is applied to the sympy trees and the result normalized,
-with the gcd cancellation again in a sparse field.  Both paths give the same
-tree for the same value.  Everything visible to callers goes through the small
-surface below.
+    exp(g)' = g'*exp(g)     log(g)' = g'/g     arctan(g)' = g'/(1 + g^2)
+    sin(g)' = g'*cos(g)     cos(g)' = -g'*sin(g)
+    F(g1, ..., gk)' = sum_i D(F, e_i)(g1, ..., gk)*gi'
+
+The exp generators form a Q-basis of their arguments, the constant 1 among
+them: an argument N/D splits, by division N = q*D + r in the lex order,
+into the monomials of q and the terms m*lc(D)/D for the monomials m of r,
+and exp(g) is a monomial in the generators exp(b/k) of those terms.  So
+exp(u)*exp(v) = exp(u + v), exp(u)*exp(1 - u) = exp(1) and
+exp(1/(u + 1))*exp(u/(u + 1)) = exp(1), and by the Risch structure theorem
+the normal form is canonical on the rational+exp fragment, except that
+terms over distinct denominators sharing a factor (1/u, 1/(u + 1),
+1/(u^2 + u)) are taken as independent.
+
+Atoms are built unevaluated.  The kernel rewrites are exactly these:
+
+    exp(a + b) = exp(a)*exp(b) and exp(q*a) = exp(a)^q for rational q
+    exp(0) = 1, log(1) = 0, sin(0) = 0, cos(0) = 1, arctan(0) = 0
+    sin(-g) = -sin(g), arctan(-g) = -arctan(g), cos(-g) = cos(g), where g
+    is "negative" when its numerator's leading coefficient is negative
+
+so exp(log(u)), log(2*u) and sin(u)^2 + cos(u)^2 stay as they are.  sympy
+trees are built only at the edges (printing, hashing, ``lambdify``, numeric
+evaluation); each product in them carries one merged ``exp(...)``.  No
+float ever enters a symbolic expression.
 """
 
 from __future__ import annotations
@@ -31,11 +45,12 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 import sympy as sp
+from sympy.core.add import _addsort
+from sympy.core.mul import _mulsort
 from sympy.polys.domains import QQ, ZZ
-from sympy.polys.fields import FracField, sfield
-from sympy.polys.matrices import DomainMatrix
+from sympy.polys.fields import FracField
 from sympy.polys.orderings import lex
-from sympy.polys.polyutils import _sort_gens
+from sympy.polys.polyutils import _gens_order, _max_order, _re_gen
 
 __all__ = [
     "Expr",
@@ -43,8 +58,6 @@ __all__ = [
     "ZeroVerdict",
     "parse",
     "normalize",
-    "atomize",
-    "exp_monomials",
     "is_zero",
     "diff",
     "derivation",
@@ -101,8 +114,8 @@ _KERNELS: dict[str, Callable] = {
     "cos": sp.cos,
     "arctan": sp.atan,
 }
-_KERNEL_NAMES = frozenset(_KERNELS)
-_RESERVED = _KERNEL_NAMES | {"D"}
+_KERNEL_OF_TREE = {f: name for name, f in _KERNELS.items()}
+_RESERVED = frozenset(_KERNELS) | {"D"}
 
 
 # ---------------------------------------------------------------------------
@@ -119,31 +132,14 @@ def _opaque_class(name: str, arity: int, orders: tuple[int, ...] | None = None):
         orders = (0,) * arity
     key = (name, arity, orders)
     cls = _opaque_registry.get(key)
-    if cls is not None:
-        return cls
-    if any(orders):
-        clsname = name + "__d" + "_".join(str(o) for o in orders)
-    else:
-        clsname = name
-
-    def fdiff(self, argindex=1):
-        new_orders = list(type(self)._opaque_orders)
-        new_orders[argindex - 1] += 1
-        dcls = _opaque_class(type(self)._opaque_base, type(self)._opaque_arity, tuple(new_orders))
-        return dcls(*self.args)
-
-    cls = type(
-        clsname,
-        (sp.Function,),
-        {
-            "_opaque_base": name,
-            "_opaque_arity": arity,
-            "_opaque_orders": orders,
-            "nargs": arity,
-            "fdiff": fdiff,
-        },
-    )
-    _opaque_registry[key] = cls
+    if cls is None:
+        clsname = name + "__d" + "_".join(map(str, orders)) if any(orders) else name
+        cls = type(
+            clsname,
+            (sp.Function,),
+            {"_opaque_base": name, "_opaque_arity": arity, "_opaque_orders": orders, "nargs": arity},
+        )
+        _opaque_registry[key] = cls
     return cls
 
 
@@ -222,10 +218,7 @@ class SymbolTable:
         if sub in _ALIASES:
             return self.jet_symbol(base, _ALIASES[sub])
         if sub.isdigit():
-            k = int(sub)
-            if k == 0:
-                return self.jet_symbol(base, 0)
-            return self.jet_symbol(base, k)
+            return self.jet_symbol(base, int(sub))
         raise UndeclaredSymbolError(text, offset)
 
     def opaque(self, name: str, *args: "Expr | sp.Expr") -> "Expr":
@@ -234,7 +227,7 @@ class SymbolTable:
         arity = self.functions[name]
         if len(args) != arity:
             raise ArityMismatchError(name, arity, len(args))
-        return Expr(_opaque_class(name, arity)(*[_sym(a) for a in args]))
+        return opaque(name, arity, *args)
 
     def __repr__(self):
         return (
@@ -245,170 +238,231 @@ class SymbolTable:
 
 def opaque(name: str, arity: int, *args) -> "Expr":
     """Opaque application without a table, for internal fixture construction."""
-    return Expr(_opaque_class(name, arity)(*[_sym(a) for a in args]))
+    return _atom(_opaque_class(name, arity), tuple(normalize(a) for a in args))
 
 
 # ---------------------------------------------------------------------------
-# normalization
+# the ambient differential field
 # ---------------------------------------------------------------------------
 
 
-def _gen_order(gens) -> tuple:
-    """Generators in one total order: ``_sort_gens`` order, with ties (such as
-    ``a1`` and ``a01``, or ``x`` and ``x0``) broken by name.  ``cancel`` fixes
-    a fraction's sign by the leading term, so both normal-form paths must
-    order generators alike."""
-    return _sort_gens(sorted(gens, key=str))
+class _Atom:
+    """A generator that is not a symbol: ``head`` (a kernel name or an opaque
+    class) applied to normalized ``args``.  An exp atom stands for
+    exp(args[0]/scale)."""
+
+    __slots__ = ("head", "args", "scale", "symbol", "tree", "name", "free_symbols")
+
+    def __init__(self, head, args: tuple["Expr", ...], scale: int = 1):
+        self.head, self.args, self.scale = head, args, scale
+        self.symbol = sp.Dummy(head if isinstance(head, str) else head.__name__)
+        trees = [a.sym for a in args]
+        # an exp atom's tree is exp(term), unscaled; the generator order
+        # sorts atoms by their trees' text, as sympy's _sort_gens would
+        self.tree = _KERNELS[head](*trees, evaluate=False) if isinstance(head, str) else head(*trees)
+        self.name = str(self.tree)
+        self.free_symbols = frozenset().union(*(a.free_symbols for a in args))
+
+    def derivative(self, terms) -> "Expr":
+        """The atom's image under the derivation sum c * d/ds over ``terms``."""
+        head, args = self.head, self.args
+        if not isinstance(head, str):
+            total = ZERO
+            for i, da in enumerate(derivation(a, terms) for a in args):
+                if not da.is_rational_zero:
+                    step = tuple(o + (j == i) for j, o in enumerate(head._opaque_orders))
+                    total += da * _atom(_opaque_class(head._opaque_base, len(args), step), args)
+            return total
+        g = args[0]
+        dg = derivation(g, terms)
+        if dg.is_rational_zero:
+            return ZERO
+        if head == "exp":
+            return dg * Expr._of(_AMBIENT.gen(self.symbol)) / self.scale
+        if head == "log":
+            return dg / g
+        if head == "sin":
+            return dg * _atom("cos", args)
+        if head == "cos":
+            return -dg * _atom("sin", args)
+        return dg / (1 + g * g)  # arctan
 
 
-def _fracnorm(e: sp.Expr) -> sp.Expr:
-    """Single-fraction rational normal form over the atom ring."""
-    if e.is_Atom:
-        return e
-    try:
-        field, frac = sfield(e)
-        gens = _gen_order(field.symbols)
-        if gens != field.symbols:
-            field, frac = sfield(e, *gens)
-    except (sp.PolynomialError, ZeroDivisionError, AttributeError):
-        return sp.together(sp.expand(e))
-    if not field.gens:
-        return e.expand()
-    return frac.numer.as_expr() / frac.denom.as_expr()
-
-
-def _canon_atoms(e: sp.Expr) -> sp.Expr:
-    """Recursively normalize the arguments of kernel and opaque applications."""
-    if e.is_Atom:
-        return e
-    if _is_opaque(e) or e.func in (sp.exp, sp.log, sp.sin, sp.cos, sp.atan):
-        return e.func(*[_normal(a) for a in e.args])
-    return e.func(*[_canon_atoms(a) for a in e.args])
-
-
-def _merge_exp(e: sp.Expr) -> sp.Expr:
-    """Rewrite products of exponentials as a single exponential, bottom-up."""
-
-    def pred(node):
-        return node.is_Mul and sum(1 for a in node.args if isinstance(a, sp.exp)) >= 2
-
-    def merge(node):
-        exps = [a for a in node.args if isinstance(a, sp.exp)]
-        rest = [a for a in node.args if not isinstance(a, sp.exp)]
-        arg = _fracnorm(sp.Add(*[a.args[0] for a in exps]))
-        return sp.Mul(*rest) * sp.exp(arg)
-
-    prev = None
-    while prev != e:
-        prev = e
-        e = e.replace(pred, merge)
-    return e
-
-
-def _normal(raw: sp.Expr) -> sp.Expr:
-    e = sp.sympify(raw)
-    if e.is_Rational:
-        return e
-    for f in e.atoms(sp.Float):
-        raise ExprError(f"float constant {f} is not allowed in symbolic expressions")
-    e = _canon_atoms(e)
-    e = _fracnorm(e)
-    e = _merge_exp(e)
-    for p in e.atoms(sp.Pow):
-        if not p.exp.is_Integer:
-            raise ExprError(
-                f"non-integer power {p} is outside the supported expression fragment"
-            )
-    return e
-
-
-# ---------------------------------------------------------------------------
-# the ambient rational-function field
-# ---------------------------------------------------------------------------
+def _fraction(c) -> Fraction:
+    return Fraction(int(c.numerator), int(c.denominator))
 
 
 class _AmbientField:
-    """The one sparse field QQ(s1, ..., sn) whose generators are every symbol
-    seen so far, built as the fraction field of ZZ[s1, ..., sn]: the domain
-    ``sfield`` picks for a tree's integer numerator and denominator, where
-    ``cancel`` needs no round trip from QQ.  The generators are kept in
-    ``_gen_order``, the order ``_fracnorm`` gives a tree's symbols, so
-    ``cancel`` fixes signs exactly as the tree path does.  A new symbol
-    replaces the field by a larger one; elements of an earlier field are moved
-    in when next used.  ``state`` is the field and its symbol -> generator
-    index, swapped as one value."""
+    """The generators of the one field, in one total order (``_sort_gens``
+    order of their names, ties broken by name), so a quotient's sign never
+    depends on the order generators were seen in.  An element lives in the
+    subfield over the generators it was built from, ZZ(g1, ..., gn) where
+    ``cancel`` needs no round trip from QQ; operands from different
+    subfields are first moved into the subfield over their union, so no
+    ring grows with every atom a process has seen.
+
+    ``exp_basis`` maps each exp argument term (see ``_exp_terms``) to the
+    atom of its generator exp(term/scale).  A generator that must take a
+    root (exp(u) once exp(u/2) is needed) is retired for a rescaled one;
+    ``retired`` maps it to its successor and the power relating them."""
 
     def __init__(self):
-        self._lock = threading.Lock()
-        self.state = self._state(())
+        self.lock = threading.RLock()
+        self.atoms: dict[sp.Dummy, _Atom] = {}
+        self.interned: dict[tuple, _Atom] = {}
+        self.exp_basis: dict[Expr, _Atom] = {}
+        self.retired: dict[sp.Dummy, tuple[sp.Dummy, int]] = {}
+        self.keys: dict = {}
+        self.fields: dict[tuple, FracField] = {}
+        self.unions: dict[tuple, FracField] = {}
+        self.perms: dict[tuple, list] = {}
 
-    @staticmethod
-    def _state(symbols):
-        return FracField(symbols, ZZ, lex), {s: i for i, s in enumerate(symbols)}
+    def key(self, s) -> tuple:
+        k = self.keys.get(s)
+        if k is None:
+            atom = self.atoms.get(s)
+            name = s.name if atom is None else atom.name
+            base, index = _re_gen.match(name).groups()
+            k = self.keys[s] = (_gens_order.get(base, _max_order), base, int(index or 0), name)
+        return k
 
-    def grow(self, symbols: Iterable[sp.Symbol]):
-        """The state, first grown to hold ``symbols``."""
-        symbols = list(symbols)
-        if all(s in self.state[1] for s in symbols):
-            return self.state
-        with self._lock:
-            field, index = self.state
-            new = dict.fromkeys(s for s in symbols if s not in index)
-            if new:
-                self.state = self._state(_gen_order([*field.symbols, *new]))
-            return self.state
+    def field(self, symbols: Iterable) -> FracField:
+        """The subfield over ``symbols``."""
+        symbols = tuple(sorted(set(symbols), key=self.key))
+        field = self.fields.get(symbols)
+        if field is None:
+            # one object per generator tuple: ``unions`` and ``perms`` are
+            # keyed by the ids of these fields, which the cache keeps alive
+            with self.lock:
+                field = self.fields.setdefault(symbols, FracField(symbols, ZZ, lex))
+        return field
 
-    def value(self, e: sp.Expr):
-        """The element of a normalized tree, or False if it has kernel or
-        opaque atoms.  Constants and symbols are built without ``cancel``."""
-        if e.is_Rational:
-            field = self.state[0]
-            return field.raw_new(field.ring.ground_new(e.p), field.ring.ground_new(e.q))
-        if e.is_Symbol:
-            field, index = self.grow((e,))
-            return field.gens[index[e]]
-        if not _is_rational_tree(e):
-            return False
-        field, _ = self.grow(e.free_symbols)
-        numer, denom = e.as_numer_denom()
-        return field.new(field.ring.from_expr(numer), field.ring.from_expr(denom))
+    def union(self, a: FracField, b: FracField) -> FracField:
+        if a is b:
+            return a
+        u = self.unions.get((id(a), id(b)))
+        if u is None:
+            sa, sb = set(a.symbols), set(b.symbols)
+            u = a if sb <= sa else b if sa <= sb else self.field(sa | sb)
+            self.unions[id(a), id(b)] = u
+        return u
+
+    def convert(self, f, field):
+        """``f`` moved into a subfield holding all of its generators."""
+        if f.field is field:
+            return f
+        targets = self.perms.get((id(f.field), id(field)))
+        if targets is None:
+            targets = [(field.symbols.index(s), 1) for s in f.field.symbols]
+            self.perms[id(f.field), id(field)] = targets
+        return _relabel(f, field, targets)
+
+    def gen(self, s):
+        return self.field((s,)).gens[0]
+
+    def atom(self, head, args: tuple["Expr", ...]) -> _Atom:
+        with self.lock:
+            atom = self.interned.get((head, args))
+            if atom is None:
+                atom = self.interned[head, args] = _Atom(head, args)
+                self.atoms[atom.symbol] = atom
+            return atom
+
+    # -- the exp basis ------------------------------------------------------
+    def exp(self, g: "Expr"):
+        """exp(g) as a monomial in the exp generators."""
+        with self.lock:
+            powers = {}
+            for term, c in _exp_terms(g):
+                atom = self.exp_basis.get(term)
+                if atom is None:
+                    atom = self.exp_basis[term] = _Atom("exp", (term,))
+                    self.atoms[atom.symbol] = atom
+                root = (c * atom.scale).denominator
+                if root != 1:
+                    new = self.exp_basis[term] = _Atom("exp", (term,), atom.scale * root)
+                    self.atoms[new.symbol] = new
+                    self.retired[atom.symbol] = (new.symbol, root)
+                    atom = new
+                powers[atom.symbol] = int(c * atom.scale)
+            field = self.field(powers)
+            value = field.one
+            for s, k in powers.items():
+                value *= field.gens[field.symbols.index(s)] ** k
+            return value
+
+    def refresh(self, f):
+        """``f`` with each retired exp generator replaced by its rescaled
+        successor."""
+        if not any(s in self.retired for s in f.field.symbols):
+            return f
+        targets = []
+        for s in f.field.symbols:
+            power = 1
+            while s in self.retired:
+                s, k = self.retired[s]
+                power *= k
+            targets.append((s, power))
+        field = self.field(s for s, _ in targets)
+        return _relabel(f, field, [(field.symbols.index(s), power) for s, power in targets])
 
 
-def _is_rational_tree(e: sp.Expr) -> bool:
-    if e.is_Symbol or e.is_Rational:
-        return True
-    if e.is_Add or e.is_Mul:
-        return all(_is_rational_tree(a) for a in e.args)
-    return e.is_Pow and e.exp.is_Integer and _is_rational_tree(e.base)
+def _relabel(f, field, targets: list[tuple[int, int]]):
+    """``f`` in ``field``, its generator i becoming generator targets[i][0]
+    of ``field`` raised to the power targets[i][1]."""
+    ring = field.ring
+
+    def relabel(p):
+        terms = {}
+        for monom, c in p.items():
+            m = [0] * ring.ngens
+            for (i, power), k in zip(targets, monom):
+                m[i] += k * power
+            terms[tuple(m)] = c
+        return ring.zero.new(terms)
+
+    return field.raw_new(relabel(f.numer), relabel(f.denom))
 
 
 _AMBIENT = _AmbientField()
 
 
-def _field_values(exprs: Sequence["Expr"]):
-    """The elements of ``exprs``, all in the current ambient field, and that
-    field's generator index; None when one of them has kernel or opaque
-    atoms."""
-    while True:
-        field, index = _AMBIENT.state
-        values = []
-        for x in exprs:
-            f = x._field()
-            if f is False:
-                return None
-            values.append(f)
-        if all(f.field is field for f in values):
-            return values, index
-        # converting an operand grew the field: move the others in too
+def _exp_terms(g: "Expr"):
+    """(term, coefficient) pairs with g the sum of coefficient*term: the
+    monomials of the quotient of g's numerator by its denominator, and the
+    monomials of the remainder over the denominator made monic."""
+    f = g._field()
+    if not f:
+        return []
+    field, ring = f.field, f.field.ring
+    qq = ring.clone(domain=QQ)
+    (quotient,), remainder = f.numer.set_ring(qq).div([f.denom.set_ring(qq)])
+    lc = f.denom.LC
+    out = [(Expr._of(field.raw_new(ring({m: 1}), ring.one)), _fraction(c)) for m, c in quotient.iterterms()]
+    return out + [
+        (Expr._of(field.new(ring({m: lc}), f.denom)), _fraction(c) / int(lc)) for m, c in remainder.iterterms()
+    ]
 
 
-def _pow(f, n: int):
-    """f**n; f is nonzero when n < 0.  For n < 0 sympy swaps numerator and
-    denominator as they are, so the sign ``cancel`` would give is restored."""
-    g = f**n
-    if g.denom.LC < 0:
-        return g.raw_new(-g.numer, -g.denom)
-    return g
+def _field_values(exprs: Sequence["Expr"]) -> list:
+    """The elements of ``exprs``, all moved into the subfield over the union
+    of their generators."""
+    values = [x._field() for x in exprs]
+    field = values[0].field
+    for f in values[1:]:
+        field = _AMBIENT.union(field, f.field)
+    return [_AMBIENT.convert(f, field) for f in values]
+
+
+def _signed(f):
+    """``f`` with the denominator sign ``cancel`` gives: sympy's f**n for
+    n < 0 swaps numerator and denominator as they are."""
+    return f.raw_new(-f.numer, -f.denom) if f.denom.LC < 0 else f
+
+
+def _used(f) -> list[int]:
+    """Indices of the generators that occur in ``f``."""
+    return [i for i, (a, b) in enumerate(zip(f.numer.degrees(), f.denom.degrees())) if a > 0 or b > 0]
 
 
 # ---------------------------------------------------------------------------
@@ -416,51 +470,32 @@ def _pow(f, n: int):
 # ---------------------------------------------------------------------------
 
 
-def _sym(v) -> sp.Expr:
-    if isinstance(v, Expr):
-        return v.sym
-    if isinstance(v, Fraction):
-        return sp.Rational(v.numerator, v.denominator)
-    if isinstance(v, (int, sp.Expr)):
-        return sp.sympify(v)
-    raise TypeError(f"cannot interpret {v!r} as an expression")
+def _binary(op):
+    def method(self, other):
+        a, b = _field_values((self, normalize(other)))
+        try:
+            return Expr._of(op(a, b))
+        except ZeroDivisionError:
+            raise ExprError("division by zero") from None
 
-
-def _operand(v) -> "Expr | None":
-    """An arithmetic operand as an Expr when that needs no normalization."""
-    if isinstance(v, Expr):
-        return v
-    if isinstance(v, (int, Fraction)) or isinstance(v, sp.Expr) and (v.is_Rational or v.is_Symbol):
-        return Expr._wrapped(_sym(v))
-    return None
+    return method
 
 
 class Expr:
-    """An immutable symbolic expression, always kept in normal form.
-
-    A kernel-free value lives in the ambient field (``_frac``) and its tree
-    (``sym``) is built on first use; a value with kernel or opaque atoms is a
-    normalized tree only.  ``_frac`` is None until first needed and False for
-    a tree with atoms."""
+    """An immutable symbolic expression: an element ``_frac`` of the ambient
+    field, with its sympy tree (``sym``) built on first use."""
 
     __slots__ = ("_sym", "_frac")
 
     def __init__(self, raw):
         if isinstance(raw, Expr):
             sym, frac = raw._sym, raw._frac
+        elif isinstance(raw, (int, Fraction, sp.Expr)):
+            sym, frac = None, _from_tree(sp.sympify(raw))
         else:
-            sym, frac = _sym(raw), None
-            if not (sym.is_Symbol or sym.is_Rational):
-                sym = _normal(sym)
+            raise TypeError(f"cannot interpret {raw!r} as an expression")
         object.__setattr__(self, "_sym", sym)
         object.__setattr__(self, "_frac", frac)
-
-    @staticmethod
-    def _wrapped(normalized: sp.Expr) -> "Expr":
-        e = object.__new__(Expr)
-        object.__setattr__(e, "_sym", normalized)
-        object.__setattr__(e, "_frac", None)
-        return e
 
     @staticmethod
     def _of(frac) -> "Expr":
@@ -471,9 +506,8 @@ class Expr:
 
     @staticmethod
     def number(p: int | Fraction, q: int = 1) -> "Expr":
-        if isinstance(p, Fraction):
-            return Expr._wrapped(sp.Rational(p.numerator, p.denominator))
-        return Expr._wrapped(sp.Rational(p, q))
+        p = Fraction(p, q)
+        return Expr._of(_rational(p.numerator, p.denominator))
 
     def __setattr__(self, *a):
         raise AttributeError("Expr is immutable")
@@ -483,108 +517,60 @@ class Expr:
         """The normalized sympy tree."""
         s = self._sym
         if s is None:
-            f = self._frac
-            s = f.numer.as_expr() / f.denom.as_expr()
+            s = _tree(self._frac)
             object.__setattr__(self, "_sym", s)
         return s
 
     def _field(self):
-        """The element in the current ambient field, or False."""
+        """The field element, with retired exp generators replaced."""
         f = self._frac
-        if f is None:
-            f = _AMBIENT.value(self._sym)
-        else:
-            field = _AMBIENT.state[0]
-            if f is False or f.field is field:
-                return f
-            f = field.raw_new(f.numer.set_ring(field.ring), f.denom.set_ring(field.ring))
-        object.__setattr__(self, "_frac", f)
+        if _AMBIENT.retired:
+            f = _AMBIENT.refresh(f)
+            object.__setattr__(self, "_frac", f)
         return f
 
-    def _pair(self, other):
-        b = _operand(other)
-        values = None if b is None else _field_values((self, b))
-        return None if values is None else values[0]
-
     # -- arithmetic ---------------------------------------------------------
-    def __add__(self, other):
-        p = self._pair(other)
-        if p is not None:
-            return Expr._of(p[0] + p[1])
-        return Expr(self.sym + _sym(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        p = self._pair(other)
-        if p is not None:
-            return Expr._of(p[0] - p[1])
-        return Expr(self.sym - _sym(other))
-
-    def __rsub__(self, other):
-        p = self._pair(other)
-        if p is not None:
-            return Expr._of(p[1] - p[0])
-        return Expr(_sym(other) - self.sym)
-
-    def __mul__(self, other):
-        p = self._pair(other)
-        if p is not None:
-            return Expr._of(p[0] * p[1])
-        return Expr(self.sym * _sym(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        p = self._pair(other)
-        if p is not None and p[1]:
-            return Expr._of(p[0] / p[1])
-        return Expr(self.sym / _sym(other))
-
-    def __rtruediv__(self, other):
-        p = self._pair(other)
-        if p is not None and p[0]:
-            return Expr._of(p[1] / p[0])
-        return Expr(_sym(other) / self.sym)
+    __add__ = __radd__ = _binary(lambda a, b: a + b)
+    __sub__ = _binary(lambda a, b: a - b)
+    __rsub__ = _binary(lambda a, b: b - a)
+    __mul__ = __rmul__ = _binary(lambda a, b: a * b)
+    __truediv__ = _binary(lambda a, b: a / b)
+    __rtruediv__ = _binary(lambda a, b: b / a)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
             raise ExprError("only integer powers are supported")
         f = self._field()
-        if f is not False and (n >= 0 or f):
-            return Expr._of(_pow(f, n))
-        return Expr(self.sym ** n)
+        if n < 0 and not f:
+            raise ExprError("division by zero")
+        return Expr._of(_signed(f**n)) if n else ONE
 
     def __neg__(self):
-        f = self._field()
-        if f is not False:
-            return Expr._of(-f)
-        return Expr(-self.sym)
+        return Expr._of(-self._frac)
 
     # -- structure ----------------------------------------------------------
     def __eq__(self, other):
-        return isinstance(other, Expr) and self.sym == other.sym
+        if not isinstance(other, Expr):
+            return False
+        a, b = _field_values((self, other))
+        return a == b
 
     def __hash__(self):
         return hash(self.sym)
 
     @property
     def is_rational_zero(self) -> bool:
-        f = self._frac
-        if f is not None and f is not False:
-            return not f
-        return self.sym is sp.S.Zero or self.sym == 0 and self.sym.is_Rational
+        return not self._frac
 
     @property
     def free_symbols(self) -> frozenset:
         f = self._frac
-        if f is None or f is False:
-            return frozenset(self.sym.free_symbols)
-        return frozenset(
-            s
-            for s, dn, dd in zip(f.field.symbols, f.numer.degrees(), f.denom.degrees())
-            if dn > 0 or dd > 0
-        )
+        out = set()
+        for i in _used(f):
+            s = f.field.symbols[i]
+            atom = _AMBIENT.atoms.get(s)
+            out.update((s,) if atom is None else atom.free_symbols)
+        return frozenset(out)
 
     def jet_order(self, table: SymbolTable) -> int:
         """Highest jet order among the coordinates appearing in the expression."""
@@ -602,6 +588,11 @@ class Expr:
         return f"Expr({print_expr(self)})"
 
 
+def _rational(p: int, q: int):
+    field = _AMBIENT.field(())
+    return field.raw_new(field.ring.ground_new(p), field.ring.ground_new(q))
+
+
 ZERO = Expr.number(0)
 ONE = Expr.number(1)
 
@@ -613,71 +604,127 @@ def normalize(e: Expr | sp.Expr | int) -> Expr:
     return Expr(e)
 
 
-def atomize(exprs: Iterable[sp.Expr]) -> tuple[list[sp.Expr], dict[sp.Symbol, sp.Expr]]:
-    """Replace kernel and opaque applications, and the constants e and pi,
-    by fresh symbols ``a0, a1, ...``, numbered in order of first appearance
-    (within one expression, in ``default_sort_key`` order).  Returns the
-    replaced expressions and the map from each fresh symbol back to its
-    application."""
-    exprs = list(exprs)
-    atom_map: dict[sp.Expr, sp.Symbol] = {}
-    for e in exprs:
-        for node in sorted(e.atoms(sp.Function, sp.NumberSymbol), key=sp.default_sort_key):
-            if node not in atom_map:
-                atom_map[node] = sp.Dummy(f"a{len(atom_map)}")
-    return [e.xreplace(atom_map) for e in exprs], {v: k for k, v in atom_map.items()}
+def _atom(head, args: tuple[Expr, ...]) -> Expr:
+    return Expr._of(_AMBIENT.gen(_AMBIENT.atom(head, args).symbol))
 
 
-def exp_monomials(restore: dict[sp.Symbol, sp.Expr]) -> dict[sp.Symbol, sp.Expr]:
-    """Rewrite the exp atoms of an ``atomize`` map as monomials in
-    exponentials of Q-independent arguments, so that exp(u)*exp(v) and
-    exp(u + v) become the same monomial, as the normal form makes them the
-    same expression.  Arguments are compared term by term after ``expand``.
-    Extends ``restore`` with any new base exponential and returns the
-    substitution of the atom symbols; empty when the arguments are already
-    independent."""
-    exps = [
-        (s, sp.S.One if a is sp.E else a.args[0])
-        for s, a in restore.items()
-        if a is sp.E or isinstance(a, sp.exp)
-    ]
-    if len(exps) < 2:
-        return {}
-    coeffs = []
-    for _, arg in exps:
-        terms: dict[sp.Expr, sp.Rational] = {}
-        for t in sp.Add.make_args(sp.expand(arg)):
-            c, m = t.as_coeff_Mul()
-            terms[m] = terms.get(m, sp.S.Zero) + c
-        coeffs.append(terms)
-    monomials = list(dict.fromkeys(m for terms in coeffs for m in terms))
-    # columns are the arguments; rref expresses each non-pivot argument in
-    # the pivot arguments before it
-    cols = DomainMatrix(
-        [[QQ.from_sympy(terms.get(m, sp.S.Zero)) for terms in coeffs] for m in monomials],
-        (len(monomials), len(exps)),
-        QQ,
-    )
-    reduced, pivots = cols.rref()
-    if len(pivots) == len(exps):
-        return {}
-    rel = reduced.to_Matrix()
-    subs: dict[sp.Symbol, sp.Expr] = {}
-    bases = []  # (symbol, power): exp(pivot argument) = symbol**power
-    for i, p in enumerate(pivots):
-        sym, arg = exps[p]
-        # the base exp(arg/scale) makes every exponent below an integer
-        scale = sp.ilcm(1, *(rel[i, k].q for k in range(len(exps))))
-        if scale != 1:
-            base = sp.Dummy(f"{sym.name}_{scale}")
-            restore[base] = sp.exp(arg / scale)
-            subs[sym] = base**scale
-            sym = base
-        bases.append((sym, scale))
-    for k, (sym, _) in enumerate(exps):
-        if k not in pivots:
-            subs[sym] = sp.Mul(*(b ** (rel[i, k] * s) for i, (b, s) in enumerate(bases)))
-    return subs
+def _kernel(name: str, arg: Expr) -> Expr:
+    """A kernel applied to ``arg``, with the module docstring's rewrites."""
+    if name == "exp":
+        return Expr._of(_AMBIENT.exp(arg))
+    f = arg._field()
+    if name == "log":
+        return ZERO if f == f.field.one else _atom("log", (arg,))
+    if not f:
+        return ONE if name == "cos" else ZERO
+    if f.numer.LC < 0:
+        value = _atom(name, (-arg,))
+        return value if name == "cos" else -value
+    return _atom(name, (arg,))
+
+
+# ---------------------------------------------------------------------------
+# sympy trees: reading them in, and building them for the edges
+# ---------------------------------------------------------------------------
+
+
+def _from_tree(tree: sp.Expr):
+    """The field element of a sympy tree: symbols and atoms first, then
+    sympy's own rebuild of the tree's sums, products and integer powers."""
+    values: dict[sp.Expr, Expr] = {}
+
+    def scan(e):
+        if e in values or e.is_Rational:
+            return
+        if e.is_Symbol:
+            values[e] = Expr._of(_AMBIENT.gen(e))
+        elif e is sp.E:
+            values[e] = _kernel("exp", ONE)
+        elif e.func in _KERNEL_OF_TREE:
+            values[e] = _kernel(_KERNEL_OF_TREE[e.func], Expr(e.args[0]))
+        elif _is_opaque(e):
+            values[e] = _atom(type(e), tuple(Expr(a) for a in e.args))
+        elif e.is_Add or e.is_Mul or e.is_Pow and e.exp.is_Integer:
+            for a in e.args:
+                scan(a)
+        else:
+            raise ExprError(f"{e} is outside the supported expression fragment")
+
+    scan(tree)
+    fracs = _field_values([ONE, *values.values()])
+    field = fracs[0].field
+    try:
+        return _signed(field.field_new(field._rebuild_expr(tree, dict(zip(values, fracs[1:])))))
+    except ZeroDivisionError:
+        raise ExprError(f"division by zero in {tree}") from None
+
+
+def _tree(f) -> sp.Expr:
+    """The sympy tree of a field element.  Each product gets one merged exp;
+    over a monomial denominator, an exp factor whose argument extracts a
+    minus sign stays outside the sum it multiplies."""
+    field = f.field
+    atoms = [_AMBIENT.atoms.get(s) for s in field.symbols]
+    numer, denom = f.numer, f.denom
+    used = _used(f)
+    if not any(atoms[i] for i in used):
+        return numer.as_expr() / denom.as_expr()
+    exps = [i for i in used if atoms[i] is not None and atoms[i].head == "exp"]
+    trees = {i: field.symbols[i] if atoms[i] is None else atoms[i].tree for i in used}
+    holders: dict[tuple, sp.Dummy] = {}
+    nodes: dict[sp.Dummy, sp.Expr] = {}
+
+    def holder(powers: tuple) -> sp.Dummy:
+        h = holders.get(powers)
+        if h is None:
+            arg = sum((atoms[i].args[0] * Fraction(k, atoms[i].scale) for i, k in powers), ZERO)
+            h = holders[powers] = sp.Dummy()
+            nodes[h] = sp.exp(arg.sym, evaluate=False)
+        return h
+
+    def poly_tree(p, shift: dict[int, int]) -> sp.Expr:
+        terms = []
+        for monom, c in p.iterterms():
+            factors = [sp.Integer(int(c))]
+            factors += [trees[i] ** monom[i] for i in used if i not in shift and monom[i]]
+            powers = tuple((i, monom[i] - shift[i]) for i in exps if monom[i] != shift[i])
+            if powers:
+                factors.append(holder(powers))
+            terms.append(sp.Mul(*factors))
+        return sp.Add(*terms)
+
+    shift = dict.fromkeys(exps, 0)
+    if len(denom) == 1:
+        (dmon,) = denom.itermonoms()
+        shift = {i: dmon[i] for i in exps}
+        content = {i: min(m[i] for m in numer.itermonoms()) for i in exps}
+        out = tuple((i, content[i] - shift[i]) for i in exps if content[i] != shift[i])
+        if len(numer) > 1 and out and nodes.get(holder(out)).args[0].could_extract_minus_sign():
+            return _place(poly_tree(numer, content) * holder(out) / poly_tree(denom, shift), nodes)
+    return _place(poly_tree(numer, shift) / poly_tree(denom, shift), nodes)
+
+
+def _place(e: sp.Expr, nodes: Mapping[sp.Dummy, sp.Expr]) -> sp.Expr:
+    """``e`` with each placeholder replaced by its exp node, rebuilding the
+    products and sums around it in sympy's canonical argument order but
+    without evaluation, which would rewrite exp(log(u)) to u and exp(1) to
+    E."""
+    if e in nodes:
+        return nodes[e]
+    if not e.args or not e.has(*nodes):
+        return e
+    args = [_place(a, nodes) for a in e.args]
+    if e.is_Mul or e.is_Add:
+        number = [a for a in args if a.is_Number]
+        rest = [a for a in args if not a.is_Number]
+        (_mulsort if e.is_Mul else _addsort)(rest)
+        return e.func._from_args(number + rest)
+    return e.func(*args, evaluate=False)
+
+
+# ---------------------------------------------------------------------------
+# derivations and substitution in the field
+# ---------------------------------------------------------------------------
 
 
 def diff(e: Expr, s: str | sp.Symbol, table: SymbolTable | None = None) -> Expr:
@@ -688,31 +735,94 @@ def diff(e: Expr, s: str | sp.Symbol, table: SymbolTable | None = None) -> Expr:
 
 
 def derivation(e: Expr, terms: Iterable[tuple[sp.Symbol, Expr]]) -> Expr:
-    """The sum of c * de/ds over the (s, c) pairs of ``terms``.  When e and
-    every c are kernel-free it is computed in the ambient field; otherwise the
-    summed tree is normalized once."""
+    """The sum of c * de/ds over the (s, c) pairs of ``terms``, computed in
+    the ambient field: the chain rule over the generators of e, with each
+    atom's own derivative."""
     terms = [(s, c) for s, c in terms if not c.is_rational_zero]
-    values = _field_values([e, *(c for _, c in terms)])
-    if values is None:
-        return Expr(sp.Add(*[c.sym * sp.diff(e.sym, s) for s, c in terms]))
-    (f, *coeffs), index = values
+    f = e._field()
+    names = {s for s, _ in terms}
+    images = []
+    for i in _used(f):
+        g = f.field.symbols[i]
+        atom = _AMBIENT.atoms.get(g)
+        if atom is None:
+            cs = [c for s, c in terms if s == g]
+            if cs:
+                images.append((g, sum(cs[1:], cs[0])))
+        elif atom.free_symbols & names:
+            images.append((g, atom.derivative(terms)))
+    f, *coeffs = _field_values([e, *(c for _, c in images)])
     acc = f.field.zero
-    for (s, _), c in zip(terms, coeffs):
-        i = index.get(s)
-        if i is not None:
-            acc += c * f.diff(f.field.gens[i])
+    for (g, _), c in zip(images, coeffs):
+        if c:
+            acc += c * f.diff(f.field.gens[f.field.symbols.index(g)])
     return Expr._of(acc)
 
 
+def _powers(x, k: int) -> list:
+    out = [x.ring.one]
+    for _ in range(k):
+        out.append(out[-1] * x)
+    return out
+
+
+def _compose(p, values: Mapping[int, tuple]) -> tuple:
+    """p with generator i replaced by n/d for each (n, d) in ``values``, as
+    a numerator and denominator: the terms are put over the product of the
+    d**deg_i, so no gcd is taken before the final cancel."""
+    degrees = p.degrees()
+    powers = {i: (_powers(n, degrees[i]), _powers(d, degrees[i])) for i, (n, d) in values.items()}
+    num = p.ring.zero
+    for monom, c in p.iterterms():
+        rest = list(monom)
+        term = p.ring.one
+        for i, (ns, ds) in powers.items():
+            term *= ns[monom[i]] * ds[degrees[i] - monom[i]]
+            rest[i] = 0
+        num += term * p.ring({tuple(rest): c})
+    den = p.ring.one
+    for _, ds in powers.values():
+        den *= ds[-1]
+    return num, den
+
+
 def substitute(e: Expr, bindings: Mapping) -> Expr:
-    """Simultaneous substitution of symbols, then renormalization."""
+    """Simultaneous substitution of symbols, by composition in the field."""
     mapping = {}
     for key, val in bindings.items():
         ks = sp.Symbol(key) if isinstance(key, str) else key
         if not isinstance(ks, sp.Symbol):
             raise ExprError(f"substitution key {key!r} is not a symbol")
-        mapping[ks] = _sym(val)
-    return Expr(e.sym.xreplace(mapping))
+        mapping[ks] = normalize(val)
+    while True:
+        f = e._field()
+        images = {}
+        for i in _used(f):
+            g = f.field.symbols[i]
+            atom = _AMBIENT.atoms.get(g)
+            if atom is None:
+                if g in mapping:
+                    images[g] = mapping[g]
+            elif atom.free_symbols & mapping.keys():
+                args = tuple(substitute(a, mapping) for a in atom.args)
+                if atom.head == "exp":
+                    images[g] = _kernel("exp", args[0] / atom.scale)
+                elif isinstance(atom.head, str):
+                    images[g] = _kernel(atom.head, args[0])
+                else:
+                    images[g] = _atom(atom.head, args)
+        if not images:
+            return e
+        f, *fracs = _field_values([e, *images.values()])
+        if all(g in f.field.symbols for g in images):
+            break
+        # a new exp argument retired one of e's exp generators: start again
+    values = {f.field.symbols.index(g): (v.numer, v.denom) for g, v in zip(images, fracs)}
+    n1, d1 = _compose(f.numer, values)
+    n2, d2 = _compose(f.denom, values)
+    if not n2:
+        raise ExprError("substitution makes a denominator vanish")
+    return Expr._of(f.field.new(n1 * d2, d1 * n2))
 
 
 # ---------------------------------------------------------------------------
@@ -748,7 +858,7 @@ def _finalize_numeric(val: sp.Expr) -> float:
 
 
 def eval_numeric(
-    e: Expr,
+    e: Expr | sp.Expr,
     point: Mapping,
     opaque_defs: Mapping[str, Callable] | None = None,
 ) -> float:
@@ -759,7 +869,7 @@ def eval_numeric(
     for key, val in point.items():
         ks = sp.Symbol(key) if isinstance(key, str) else key
         sub[ks] = _to_rational(val)
-    val = e.sym.xreplace(sub)
+    val = (e.sym if isinstance(e, Expr) else e).xreplace(sub)
     for node in _opaque_atoms(val):
         cls = type(node)
         key = cls.__name__
@@ -775,7 +885,7 @@ def eval_numeric(
 
 
 # ---------------------------------------------------------------------------
-# probabilistic zero testing
+# zero testing
 # ---------------------------------------------------------------------------
 
 
@@ -808,27 +918,45 @@ def _sample_fraction(rng: random.Random) -> Fraction:
     return Fraction(sign * rng.randint(1, 64), rng.randint(1, 64))
 
 
+def _poly_at(p, point) -> Fraction:
+    """p at exact rational values, ``point[i]`` for generator i."""
+    total = Fraction(0)
+    for monom, c in p.iterterms():
+        term = Fraction(int(c))
+        for i, k in enumerate(monom):
+            if k:
+                term *= point[i] ** k
+        total += term
+    return total
+
+
 def is_zero(
     e: Expr,
     trials: int = 20,
     seed: int = 0,
     deny: Sequence[Expr] = (),
 ) -> ZeroVerdict:
-    """Zero iff the normal form is the rational constant 0; otherwise sample
-    random rational points, skipping singular ones.  A value above 1e-9 in
-    magnitude is a nonzero witness; if every sampled value vanishes the result
-    is Unknown (a possible identity outside the rewrite system)."""
+    """Zero iff the normal form is the rational constant 0.  Otherwise
+    sample random rational points, skipping singular ones and points where a
+    ``deny`` expression nearly vanishes.  A value without atoms is a
+    rational function: the first point where its numerator is nonzero (and
+    its denominator is not) is an exact witness.  A value with atoms is
+    evaluated numerically, with opaque applications as independent
+    unknowns; a value above 1e-9 in magnitude is a witness, and if every
+    sample vanishes the result is Unknown (a possible identity outside the
+    rewrite set, such as sin^2 + cos^2 = 1)."""
     if trials < 1:
         raise ExprError("trials must be >= 1")
     if e.is_rational_zero:
         return ZERO_VERDICT
+    f = e._field()
+    gens = f.field.symbols
+    exact = not any(gens[i] in _AMBIENT.atoms for i in _used(f))
     # opaque applications act as independent unknowns: a smooth function and
     # its formal derivatives are jointly unconstrained at a point
-    atom_map = {}
-    for node in _opaque_atoms(e.sym):
-        atom_map[node] = sp.Dummy(f"atom{len(atom_map)}")
-    probe = e.sym.xreplace(atom_map)
-    symbols = sorted(probe.free_symbols, key=lambda s: s.name)
+    atom_map = {} if exact else {a: sp.Dummy(f"atom{k}") for k, a in enumerate(_opaque_atoms(e.sym))}
+    probe = None if exact else e.sym.xreplace(atom_map)
+    symbols = sorted(e.free_symbols if exact else probe.free_symbols, key=lambda s: s.name)
     rng = random.Random(seed)
     done = 0
     attempts = 0
@@ -840,20 +968,20 @@ def is_zero(
             )
         assignment = {s: _sample_fraction(rng) for s in symbols}
         try:
-            if any(
-                abs(
-                    eval_numeric(
-                        Expr._wrapped(d.sym.xreplace(atom_map)), assignment
-                    )
-                )
-                <= 1e-3
-                for d in deny
-            ):
+            if any(abs(eval_numeric(d.sym.xreplace(atom_map), assignment)) <= 1e-3 for d in deny):
                 continue
-            value = eval_numeric(Expr._wrapped(probe), assignment)
+            if exact:
+                point = [assignment.get(s) for s in gens]
+                num, den = _poly_at(f.numer, point), _poly_at(f.denom, point)
+                if not den:
+                    continue
+                value = float(num / den)
+            else:
+                value = eval_numeric(probe, assignment)
+                num = abs(value) > 1e-9
         except SingularPointError:
             continue
-        if abs(value) > 1e-9:
+        if num:
             witness = {str(k): v for k, v in assignment.items()}
             return ZeroVerdict("nonzero", witness=witness, value=value)
         done += 1
@@ -879,20 +1007,19 @@ def _tokenize(text: str):
             if not stripped:
                 break
             raise ExprSyntaxError(f"unexpected character {stripped[0]!r}", len(text) - len(stripped))
-        if m.group("num"):
-            tokens.append(("num", m.group("num"), m.start("num")))
-        elif m.group("name"):
-            tokens.append(("name", m.group("name"), m.start("name")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
+        tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
         pos = m.end()
     tokens.append(("end", "", len(text)))
     return tokens
 
 
+_BINARY = {"+": Expr.__add__, "-": Expr.__sub__, "*": Expr.__mul__, "/": Expr.__truediv__}
+
+
 class _Parser:
+    """Recursive descent over the grammar; builds field elements directly."""
+
     def __init__(self, text: str, table: SymbolTable):
-        self.text = text
         self.table = table
         self.tokens = _tokenize(text)
         self.i = 0
@@ -901,107 +1028,84 @@ class _Parser:
         return self.tokens[self.i]
 
     def next(self):
-        tok = self.tokens[self.i]
         self.i += 1
-        return tok
+        return self.tokens[self.i - 1]
+
+    def accept(self, ops: str) -> str | None:
+        """The next token if it is one of the operators ``ops``, consumed."""
+        kind, text, _ = self.peek()
+        if kind == "op" and text in ops:
+            self.i += 1
+            return text
+        return None
 
     def expect_op(self, op: str):
-        kind, text, offset = self.next()
-        if kind != "op" or text != op:
-            raise ExprSyntaxError(f"expected '{op}'", offset)
+        if self.accept(op) is None:
+            raise ExprSyntaxError(f"expected '{op}'", self.peek()[2])
 
-    def parse(self) -> sp.Expr:
+    def parse(self) -> Expr:
         e = self.expr()
         kind, text, offset = self.peek()
         if kind != "end":
             raise ExprSyntaxError(f"trailing input {text!r}", offset)
         return e
 
-    def expr(self) -> sp.Expr:
-        e = self.term()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.next()
-                rhs = self.term()
-                e = e + rhs if text == "+" else e - rhs
-            else:
-                return e
+    def expr(self, ops: str = "+-") -> Expr:
+        operand = self.term if ops == "+-" else self.factor
+        e = operand()
+        while op := self.accept(ops):
+            e = _BINARY[op](e, operand())
+        return e
 
-    def term(self) -> sp.Expr:
-        e = self.factor()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.next()
-                rhs = self.factor()
-                e = e * rhs if text == "*" else e / rhs
-            else:
-                return e
+    def term(self) -> Expr:
+        return self.expr("*/")
 
-    def factor(self) -> sp.Expr:
-        kind, text, _ = self.peek()
-        if kind == "op" and text in "+-":
-            self.next()
+    def factor(self) -> Expr:
+        sign = self.accept("+-")
+        if sign:
             inner = self.factor()
-            return inner if text == "+" else -inner
-        return self.power()
-
-    def power(self) -> sp.Expr:
+            return inner if sign == "+" else -inner
         base = self.primary()
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "^":
-            self.next()
-            _, _, off = self.peek()
-            exponent = self.factor()
-            exponent = sp.sympify(exponent)
-            if not exponent.is_Integer:
-                raise ExprSyntaxError("exponent must be an integer", off)
-            return base ** int(exponent)
-        return base
+        if not self.accept("^"):
+            return base
+        off = self.peek()[2]
+        f = self.factor()._frac
+        if not (f.numer.is_ground and f.denom == f.field.ring.one):
+            raise ExprSyntaxError("exponent must be an integer", off)
+        return base ** int(f.numer.LC)
 
-    def primary(self) -> sp.Expr:
+    def primary(self) -> Expr:
         kind, text, offset = self.next()
         if kind == "num":
-            return sp.Integer(int(text))
+            return Expr.number(int(text))
         if kind == "op" and text == "(":
             e = self.expr()
             self.expect_op(")")
             return e
-        if kind == "name":
-            if text == "D":
-                return self.derivative_node(offset)
-            if text in _KERNEL_NAMES:
-                args = self.call_args()
-                if len(args) != 1:
-                    raise ArityMismatchError(text, 1, len(args), offset)
-                return _KERNELS[text](args[0])
-            if text in self.table.functions:
-                args = self.call_args()
-                arity = self.table.functions[text]
-                if len(args) != arity:
-                    raise ArityMismatchError(text, arity, len(args), offset)
-                return _opaque_class(text, arity)(*args)
-            nk, nt, _ = self.peek()
-            if nk == "op" and nt == "(":
-                raise UndeclaredSymbolError(text, offset)
-            return self.table.lookup(text, offset)
-        raise ExprSyntaxError(f"unexpected token {text!r}" if text else "unexpected end of input", offset)
+        if kind != "name":
+            raise ExprSyntaxError(f"unexpected token {text!r}" if text else "unexpected end of input", offset)
+        if text == "D":
+            return self.derivative_node(offset)
+        if text in _KERNELS:
+            return _kernel(text, *self.call_args(text, 1, offset))
+        if text in self.table.functions:
+            arity = self.table.functions[text]
+            return _atom(_opaque_class(text, arity), self.call_args(text, arity, offset))
+        if self.peek()[:2] == ("op", "("):
+            raise UndeclaredSymbolError(text, offset)
+        return Expr._of(_AMBIENT.gen(self.table.lookup(text, offset)))
 
-    def call_args(self) -> list[sp.Expr]:
+    def call_args(self, name: str, arity: int, offset: int) -> tuple[Expr, ...]:
         self.expect_op("(")
         args = [self.expr()]
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text == ",":
-                self.next()
-                args.append(self.expr())
-            else:
-                break
+        while self.accept(","):
+            args.append(self.expr())
         self.expect_op(")")
-        return args
+        if len(args) != arity:
+            raise ArityMismatchError(name, arity, len(args), offset)
+        return tuple(args)
 
-    def derivative_node(self, offset: int) -> sp.Expr:
+    def derivative_node(self, offset: int) -> Expr:
         self.expect_op("(")
         kind, name, noff = self.next()
         if kind != "name":
@@ -1010,28 +1114,20 @@ class _Parser:
             raise UndeclaredSymbolError(name, noff)
         arity = self.table.functions[name]
         orders = []
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text == ",":
-                self.next()
-                k2, t2, o2 = self.next()
-                if k2 != "num":
-                    raise ExprSyntaxError("expected a nonnegative integer in D(...)", o2)
-                orders.append(int(t2))
-            else:
-                break
+        while self.accept(","):
+            k2, t2, o2 = self.next()
+            if k2 != "num":
+                raise ExprSyntaxError("expected a nonnegative integer in D(...)", o2)
+            orders.append(int(t2))
         self.expect_op(")")
         if len(orders) != arity:
             raise ArityMismatchError(name, arity, len(orders), offset)
-        args = self.call_args()
-        if len(args) != arity:
-            raise ArityMismatchError(name, arity, len(args), offset)
-        return _opaque_class(name, arity, tuple(orders))(*args)
+        return _atom(_opaque_class(name, arity, tuple(orders)), self.call_args(name, arity, offset))
 
 
 def parse(text: str, table: SymbolTable) -> Expr:
     """Parse grammar text against the declared symbols; result is normalized."""
-    return Expr(_Parser(text, table).parse())
+    return _Parser(text, table).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -1039,9 +1135,6 @@ def parse(text: str, table: SymbolTable) -> Expr:
 # ---------------------------------------------------------------------------
 
 _PREC_ADD, _PREC_MUL, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4
-
-_KERNEL_PRINT = {sp.exp: "exp", sp.log: "log", sp.sin: "sin", sp.cos: "cos", sp.atan: "arctan"}
-
 
 def _sorted_args(e: sp.Expr):
     return sorted(e.args, key=sp.default_sort_key)
@@ -1057,10 +1150,8 @@ def _print(e: sp.Expr, prec: int) -> str:
         return f"({s})" if prec >= _PREC_MUL else s
     if e.is_Symbol:
         return e.name
-    if isinstance(e, sp.exp):
-        return f"exp({_print(e.args[0], 0)})"
-    if e.func in _KERNEL_PRINT:
-        return f"{_KERNEL_PRINT[e.func]}({_print(e.args[0], 0)})"
+    if e.func in _KERNEL_OF_TREE:
+        return f"{_KERNEL_OF_TREE[e.func]}({_print(e.args[0], 0)})"
     if _is_opaque(e):
         cls = type(e)
         args = ",".join(_print(a, 0) for a in e.args)
@@ -1118,4 +1209,4 @@ def _print(e: sp.Expr, prec: int) -> str:
 
 
 def print_expr(e: Expr | sp.Expr) -> str:
-    return _print(_sym(e), 0)
+    return _print(e.sym if isinstance(e, Expr) else sp.sympify(e), 0)

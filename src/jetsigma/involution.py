@@ -3,6 +3,7 @@ and the conditions on twist matrices that preserve involution relations."""
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -10,7 +11,7 @@ from typing import Sequence
 
 import sympy as sp
 
-from .exprs import Expr, ExprError, atomize, exp_monomials, is_zero, print_expr
+from .exprs import Expr, ExprError, _field_values, _poly_at, _used, is_zero, print_expr
 from .jets import VectorField, VectorFieldSet, lie_bracket, total_derivative
 from .linalg import linear_solve
 from .prolong import SigmaMatrix, sigma_prolong
@@ -77,10 +78,10 @@ class StructureFunctions:
         return "StructureFunctions(" + "; ".join(parts) + ")"
 
 
-def _sample_rational_point(symbols, rng: random.Random):
+def _sample_rational_point(keys, rng: random.Random) -> dict:
     return {
-        s: sp.Rational((-1 if rng.random() < 0.5 else 1) * rng.randint(1, 19), rng.randint(1, 7))
-        for s in symbols
+        k: Fraction((-1 if rng.random() < 0.5 else 1) * rng.randint(1, 19), rng.randint(1, 7))
+        for k in keys
     }
 
 
@@ -103,18 +104,7 @@ def _denominator_factors(exprs) -> set:
 def _admissible_coefficients(coeffs: Sequence[Expr], allowed: set) -> bool:
     """Structure coefficients may only be singular where the fields already
     are: every denominator factor must come from the basis or the bracket."""
-    for c in coeffs:
-        _, den = sp.fraction(c.sym)
-        if den == 1 or den.is_Rational:
-            continue
-        try:
-            _, factors = sp.factor_list(den)
-        except sp.PolynomialError:
-            factors = [(den, 1)]
-        for base, _mult in factors:
-            if sp.factor(base) not in allowed:
-                return False
-    return True
+    return _denominator_factors(coeffs) <= allowed
 
 
 def expand_in_basis(
@@ -137,16 +127,15 @@ def expand_in_basis(
     allowed = _denominator_factors(
         [c for f in list(basis) + [bracket] for c in f.components()]
     )
-    # fast path: constant coefficients, confirmed symbolically
+    # fast path: constant coefficients, confirmed symbolically.  The field's
+    # generators are sampled as independent rationals: related exp atoms are
+    # monomials in the same generators, so a point of the pointwise
+    # pre-check below lies on the actual field
     comps = [f.components() for f in [*basis, bracket]]
-    flat, restore = atomize(c.sym for cs in comps for c in cs)
-    # related exp atoms get related sample values, so a point of the
-    # pointwise pre-check below lies on the actual field
-    subs = exp_monomials(restore)
-    flat = [e.xreplace(subs) for e in flat]
-    it = iter(flat)
-    *basis_syms, bracket_syms = [[next(it) for _ in cs] for cs in comps]
-    symbols = sorted({s for e in flat for s in e.free_symbols}, key=lambda s: s.name)
+    values = _field_values([c for cs in comps for c in cs])
+    gens = values[0].field.symbols
+    used = sorted({i for f in values for i in _used(f)}, key=lambda i: gens[i].name)
+    ncomp = len(comps[-1])
     rng = random.Random(seed)
     rows: list[list[Expr]] = []
     rhs: list[Expr] = []
@@ -154,15 +143,13 @@ def expand_in_basis(
     attempts = 0
     while points < max(3, r) and attempts < 40:
         attempts += 1
-        pt = _sample_rational_point(symbols, rng)
-        new_rows = [
-            [basis_syms[k][comp].xreplace(pt) for k in range(r)] for comp in range(len(bracket_syms))
-        ]
-        new_rhs = [b.xreplace(pt) for b in bracket_syms]
-        if not all(v.is_Rational for row in new_rows + [new_rhs] for v in row):
+        point = _sample_rational_point(used, rng)
+        dens = [_poly_at(f.denom, point) for f in values]
+        if not all(dens):
             continue
-        rows.extend([Expr(v) for v in row] for row in new_rows)
-        rhs.extend(Expr(b) for b in new_rhs)
+        at = [Expr.number(_poly_at(f.numer, point) / d) for f, d in zip(values, dens)]
+        rows.extend([at[k * ncomp + comp] for k in range(r)] for comp in range(ncomp))
+        rhs.extend(at[r * ncomp :])
         points += 1
     if points >= 3:
         candidate = linear_solve(rows, rhs)
@@ -171,7 +158,6 @@ def expand_in_basis(
         # pointwise rank pre-check: if the expansion is inconsistent at a
         # sample point, no expansion can exist and the costly symbolic
         # elimination is skipped
-        ncomp = len(bracket_syms)
         for block in range(0, len(rows), ncomp):
             if not linear_solve(rows[block : block + ncomp], rhs[block : block + ncomp]).ok:
                 return None
@@ -250,26 +236,24 @@ def _pivot_coordinate(f: VectorField, seed: int) -> int | None:
     return None
 
 
+def _fraction_gcd(a: Fraction, b: Fraction) -> Fraction:
+    num = math.gcd(a.numerator * b.denominator, b.numerator * a.denominator)
+    return Fraction(num, a.denominator * b.denominator)
+
+
+def _rational_factor(t: sp.Expr) -> Fraction:
+    """The rational-number factor of a product (1 for a non-product)."""
+    rat = sp.Mul(*[a for a in t.args if a.is_Rational]) if t.is_Mul else (t if t.is_Rational else sp.S.One)
+    return Fraction(int(sp.numer(rat)), int(sp.denom(rat)))
+
+
 def _coefficient_content(e: sp.Expr) -> Fraction:
     """The rational-number content of a normalized expression's terms."""
     num, den = sp.fraction(e)
-    terms = num.args if num.is_Add else (num,)
     content = Fraction(0)
-    for t in terms:
-        rat = sp.S.One
-        if t.is_Mul:
-            rat = sp.Mul(*[a for a in t.args if a.is_Rational])
-        elif t.is_Rational:
-            rat = t
-        fr = Fraction(int(sp.numer(rat)), int(sp.denom(rat)))
-        content = (
-            fr
-            if content == 0
-            else Fraction(
-                __import__("math").gcd(content.numerator * fr.denominator, fr.numerator * content.denominator),
-                content.denominator * fr.denominator,
-            )
-        )
+    for t in num.args if num.is_Add else (num,):
+        fr = _rational_factor(t)
+        content = fr if content == 0 else _fraction_gcd(content, fr)
     if den.is_Rational and den != 1:
         content = content / Fraction(int(den))
     return content
@@ -282,21 +266,15 @@ def _strip_rational_content(f: VectorField) -> tuple[VectorField, Expr]:
     for c in f.components():
         if c.is_rational_zero:
             continue
-        fr = _coefficient_content(c.sym)
         if leading is None:
             num, _ = sp.fraction(c.sym)
-            lead = num.args[0] if num.is_Add else num
-            rat = sp.Mul(*[a for a in lead.args if a.is_Rational]) if lead.is_Mul else (lead if lead.is_Rational else sp.S.One)
-            leading = Fraction(int(sp.numer(rat)), int(sp.denom(rat)))
-        contents.append(abs(fr))
+            leading = _rational_factor(num.args[0] if num.is_Add else num)
+        contents.append(abs(_coefficient_content(c.sym)))
     if not contents:
         return f, Expr.number(1)
     g = contents[0]
     for fr in contents[1:]:
-        g = Fraction(
-            __import__("math").gcd(g.numerator * fr.denominator, fr.numerator * g.denominator),
-            g.denominator * fr.denominator,
-        )
+        g = _fraction_gcd(g, fr)
     if leading is not None and leading < 0:
         g = -g
     if g in (0, 1):

@@ -1,18 +1,17 @@
 """Exact linear algebra over the expression field, and small symbolic matrices.
 
-Every elimination goes through one routine, ``_lift``: the entries become a
-``DomainMatrix`` over the rational-function field QQ(symbols, atoms), whose
-generators are the free symbols plus the kernel and opaque applications and
-the constants e and pi (atomized into fresh symbols), and sympy's ``rref``,
-``det`` or ``inv`` runs there.  The exp atoms are first rewritten as
-monomials in exponentials of Q-independent arguments
-(``exprs.exp_monomials``), so the field obeys the rewrite
-exp(a)*exp(b) = exp(a + b) of the normal form: exp(u)*exp(v) - exp(u + v) is
-zero there, and so is the determinant of [[exp(u), exp(u + v)], [1, exp(v)]].
-A pivot is an exact nonzero test in that field.  Nothing is sampled, so no
-verdict depends on a seed or on the size of a value.  Identities that the
-normal form does not apply either are not seen: sin^2 + cos^2 - 1 is a
-nonzero pivot.
+Every elimination goes through one routine, ``_lift``: the entries are
+already elements of the one ambient differential field of ``exprs`` (the
+symbols plus the kernel and opaque atoms as generators), so they become a
+``DomainMatrix`` over that field's domain as they are, sympy's ``rref``,
+``det`` or ``inv`` runs there, and each result is an ``Expr`` again with no
+conversion.  The exp generators form a basis of their arguments, so the
+field obeys exp(a)*exp(b) = exp(a + b): the determinant of
+[[exp(u), exp(u + v)], [1, exp(v)]] is zero there, and so is that of
+[[exp(1/(u + 1)), exp(1)], [1, exp(u/(u + 1))]].  A pivot is an exact
+nonzero test in that field.  Nothing is sampled, so no verdict depends on a
+seed or on the size of a value.  Identities outside the normal form's
+rewrite set are not seen: sin^2 + cos^2 - 1 is a nonzero pivot.
 """
 
 from __future__ import annotations
@@ -20,12 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-import sympy as sp
-from sympy.polys.domains import QQ
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
 
-from .exprs import Expr, ExprError, atomize, exp_monomials, normalize, print_expr
+from .exprs import Expr, ExprError, _field_values, normalize, print_expr
 
 __all__ = [
     "ExprMatrix",
@@ -39,21 +36,15 @@ class SingularMatrixError(ExprError):
     """A matrix required to be invertible has identically vanishing determinant."""
 
 
-def _lift(rows: Sequence[Sequence[Expr]]) -> tuple[DomainMatrix, Callable[..., Expr]]:
-    """The entries as a DomainMatrix over QQ(symbols, atoms), and the map from
-    an element of that field back to an Expr."""
+def _lift(rows: Sequence[Sequence[Expr]]) -> DomainMatrix:
+    """The entries as a DomainMatrix over the ambient field."""
     ncols = len(rows[0])
-    flat, restore = atomize(normalize(e).sym for row in rows for e in row)
-    subs = exp_monomials(restore)
-    if subs:
-        flat = [e.xreplace(subs) for e in flat]
-    gens = sorted(set().union(*(e.free_symbols for e in flat)), key=sp.default_sort_key)
-    K = QQ.frac_field(*gens) if gens else QQ
-    elems = [K.from_sympy(e) for e in flat]
-    dm = DomainMatrix(
-        [elems[i : i + ncols] for i in range(0, len(elems), ncols)], (len(rows), ncols), K
+    elems = _field_values([normalize(e) for row in rows for e in row])
+    return DomainMatrix(
+        [elems[i : i + ncols] for i in range(0, len(elems), ncols)],
+        (len(rows), ncols),
+        elems[0].field.to_domain(),
     )
-    return dm, lambda el: Expr(K.to_sympy(el).xreplace(restore))
 
 
 @dataclass
@@ -81,14 +72,13 @@ def linear_solve(mat: Sequence[Sequence[Expr]], rhs: Sequence[Expr]) -> LinearSo
     if m == 0:
         return LinearSolveResult("underdetermined", [], [])
     n = len(mat[0])
-    aug, decode = _lift([[*row, b] for row, b in zip(mat, rhs)])
-    reduced, pivots = aug.rref()
+    reduced, pivots = _lift([[*row, b] for row, b in zip(mat, rhs)]).rref()
     rows = reduced.to_list()
     if n in pivots:
-        return LinearSolveResult("inconsistent", witness=decode(rows[len(pivots) - 1][n]))
+        return LinearSolveResult("inconsistent", witness=Expr._of(rows[len(pivots) - 1][n]))
     solution = [Expr.number(0)] * n
     for i, col in enumerate(pivots):
-        solution[col] = decode(rows[i][n])
+        solution[col] = Expr._of(rows[i][n])
     free = [c for c in range(n) if c not in pivots]
     if free:
         return LinearSolveResult("underdetermined", solution, free)
@@ -147,69 +137,52 @@ class ExprMatrix:
             [[self.entries[i][j] for i in range(self.nrows)] for j in range(self.ncols)]
         )
 
+    def _zip(self, other: "ExprMatrix", op) -> "ExprMatrix":
+        if self.nrows != other.nrows or self.ncols != other.ncols:
+            raise ExprError("matrix shapes differ")
+        return ExprMatrix([[op(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)])
+
     def __add__(self, other: "ExprMatrix") -> "ExprMatrix":
-        self._shape_check(other)
-        return ExprMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ]
-        )
+        return self._zip(other, Expr.__add__)
 
     def __sub__(self, other: "ExprMatrix") -> "ExprMatrix":
-        self._shape_check(other)
-        return ExprMatrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ]
-        )
+        return self._zip(other, Expr.__sub__)
 
     def __matmul__(self, other: "ExprMatrix") -> "ExprMatrix":
         if self.ncols != other.nrows:
             raise ExprError(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
-        out = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(other.ncols):
-                acc = sp.S.Zero
-                for k in range(self.ncols):
-                    acc = acc + self.entries[i][k].sym * other.entries[k][j].sym
-                row.append(Expr(acc))
-            out.append(row)
-        return ExprMatrix(out)
+        return ExprMatrix(
+            [
+                [sum((a * b for a, b in zip(row, col)), Expr.number(0)) for col in zip(*other.entries)]
+                for row in self.entries
+            ]
+        )
 
     def scaled(self, factor: Expr | int) -> "ExprMatrix":
         f = normalize(factor)
         return self.map(lambda e: f * e)
 
-    def _shape_check(self, other: "ExprMatrix"):
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise ExprError("matrix shapes differ")
-
     def det(self) -> Expr:
         if not self.is_square:
             raise ExprError("determinant of a non-square matrix")
-        dm, decode = _lift(self.entries)
-        return decode(dm.det())
+        return Expr._of(_lift(self.entries).det())
 
     def inverse(self) -> "ExprMatrix":
         """Exact inverse over the expression field; the determinant must not
         vanish identically."""
         if not self.is_square:
             raise ExprError("inverse of a non-square matrix")
-        dm, decode = _lift(self.entries)
         try:
-            inv = dm.inv()
+            inv = _lift(self.entries).inv()
         except DMNonInvertibleMatrixError:
             raise SingularMatrixError("matrix determinant vanishes identically") from None
-        return ExprMatrix([[decode(e) for e in row] for row in inv.to_list()])
+        return ExprMatrix([[Expr._of(e) for e in row] for row in inv.to_list()])
 
     def pivot_columns(self) -> list[int]:
         """Indices of the columns outside the span of the columns before them."""
-        return list(_lift(self.entries)[0].rref()[1])
+        return list(_lift(self.entries).rref()[1])
 
     def total_derivative(self, ctx) -> "ExprMatrix":
         from .jets import total_derivative

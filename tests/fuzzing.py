@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import sympy as sp
 
-from jetsigma.exprs import Expr
+from jetsigma.exprs import Expr, _kernel
 from jetsigma.jets import JetContext, VectorField, VectorFieldSet
 from jetsigma.prolong import SigmaMatrix
 
@@ -58,13 +58,15 @@ def random_unimodular(rng: random.Random, ctx: JetContext):
 
 def random_expr(rng: random.Random, symbols, depth: int = 3, kernels: bool = True) -> Expr:
     """Random expression over +, *, integer powers, quotients, and (unless
-    ``kernels`` is false) the five kernels, kept numerically mild."""
+    ``kernels`` is false) the five kernels, kept numerically mild.  Kernels
+    are applied unevaluated, so shapes such as cos(arctan(u)), exp(log(u))
+    and exp(1) reach the normal form as written."""
 
-    def build(d: int) -> sp.Expr:
+    def build(d: int) -> Expr:
         if d == 0 or rng.random() < 0.3:
             if rng.random() < 0.35:
-                return sp.Rational(rng.randint(-4, 4), rng.randint(1, 4))
-            return rng.choice(symbols)
+                return Expr.number(rng.randint(-4, 4), rng.randint(1, 4))
+            return Expr(rng.choice(symbols))
         op = rng.random()
         if op < 0.35:
             return build(d - 1) + build(d - 1)
@@ -75,23 +77,16 @@ def random_expr(rng: random.Random, symbols, depth: int = 3, kernels: bool = Tru
         if op < 0.78 or not kernels:
             denom = build(d - 1)
             return build(d - 1) / (denom**2 + 1)
-        kernel = rng.choice([sp.exp, sp.sin, sp.cos, sp.atan, sp.log])
+        kernel = rng.choice(["exp", "sin", "cos", "arctan", "log"])
         arg = build(d - 1)
-        if arg.has(sp.atan) or (kernel is sp.exp and arg.has(sp.log)) or not arg.free_symbols:
-            # trig of arctan auto-evaluates to square roots and exp of
-            # rational log multiples to fractional powers, both outside the
-            # supported fragment
-            arg = rng.choice(symbols)
-        if kernel is sp.log:
+        if kernel == "log":
             arg = arg**2 + 1
-        if kernel is sp.exp:
+        if kernel == "exp":
             # keep exponents mild so numeric evaluation stays finite
             arg = arg / (1 + arg**2)
-        return kernel(arg)
+        return _kernel(kernel, arg)
 
-    return Expr(build(depth))
-
-
+    return build(depth)
 def random_point(rng: random.Random, symbols) -> dict:
     return {
         str(s): Fraction(rng.randint(1, 8), rng.randint(4, 9)) * rng.choice([-1, 1])

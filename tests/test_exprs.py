@@ -236,55 +236,63 @@ def test_finite_difference_agreement(table):
     assert checked >= 20
 
 
-def test_normal_form_matches_cancel_reference(monkeypatch):
-    """The normal form, cancelled in sympy's sparse field, against a
-    reference pipeline that cancels with the expression-tree
-    ``cancel(together(.))``.  Most trees are identical.  They may differ only
-    where an exp or log argument is a rational function: the sparse field
-    keeps ``exp((-u - 1)/(v^2 + 1))`` as a numerator atom, where the reference
-    factors out its sign and moves the exp into the denominator, and it does
-    not split ``log(256)`` off a log argument.  There the reference maps the
-    sparse-field tree onto its own tree of the raw input, so both trees are
-    the same value."""
-    from jetsigma import exprs
+def _reference(tree: sp.Expr) -> sp.Expr:
+    """sympy's own normal form of a tree, independent of jetsigma's field:
+    ``cancel(together(.))``, with ``powsimp`` merging exp products first.
+    Logs are held fixed, since ``cancel`` would split log(13/4), a rewrite
+    outside the normal form's set."""
+    logs = {node: sp.Dummy() for node in tree.atoms(sp.log)}
+    tree = tree.xreplace(logs)
+    if tree.has(sp.exp):
+        tree = sp.powsimp(tree, combine="exp")
+    return sp.cancel(sp.together(tree)).xreplace({d: node for node, d in logs.items()})
 
-    def cancel_fracnorm(e):
-        if e.is_Atom:
-            return e
-        try:
-            return sp.cancel(sp.together(e))
-        except (sp.PolynomialError, ZeroDivisionError, AttributeError):
-            return sp.together(sp.expand(e))
 
+def _vanishes(tree: sp.Expr) -> bool:
+    """sympy's verdict that a tree is 0: each product's exps merged by
+    ``powsimp`` with their arguments cancelled, then ``cancel``."""
+    merged = sp.powsimp(sp.expand(tree), combine="exp")
+    merged = merged.replace(lambda e: isinstance(e, sp.exp), lambda e: sp.exp(sp.cancel(e.args[0])))
+    return sp.cancel(sp.together(merged)) == 0
+
+
+def _differing(cases):
+    """The (result, tree) cases whose result is not the reference value, or
+    not ==, or does not hash equal, to the Expr of the reference tree."""
+    out = []
+    for got, tree in cases:
+        reference = _reference(tree)
+        expected = Expr(reference)
+        if not (_vanishes(got.sym - reference) and got == expected and hash(got) == hash(expected)):
+            out.append((got.sym, reference))
+    return out
+
+
+def test_normal_form_matches_cancel_reference():
+    """The normal form against sympy's ``cancel(together(.))``: each raw tree
+    and its reference give the same Expr, and the difference of their trees
+    cancels to 0 in sympy.  An exp keeps its argument's cancelled form, and a
+    log argument is stored cancelled and never split."""
     syms = [sp.Symbol(s) for s in ("x", "u", "v", "u_1", "v_1")]
     x, u, v, u_1, v_1 = syms
     A = exprs._opaque_class("A", 2)
     rng = random.Random(0)
-    raws = []
+    cases = []
     for _ in range(60):
         a = random_expr(rng, syms + [A(u, v_1)]).sym
         b = random_expr(rng, syms + [A(u, v_1)]).sym
-        raws += [a + b, a * b, a / (b**2 + 1)]
+        for raw in (a + b, a * b, a / (b**2 + 1)):
+            cases.append((Expr(raw), raw))
+    assert _differing(cases) == []
     exp_arg_u = (u**2 * u_1 + u_1) / (u**4 + 2 * u**2 + u_1**2 + 1)
     exp_arg_v = (-12 * v**2 - 12) / (16 * v**4 + 32 * v**2 + 25)
     exp_sum = sp.exp(exp_arg_u) + sp.exp(exp_arg_v)
     log_arg = (256 * u**4 + 512 * u**2 + 81 * v**2 + 256) / (256 * u**4 + 512 * u**2 + 256)
     shapes = [exp_sum, exp_sum * (u * x * sp.sin(u) + u * sp.sin(u)), sp.log(log_arg)]
-
-    got = [Expr(raw).sym for raw in raws + shapes]
-    # the sparse field keeps the sum of exps expanded and the log unsplit
-    assert got[-3] == sp.exp(sp.cancel(exp_arg_u)) + sp.exp(sp.cancel(exp_arg_v))
-    assert not got[-1].has(sp.log(2))
-
-    monkeypatch.setattr(exprs, "_fracnorm", cancel_fracnorm)
-    differ = 0
-    for raw, tree in zip(raws + shapes, got):
-        reference = exprs._normal(raw)
-        if tree != reference:
-            differ += 1
-            assert tree.has(sp.exp) or tree.has(sp.log), raw
-            assert exprs._normal(tree) == reference, raw
-    assert differ <= 3 + len(raws) // 20
+    assert _differing([(Expr(t), t) for t in shapes]) == []
+    assert Expr(exp_sum).sym == sp.exp(sp.cancel(exp_arg_u)) + sp.exp(sp.cancel(exp_arg_v))
+    logged = Expr(sp.log(log_arg)).sym
+    assert logged.args[0] == Expr(log_arg).sym and not logged.has(sp.log(2))
 
 
 def test_float_rejected():
@@ -292,10 +300,10 @@ def test_float_rejected():
         Expr(sp.Float(0.5) * sp.Symbol("u"))
 
 
-@pytest.mark.xfail(strict=True, reason="the exp normal form is not canonical")
 def test_exp_normal_form_is_canonical(table):
-    """Equal values should have one normal form; with exp atoms they do not
-    yet: the difference normalizes to 0 while the two forms stay distinct."""
+    """Equal values have one normal form: the exp generators form a basis of
+    their arguments, so exp(u - v) is exp(u)/exp(v) and both quotients are
+    one field element."""
     a = parse("1/(u + exp(u - v))", table)
     b = parse("exp(v)/(u*exp(v) + exp(u))", table)
     assert (a - b).sym == 0
@@ -303,28 +311,15 @@ def test_exp_normal_form_is_canonical(table):
 
 
 # ---------------------------------------------------------------------------
-# kernel-free arithmetic in the ambient field against the tree path
+# arithmetic in the field against sympy's cancel(together(.))
 # ---------------------------------------------------------------------------
-
-
-def _differing(cases, field_path=True):
-    """The (result, tree) cases whose result is not ==, or does not hash
-    equal, to Expr(tree); with ``field_path`` each result must also be a
-    field element."""
-    out = []
-    for got, tree in cases:
-        if field_path:
-            assert isinstance(got._frac, FracElement), tree
-        reference = Expr(tree)
-        if not (got == reference and hash(got) == hash(reference)):
-            out.append((got.sym, reference.sym))
-    return out
 
 
 @pytest.mark.parametrize("seed", [3, 11])
 def test_field_path_matches_tree_path(seed):
-    """Every field-path + - * / neg pow, diff and sum of c*de/ds on seeded
-    kernel-free inputs gives the tree Expr(<same tree operation>) gives."""
+    """Every field + - * / neg pow, diff and sum of c*de/ds on seeded
+    kernel-free inputs gives the value, and the Expr, of sympy's
+    cancel(together(<same tree operation>))."""
     rng = random.Random(seed)
     syms = [sp.Symbol(s) for s in ("x", "u", "v", "u_1", "v_1")]
     corpus = [random_expr(rng, syms, depth=2, kernels=False) for _ in range(24)]
@@ -357,7 +352,7 @@ def test_field_path_edge_cases():
     x, u, v, w, u_1 = (sp.Symbol(n) for n in ("x", "u", "v", "w", "u_1"))
     X, U, V, W = (Expr(s) for s in (x, u, v, w))
     base = U * V + X
-    held = set(exprs._AMBIENT.state[1])
+    held = set(exprs._AMBIENT.keys)
     cases = [(base, u * v + x)]
     # symbols first seen after the field holds others, sorting before,
     # among and after its generators
@@ -398,7 +393,7 @@ def test_field_path_edge_cases():
             (derivation(1 / (S1 - S2), [(s1, S2)]), s2 * sp.diff(1 / (s1 - s2), s1)),
         ]
     assert _differing(cases) == []
-    # kernel-free operands combined with an exp operand take the tree path
+    # kernel-free operands combined with an exp operand
     E = Expr(sp.exp(u))
     mixed = [
         (U + E, u + sp.exp(u)),
@@ -408,7 +403,7 @@ def test_field_path_edge_cases():
         (derivation(U * V, [(u, E), (v, U)]), sp.exp(u) * v + u * u),
         (derivation(E, [(u, U / 2)]), u / 2 * sp.exp(u)),
     ]
-    assert _differing(mixed, field_path=False) == []
+    assert _differing(mixed) == []
 
 
 def test_tied_generator_order_ignores_hash_seed():
@@ -454,11 +449,11 @@ def test_field_and_tree_born_values_are_interchangeable():
 
 def test_field_growth_from_threads():
     """Threads that bring in new symbols at once lose none of them, and each
-    result still matches the tree path."""
+    result still matches the Expr of the same tree."""
     import sys
     import threading
 
-    held = set(exprs._AMBIENT.state[1])
+    held = set(exprs._AMBIENT.keys)
     fresh = (f"th{k}" for k in count() if sp.Symbol(f"th{k}") not in held)
     names = [next(fresh) for _ in range(48)]
     groups = [names[i::4] for i in range(4)]
@@ -483,4 +478,83 @@ def test_field_growth_from_threads():
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
     assert failures == []
-    assert {sp.Symbol(n) for n in names} <= set(exprs._AMBIENT.state[1])
+    assert {sp.Symbol(n) for n in names} <= set(exprs._AMBIENT.keys)
+
+
+# ---------------------------------------------------------------------------
+# kernels are built unevaluated, with only the documented rewrites
+# ---------------------------------------------------------------------------
+
+UNEVALUATED = [
+    ("arctan(1)", "arctan(1)"),
+    ("exp(1)", "exp(1)"),
+    ("exp(u + 1)", "exp(1 + u)"),
+    ("exp(u)*exp(1 - u)", "exp(1)"),
+    ("cos(arctan(u))", "cos(arctan(u))"),
+    ("exp(log(u))", "exp(log(u))"),
+    ("exp(2*log(u))", "exp(2*log(u))"),
+    ("log(2*u)", "log(2*u)"),
+]
+
+
+@pytest.mark.parametrize("text, printed", UNEVALUATED)
+def test_kernels_stay_unevaluated_and_round_trip(table, text, printed):
+    e = parse(text, table)
+    assert print_expr(e) == printed
+    assert parse(printed, table) == e
+
+
+def test_kernels_are_not_rewritten(table):
+    P = lambda t: parse(t, table)  # noqa: E731
+    assert P("exp(log(u))") != P("u")
+    assert P("exp(2*log(u))") != P("u^2")
+    assert P("log(2*u)") != P("log(2) + log(u)")
+    assert P("exp(u + 1)") == P("exp(1)*exp(u)")
+
+
+def test_log_argument_is_stored_cancelled(table):
+    """A log's argument is its normal form, one cancelled fraction, with no
+    log(2) split off."""
+    arg = "(256*u^4 + 512*u^2 + 81*v^2 + 256)/(256*u^4 + 512*u^2 + 256)"
+    e = parse(f"log({arg})", table)
+    assert e.sym.args[0] == parse(arg, table).sym
+    assert print_expr(e) == f"log({print_expr(parse(arg, table))})"
+    assert parse("log((u^2 - 1)/(u - 1))", table) == parse("log(u + 1)", table)
+
+
+def test_odd_and_even_kernel_rewrites(table):
+    """sin and arctan are odd and cos is even, decided by the sign of the
+    argument's leading coefficient; nothing else is rewritten."""
+    P = lambda t: parse(t, table)  # noqa: E731
+    assert print_expr(P("sin(-u)")) == "-sin(u)"
+    assert print_expr(P("arctan(-u)")) == "-arctan(u)"
+    assert print_expr(P("cos(-u)")) == "cos(u)"
+    assert (P("sin(-u)") + P("sin(u)")).is_rational_zero
+    assert (P("arctan(v - u)") + P("arctan(u - v)")).is_rational_zero
+    assert P("cos(v - u)") == P("cos(u - v)")
+
+
+# ---------------------------------------------------------------------------
+# exact zero test on the rational fragment
+# ---------------------------------------------------------------------------
+
+
+def test_is_zero_exact_on_tiny_values(table):
+    """A value without atoms is decided in the field: its numerator is
+    nonzero at an exact rational witness, whatever its size."""
+    for text in ("u/10^15", "u/10^12", "(u - v)/10^30"):
+        e = parse(text, table)
+        verdict = is_zero(e)
+        assert verdict.is_nonzero, text
+        at = substitute(e, {k: Expr(v) for k, v in verdict.witness.items()})
+        assert at.free_symbols == frozenset() and not at.is_rational_zero
+
+
+def test_is_zero_verdict_is_scale_free():
+    rng = random.Random(4)
+    syms = [sp.Symbol(s) for s in ("x", "u", "v", "u_1")]
+    for _ in range(30):
+        e = random_expr(rng, syms, depth=2, kernels=False)
+        status = is_zero(e).status
+        for scale in (Fraction(1, 10**15), Fraction(10**15)):
+            assert is_zero(e * scale).status == status

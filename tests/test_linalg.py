@@ -109,3 +109,15 @@ def test_matrix_algebra(ctx):
     assert (A + B)[1, 1] == P("v + 4")
     assert (A - B).transpose()[0, 1] == P("-3")
     assert A.total_derivative(ctx)[0, 0] == P("u_1")
+
+
+def test_exp_basis_comes_from_the_arguments(ctx):
+    """exp(1/(u + 1))*exp(u/(u + 1)) = exp(1): the exp generators come from
+    the arguments' field elements, not a term-by-term expansion."""
+    P = ctx.parse
+    M = ExprMatrix([[P("exp(1/(u+1))"), P("exp(1)")], [P("1"), P("exp(u/(u+1))")]])
+    assert M.det().is_rational_zero
+    with pytest.raises(SingularMatrixError):
+        M.inverse()
+    result = linear_solve([list(M.row(0)), list(M.row(1))], [P("1"), P("0")])
+    assert result.status == "inconsistent"
