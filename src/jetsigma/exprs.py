@@ -288,10 +288,6 @@ class _Atom:
         return dg / (1 + g * g)  # arctan
 
 
-def _fraction(c) -> Fraction:
-    return Fraction(int(c.numerator), int(c.denominator))
-
-
 class _AmbientField:
     """The generators of the one field, in one total order (``_sort_gens``
     order of their names, ties broken by name), so a quotient's sign never
@@ -438,10 +434,8 @@ def _exp_terms(g: "Expr"):
     qq = ring.clone(domain=QQ)
     (quotient,), remainder = f.numer.set_ring(qq).div([f.denom.set_ring(qq)])
     lc = f.denom.LC
-    out = [(Expr._of(field.raw_new(ring({m: 1}), ring.one)), _fraction(c)) for m, c in quotient.iterterms()]
-    return out + [
-        (Expr._of(field.new(ring({m: lc}), f.denom)), _fraction(c) / int(lc)) for m, c in remainder.iterterms()
-    ]
+    out = [(Expr._of(field.raw_new(ring({m: 1}), ring.one)), c) for m, c in quotient.iterterms()]
+    return out + [(Expr._of(field.new(ring({m: lc}), f.denom)), c / lc) for m, c in remainder.iterterms()]
 
 
 def _field_values(exprs: Sequence["Expr"]) -> list:
@@ -507,7 +501,8 @@ class Expr:
     @staticmethod
     def number(p: int | Fraction, q: int = 1) -> "Expr":
         p = Fraction(p, q)
-        return Expr._of(_rational(p.numerator, p.denominator))
+        field = _AMBIENT.field(())
+        return Expr._of(field.raw_new(field.ring.ground_new(p.numerator), field.ring.ground_new(p.denominator)))
 
     def __setattr__(self, *a):
         raise AttributeError("Expr is immutable")
@@ -586,11 +581,6 @@ class Expr:
 
     def __repr__(self):
         return f"Expr({print_expr(self)})"
-
-
-def _rational(p: int, q: int):
-    field = _AMBIENT.field(())
-    return field.raw_new(field.ring.ground_new(p), field.ring.ground_new(q))
 
 
 ZERO = Expr.number(0)
