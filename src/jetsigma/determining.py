@@ -98,9 +98,6 @@ class DeterminingResult:
     residuals: dict[tuple[int, int], Expr]  # (field, equation) -> residual on shell
     coefficient_equations: list[Expr] | None  # collected when templates are parameter-only
 
-    def residual_list(self) -> list[Expr]:
-        return [self.residuals[k] for k in sorted(self.residuals)]
-
 
 def generate_determining(
     sys: ODESystem, ansatz: Ansatz, collect_vars: Sequence[sp.Symbol | str] | None = None, seed: int = 0
@@ -160,8 +157,8 @@ def _default_collect_vars(residuals, ctx: JetContext) -> list[sp.Symbol]:
             if atom is not None:
                 hidden |= atom.free_symbols
                 continue
-            base, sep, sub = g.name.partition("_")
-            if base in ctx.dependents and sep and sub.isdigit() and int(sub) >= 1:
+            index = ctx.table.jet_index(g)
+            if index is not None and index[1] >= 1:
                 candidates.add(g)
     return sorted(candidates - hidden, key=lambda s: s.name)
 

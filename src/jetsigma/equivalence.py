@@ -97,19 +97,12 @@ def standardizing_roundtrip(
 ) -> RoundtripReport:
     """The commuting square behind the equivalence of twisted and standard
     generators: combining standard prolongations with the matrix P equals the
-    twisted prolongation (with sigma = P D_x(P^-1)) of the P-combined fields.
+    twisted prolongation (with sigma = P D_x(P^-1), which is sigma_from_A(A,
+    convention)) of the P-combined fields.
     P is A itself under the "dx_inverse" convention and A^-1 under
     "inverse_dx"."""
-    ctx = Ws.ctx
-    _check_base_matrix(A, ctx)
-    if convention == "dx_inverse":
-        P = A
-    elif convention == "inverse_dx":
-        P = A.inverse()
-    else:
-        raise ExprError(f"unknown convention {convention!r}")
-    sigma_raw = P @ P.inverse().total_derivative(ctx)
-    sigma = SigmaMatrix(ctx, sigma_raw.entries)
+    sigma = sigma_from_A(A, Ws.ctx, convention)
+    P = A if convention == "dx_inverse" else A.inverse()
     Zs = VectorFieldSet([standard_prolong(W, n) for W in Ws])
     transformed = transform_fields(P, Zs)
     Xs = transform_fields(P, VectorFieldSet([W for W in Ws]))

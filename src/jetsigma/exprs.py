@@ -203,6 +203,16 @@ class SymbolTable:
             raise ExprError("jet order must be >= 0")
         return sp.Symbol(dep if k == 0 else f"{dep}_{k}")
 
+    def jet_index(self, sym: sp.Symbol) -> tuple[str, int] | None:
+        """(dependent, order) of a jet coordinate symbol ``u`` or ``u_k``;
+        None for every other symbol."""
+        base, sep, sub = sym.name.partition("_")
+        if base not in self.dependents:
+            return None
+        if not sep:
+            return base, 0
+        return (base, int(sub)) if sub.isdigit() else None
+
     def base_symbol(self, name: str) -> sp.Symbol:
         if name == self.independent or name in self.dependents or name in self.parameters:
             return sp.Symbol(name)
@@ -569,12 +579,8 @@ class Expr:
 
     def jet_order(self, table: SymbolTable) -> int:
         """Highest jet order among the coordinates appearing in the expression."""
-        order = 0
-        for s in self.free_symbols:
-            base, sep, sub = s.name.partition("_")
-            if sep and base in table.dependents and sub.isdigit():
-                order = max(order, int(sub))
-        return order
+        indices = filter(None, map(table.jet_index, self.free_symbols))
+        return max((k for _, k in indices), default=0)
 
     def __str__(self):
         return print_expr(self)

@@ -73,12 +73,13 @@ class JetContext:
 
 def total_derivative(e: Expr, ctx: JetContext) -> Expr:
     """D_x e = d_x e + sum over present coordinates of u^a_{k+1} * de/du^a_k."""
+    table = ctx.table
     terms = [(ctx.x, ONE)]
     for s in e.free_symbols:
-        base, sep, sub = s.name.partition("_")
-        if base in ctx.dependents and (not sep or sub.isdigit()):
-            k = int(sub) if sep else 0
-            terms.append((s, Expr(ctx.coord(base, k + 1))))
+        index = table.jet_index(s)
+        if index is not None:
+            dep, k = index
+            terms.append((s, Expr(table.jet_symbol(dep, k + 1))))
     return derivation(e, terms)
 
 

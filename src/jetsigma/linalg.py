@@ -86,10 +86,9 @@ def linear_solve(mat: Sequence[Sequence[Expr]], rhs: Sequence[Expr]) -> LinearSo
 
 
 class ExprMatrix:
-    """A rectangular matrix of expressions, optionally tagged with the domain
-    its entries are required to live on ("base" for functions of (x, u^a))."""
+    """A rectangular matrix of expressions."""
 
-    def __init__(self, entries: Sequence[Sequence[Expr]], domain: str | None = None):
+    def __init__(self, entries: Sequence[Sequence[Expr]]):
         rows = tuple(tuple(normalize(e) for e in row) for row in entries)
         if not rows or not rows[0]:
             raise ExprError("matrix must be nonempty")
@@ -97,7 +96,6 @@ class ExprMatrix:
         if any(len(row) != ncols for row in rows):
             raise ExprError("ragged matrix")
         self.entries = rows
-        self.domain = domain
 
     @staticmethod
     def identity(n: int) -> "ExprMatrix":

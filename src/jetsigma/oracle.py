@@ -42,12 +42,6 @@ class Trajectory:
     samples: dict[str, np.ndarray]  # coordinate name -> values on the grid
     h: float
 
-    def jet_point(self, i: int) -> dict[str, float]:
-        pt = {self.ctx.independent: float(self.ts[i])}
-        for name, vals in self.samples.items():
-            pt[name] = float(vals[i])
-        return pt
-
     def same_grid(self, other: "Trajectory") -> bool:
         import numpy as np
 

@@ -1,14 +1,24 @@
 """Standard and twisted prolongation operators for vector fields on jet bundles.
 
-The joint twist couples the members of a set of r fields through an r x r
-matrix of functions on the first jet bundle: one prolongation step sends the
-order-k coefficients psi[a][k] of the whole set to
+Every operator here iterates one step.  For a set of r fields with
+coefficients psi[i][a][k] (field i, dependent a, order k), a p x p matrix
+Lambda acting on the dependent index and an r x r matrix S acting on the set
+index, the step is
 
-    psi[a][i][k+1] = (D_x psi[a][i][k] - u^a_{k+1} D_x xi_i)
-                     + sum_j sigma[i][j] * (psi[a][j][k] - u^a_{k+1} xi_j)
+    psi[i][a][k+1] = D_x psi[i][a][k] - u^a_{k+1} D_x xi_i
+                     + sum_b Lambda[a][b] psi[i][b][k]
+                     + sum_j S[i][j] (psi[j][a][k] - u^a_{k+1} xi_j)
 
-and iterating the step produces the higher prolongations.  The scalar twist is
-the r = 1 case, and the untwisted operators are the sigma = 0 degenerations.
+and the public functions fix its parts:
+
+    standard_prolong      one field, Lambda = 0, S = 0
+    lambda_prolong        one field, Lambda = 0, S = (lambda)
+    sigma_prolong         Lambda = 0, S = sigma (the joint twist)
+    mu_prolong_vertical   vertical fields, S = 0
+    chi_prolong           vertical fields, S = -Theta^T
+
+Iterating the step from the fields on the base produces the higher
+prolongations.
 """
 
 from __future__ import annotations
@@ -45,7 +55,7 @@ class SigmaMatrix:
     jet bundle (depend only on x, u^a, u^a_1)."""
 
     def __init__(self, ctx: JetContext, entries: Sequence[Sequence[Expr]]):
-        self.mat = ExprMatrix(entries, domain="jet1")
+        self.mat = ExprMatrix(entries)
         if not self.mat.is_square:
             raise ExprError(f"twist matrix must be square, got {self.mat.nrows}x{self.mat.ncols}")
         for row in self.mat.entries:
@@ -97,90 +107,68 @@ class ChiData:
     Theta: ExprMatrix
 
 
-def _one_joint_step(
-    Xs: Sequence[VectorField], psis: list[list[list[Expr]]], k: int, sigma: SigmaMatrix | None
-) -> None:
-    """Append the order-(k+1) coefficients to psis in place."""
-    ctx = Xs[0].ctx
-    r = len(Xs)
-    dxi = [total_derivative(X.xi, ctx) for X in Xs]
-    for i in range(r):
-        for a in range(ctx.p):
-            u_next = Expr(ctx.coord(a, k + 1))
-            coeff = total_derivative(psis[i][a][k], ctx) - u_next * dxi[i]
-            if sigma is not None:
-                for j in range(r):
-                    s = sigma[i, j]
-                    if not s.is_rational_zero:
-                        coeff = coeff + s * (psis[j][a][k] - u_next * Xs[j].xi)
-            psis[i][a].append(coeff)
-
-
-def _prolong_set(Xs: Sequence[VectorField], sigma: SigmaMatrix | None, n: int) -> list[VectorField]:
+def _prolong(
+    Xs: Sequence[VectorField], n: int, Lambda: ExprMatrix | None = None, S: ExprMatrix | None = None
+) -> list[VectorField]:
+    """Iterate the general step of the module docstring from the fields on the
+    base to order n; a missing matrix is the zero matrix."""
     for X in Xs:
         if X.order != 0:
             raise ExprError("prolongation starts from fields on the base (order 0)")
     ctx = Xs[0].ctx
+    r = len(Xs)
+    dxi = [total_derivative(X.xi, ctx) for X in Xs]
     psis = [[[X.phi(a)] for a in range(ctx.p)] for X in Xs]
     for k in range(n):
-        _one_joint_step(Xs, psis, k, sigma)
+        for i in range(r):
+            for a in range(ctx.p):
+                u_next = Expr(ctx.coord(a, k + 1))
+                coeff = total_derivative(psis[i][a][k], ctx) - u_next * dxi[i]
+                if Lambda is not None:
+                    for b in range(ctx.p):
+                        lab = Lambda[a, b]
+                        if not lab.is_rational_zero:
+                            coeff = coeff + lab * psis[i][b][k]
+                if S is not None:
+                    for j in range(r):
+                        s = S[i, j]
+                        if not s.is_rational_zero:
+                            coeff = coeff + s * (psis[j][a][k] - u_next * Xs[j].xi)
+                psis[i][a].append(coeff)
     out_ctx = ctx if ctx.max_order >= n else ctx.extended(n)
-    return [
-        VectorField(out_ctx, n, X.xi, psis[i])
-        for i, X in enumerate(Xs)
-    ]
+    return [VectorField(out_ctx, n, X.xi, psis[i]) for i, X in enumerate(Xs)]
 
 
 def standard_prolong(X: VectorField, n: int) -> VectorField:
-    """Untwisted prolongation: psi[a][k+1] = D_x psi[a][k] - u^a_{k+1} D_x xi."""
-    return _prolong_set([X], None, n)[0]
+    """Untwisted prolongation."""
+    return _prolong([X], n)[0]
 
 
 def lambda_prolong(X: VectorField, lam: Expr, n: int) -> VectorField:
     """Scalar twist by a function on the first jet bundle."""
-    sigma = SigmaMatrix.scalar(X.ctx, lam)
-    return _prolong_set([X], sigma, n)[0]
+    return _prolong([X], n, S=SigmaMatrix.scalar(X.ctx, lam).mat)[0]
 
 
 def sigma_prolong(Xs: VectorFieldSet, sigma: SigmaMatrix, n: int) -> VectorFieldSet:
     """Joint twisted prolongation of the whole set."""
     if len(Xs) != sigma.r:
         raise ExprError(f"twist matrix is {sigma.r}x{sigma.r} but the set has {len(Xs)} fields")
-    return VectorFieldSet(_prolong_set(list(Xs), sigma, n))
+    return VectorFieldSet(_prolong(list(Xs), n, S=sigma.mat))
 
 
 def mu_prolong_vertical(Xs: VectorFieldSet, Lambda: ExprMatrix, n: int) -> VectorFieldSet:
-    """Per-field twist acting on the dependent index:
-    psi[a][k+1] = D_x psi[a][k] + Lambda[a][b] psi[b][k]; vertical fields only."""
+    """Per-field twist acting on the dependent index; vertical fields only."""
     ctx = Xs.ctx
     if not Xs.is_vertical:
         raise NonVerticalFieldError("the dependent-index twist is defined for vertical fields only")
     if not (Lambda.is_square and Lambda.nrows == ctx.p):
         raise ExprError(f"dependent-index twist matrix must be {ctx.p}x{ctx.p}")
-    out = []
-    for X in Xs:
-        if X.order != 0:
-            raise ExprError("prolongation starts from fields on the base (order 0)")
-        psi = [[X.phi(a)] for a in range(ctx.p)]
-        for k in range(n):
-            for a in range(ctx.p):
-                coeff = total_derivative(psi[a][k], ctx)
-                for b in range(ctx.p):
-                    lab = Lambda[a, b]
-                    if not lab.is_rational_zero:
-                        coeff = coeff + lab * psi[b][k]
-                psi[a].append(coeff)
-        out_ctx = ctx if ctx.max_order >= n else ctx.extended(n)
-        out.append(VectorField(out_ctx, n, Expr.number(0), psi))
-    return VectorFieldSet(out)
+    return VectorFieldSet(_prolong(list(Xs), n, Lambda=Lambda))
 
 
 def chi_prolong(Xs: VectorFieldSet, chi: ChiData, n: int) -> VectorFieldSet:
-    """Combined twist on vertical fields, applied recursively order by order:
-
-        psi[a][i][k+1] = D_x psi[a][i][k] + Lambda[a][b] psi[b][i][k]
-                         - Theta^T[i][j] psi[a][j][k]
-    """
+    """Combined twist on vertical fields: Lambda on the dependent index and
+    Theta on the set index, entering the step as S = -Theta^T."""
     ctx = Xs.ctx
     r = len(Xs)
     if not Xs.is_vertical:
@@ -189,28 +177,8 @@ def chi_prolong(Xs: VectorFieldSet, chi: ChiData, n: int) -> VectorFieldSet:
         raise ExprError(f"dependent-index part must be {ctx.p}x{ctx.p}")
     if not (chi.Theta.is_square and chi.Theta.nrows == r):
         raise ExprError(f"set-index part must be {r}x{r}")
-    for X in Xs:
-        if X.order != 0:
-            raise ExprError("prolongation starts from fields on the base (order 0)")
-    psis = [[[X.phi(a)] for a in range(ctx.p)] for X in Xs]
-    theta_t = chi.Theta.transpose()
-    for k in range(n):
-        for i in range(r):
-            for a in range(ctx.p):
-                coeff = total_derivative(psis[i][a][k], ctx)
-                for b in range(ctx.p):
-                    lab = chi.Lambda[a, b]
-                    if not lab.is_rational_zero:
-                        coeff = coeff + lab * psis[i][b][k]
-                for j in range(r):
-                    t = theta_t[i, j]
-                    if not t.is_rational_zero:
-                        coeff = coeff - t * psis[j][a][k]
-                psis[i][a].append(coeff)
-    out_ctx = ctx if ctx.max_order >= n else ctx.extended(n)
-    return VectorFieldSet(
-        [VectorField(out_ctx, n, Expr.number(0), psis[i]) for i in range(r)]
-    )
+    S = chi.Theta.transpose().scaled(-1)
+    return VectorFieldSet(_prolong(list(Xs), n, Lambda=chi.Lambda, S=S))
 
 
 # ---------------------------------------------------------------------------

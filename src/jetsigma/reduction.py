@@ -75,9 +75,12 @@ class ODESystem:
                 )
         if solved is not None:
             solved = {
-                (sp.Symbol(k) if isinstance(k, str) else k): normalize(v)
+                (ctx.table.lookup(k) if isinstance(k, str) else k): normalize(v)
                 for k, v in solved.items()
             }
+            for key in solved:
+                if ctx.table.jet_index(key) is None:
+                    raise ExprError(f"solved coordinate {key} is not a jet coordinate")
             designated = set(solved)
             for key, rhs in solved.items():
                 for s in rhs.free_symbols:
@@ -103,15 +106,11 @@ class ODESystem:
             return {}
         out: dict[str, int] = {}
         for key in self.solved:
-            base, sep, sub = key.name.partition("_")
-            k = int(sub) if sep else 0
-            if base in out:
-                raise ExprError(f"two solved coordinates for dependent '{base}'")
-            out[base] = k
+            dep, k = self.ctx.table.jet_index(key)
+            if dep in out:
+                raise ExprError(f"two solved coordinates for dependent '{dep}'")
+            out[dep] = k
         return out
-
-    def with_solved(self, solved: Mapping, **kw) -> "ODESystem":
-        return ODESystem(self.ctx, self.order, self.equations, solved, **kw)
 
     def __repr__(self):
         eqs = "; ".join(f"{print_expr(e)} = 0" for e in self.equations)
@@ -123,20 +122,21 @@ def restrict_with(
 ) -> Expr:
     """Substitute solved coordinates (and, on demand, their higher total
     derivatives) until a fixed point; capped at order+3 passes."""
+    table = ctx.table
     by_dep: dict[str, tuple[int, Expr]] = {}
     for key, rhs in solved.items():
-        base, sep, sub = key.name.partition("_")
-        by_dep[base] = (int(sub) if sep else 0, rhs)
+        dep, q = table.jet_index(key)
+        by_dep[dep] = (q, rhs)
     derivative_cache: dict[sp.Symbol, Expr] = dict(solved)
 
     def rule_for(sym: sp.Symbol) -> Expr | None:
         if sym in derivative_cache:
             return derivative_cache[sym]
-        base, sep, sub = sym.name.partition("_")
-        if base not in by_dep or not sep or not sub.isdigit():
+        index = table.jet_index(sym)
+        if index is None or index[0] not in by_dep:
             return None
-        k = int(sub)
-        q, rhs = by_dep[base]
+        dep, k = index
+        q, rhs = by_dep[dep]
         if k < q:
             return None
         expr = rhs
@@ -179,7 +179,7 @@ def solve_for_highest(sys: ODESystem, targets: Sequence[sp.Symbol | str] | None 
     if targets is None:
         target_syms = [ctx.coord(a, sys.order) for a in range(ctx.p)]
     else:
-        target_syms = [sp.Symbol(t) if isinstance(t, str) else t for t in targets]
+        target_syms = [ctx.table.lookup(t) if isinstance(t, str) else t for t in targets]
     m = len(sys.equations)
     if m != len(target_syms):
         raise ExprError(f"{m} equations cannot determine {len(target_syms)} coordinates")
@@ -293,7 +293,7 @@ class CoordinateChange:
             functions=old_ctx.table.functions,
         )
         self.inverse = {
-            (sp.Symbol(k) if isinstance(k, str) else k): normalize(v)
+            (old_ctx.table.lookup(k) if isinstance(k, str) else k): normalize(v)
             for k, v in inverse.items()
         }
         if validate:
@@ -413,15 +413,10 @@ def reduce_system(
         new_equations.append(Expr(core))
         stripped.append(Expr(exp_content * sym_content))
         denominators.append(Expr(denom))
-    orders: dict[str, int] = {}
-    for name in new_ctx.dependents:
-        k_max = 0
-        for e in new_equations:
-            for s in e.free_symbols:
-                base, sep, sub_ = s.name.partition("_")
-                if base == name and sep and sub_.isdigit():
-                    k_max = max(k_max, int(sub_))
-        orders[name] = k_max
+    orders = dict.fromkeys(new_ctx.dependents, 0)
+    for e in new_equations:
+        for dep, k in filter(None, map(new_ctx.table.jet_index, e.free_symbols)):
+            orders[dep] = max(orders[dep], k)
     for name in change.invariant_names():
         # coordinates defined by first-order invariants must drop an order;
         # order-zero-defined coordinates behave like base variables and may

@@ -8,8 +8,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-import sympy as sp
-
 from .determining import Ansatz
 from .exprs import Expr, ExprError, SymbolTable, parse, print_expr
 from .jets import JetContext, VectorField, VectorFieldSet
@@ -360,7 +358,7 @@ def loads_session(text: str) -> Session:
             if implicit:
                 session.system = ODESystem(ctx, system_order, implicit, solved or None)
             else:
-                eqs = [Expr(sp.Symbol(c)) - e for c, e in solved.items()]
+                eqs = [Expr(ctx.table.lookup(c)) - e for c, e in solved.items()]
                 session.system = ODESystem(ctx, system_order, eqs, solved)
         except ExprError as exc:
             raise SessionError(str(exc))

@@ -99,6 +99,7 @@ def test_roundtrip_bilinear():
     )
     assert rt.holds
     assert _sigma_eq(rt.sigma, case.sigma)
+    assert rt.sigma == sigma_from_A(case.matrices["A"], case.ctx, "inverse_dx")
 
 
 def test_roundtrip_radial_quotient_opaque():
@@ -107,6 +108,7 @@ def test_roundtrip_radial_quotient_opaque():
         case.fields, case.matrices["A"], 1, "dx_inverse", deny=case.deny
     )
     assert rt.holds
+    assert rt.sigma == sigma_from_A(case.matrices["A"], case.ctx, "dx_inverse")
 
 
 def test_roundtrip_radial_polynomial():

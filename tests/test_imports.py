@@ -1,6 +1,8 @@
 """Every module-level import of the library is used: referenced somewhere in
-its module or re-exported through ``__all__``; and importing the command-line
-front end leaves numpy unloaded."""
+its module or re-exported through ``__all__``; importing the command-line
+front end leaves numpy unloaded; and only ``exprs`` splits names at "_", so
+how a name such as ``u_3`` encodes a jet coordinate is decided in one module
+(``SymbolTable.lookup`` and ``SymbolTable.jet_index``)."""
 
 import ast
 import os
@@ -34,6 +36,26 @@ def test_no_unused_imports(module):
     with open(os.path.join(SRC, module), encoding="utf-8") as fh:
         tree = ast.parse(fh.read(), module)
     assert _unused_imports(tree) == []
+
+
+def _underscore_splits(tree: ast.Module) -> list[int]:
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("partition", "rpartition", "split", "rsplit")
+        and node.args
+        and isinstance(node.args[0], ast.Constant)
+        and node.args[0].value == "_"
+    ]
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "exprs.py"])
+def test_jet_names_decoded_only_in_exprs(module):
+    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), module)
+    assert _underscore_splits(tree) == []
 
 
 def test_cli_import_leaves_numpy_unloaded():

@@ -179,6 +179,32 @@ def test_combined_twist_degenerations(ctx):
     assert chi_prolong(Xs, chi3, 2) == VectorFieldSet([standard_prolong(X, 2) for X in Xs])
 
 
+def test_combined_twist_both_parts(ctx):
+    """With both parts nonzero the combined twist follows its recursion,
+    written out here order by order."""
+    rng = random.Random(18)
+    Xs = random_vertical_pair(rng, ctx)
+    base = [ctx.x, ctx.coord(0, 0), ctx.coord(1, 0)]
+    from fuzzing import random_polynomial
+
+    Lambda = ExprMatrix([[random_polynomial(rng, base) for _ in range(2)] for _ in range(2)])
+    Theta = random_sigma(rng, ctx).mat
+    assert not Lambda.is_zero_matrix() and not Theta.is_zero_matrix()
+    out = chi_prolong(Xs, ChiData(Lambda, Theta), 2)
+    psi = [[[X.phi(a)] for a in range(2)] for X in Xs]
+    for k in range(2):
+        for i in range(2):
+            for a in range(2):
+                step = total_derivative(psi[i][a][k], ctx)
+                for b in range(2):
+                    step = step + Lambda[a, b] * psi[i][b][k]
+                for j in range(2):
+                    step = step - Theta[j, i] * psi[j][a][k]
+                psi[i][a].append(step)
+    for i in range(2):
+        assert out[i] == VectorField(ctx, 2, Expr.number(0), psi[i])
+
+
 def test_commutation_identity_fixture():
     case = gallery.exp_coupled_pair()
     Ys = sigma_prolong(case.fields, case.sigma, 2)

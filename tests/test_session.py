@@ -155,6 +155,30 @@ solved=u_2:0
     assert "coordinate_change" in str(err.value)
 
 
+_SOLVED_ONLY = """
+[context]
+independent=x
+dependent=u
+order=2
+[equation]
+solved={key}:u
+"""
+
+
+def test_solved_key_alias_names_the_jet_coordinate():
+    alias = loads_session(_SOLVED_ONLY.format(key="u_xx")).system
+    plain = loads_session(_SOLVED_ONLY.format(key="u_2")).system
+    assert alias.equations == plain.equations
+    assert alias.solved == plain.solved
+
+
+def test_solved_key_of_undeclared_dependent_rejected(tmp_path, capsys):
+    path = tmp_path / "undeclared.session"
+    path.write_text(_SOLVED_ONLY.format(key="w_2"))
+    assert main(["all", "--session", str(path)]) == 1
+    assert "error: undeclared symbol 'w_2'" in capsys.readouterr().err
+
+
 def test_reduced_session_roundtrips():
     s = load_session(_path("exp_coupled_pair"))
     _, extra = run("reduce", s)
