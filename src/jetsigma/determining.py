@@ -116,7 +116,8 @@ def generate_determining(
         if collect_vars is None:
             collect_syms = _default_collect_vars(residuals.values(), ansatz.ctx)
         else:
-            collect_syms = [sp.Symbol(v) if isinstance(v, str) else v for v in collect_vars]
+            table = ansatz.ctx.table
+            collect_syms = [table.lookup(v) if isinstance(v, str) else v for v in collect_vars]
         coeff_eqs = []
         for key in sorted(residuals):
             coeff_eqs.extend(collect_coefficients(residuals[key], collect_syms))
@@ -168,7 +169,9 @@ def collect_coefficients(residual: Expr, collect_vars: Sequence[sp.Symbol | str]
     (kernel and opaque applications count as part of the coefficients); their
     joint vanishing is equivalent to the residual vanishing identically in
     those variables.  They are read off the numerator's terms, in decreasing
-    lex order of their exponents in the coordinates."""
+    lex order of their exponents in the coordinates.  A string names a
+    coordinate by its canonical name (``u_1``, not the alias ``u_x``);
+    ``generate_determining`` resolves aliases through the symbol table."""
     syms = [sp.Symbol(v) if isinstance(v, str) else v for v in collect_vars]
     if residual.is_rational_zero or not syms:
         return []

@@ -3,6 +3,7 @@ evaluation of invariants along trajectories, and jet-point sampling."""
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -60,6 +61,19 @@ def _state_layout(sys) -> list[tuple[str, int]]:
     return layout
 
 
+# Enough for every right side and invariant of a bundled session or
+# cross-check to stay compiled at once.
+_COMPILED_MAX = 256
+
+
+@functools.lru_cache(maxsize=_COMPILED_MAX)
+def _compile(args: tuple[sp.Symbol, ...], trees: tuple[sp.Expr, ...]):
+    """One math-module function of the arguments returning the list of the
+    trees' values, compiled once per (arguments, trees) key: the key is all
+    that the printed code depends on."""
+    return sp.lambdify(args, list(trees), modules="math")
+
+
 def integrate(
     sys,
     initial: Mapping[str, float | Fraction | int],
@@ -81,28 +95,24 @@ def integrate(
     if missing:
         raise ExprError(f"initial data missing for {missing}")
     orders = sys.solved_orders()
-    state_syms = [sp.Symbol(n) for n in names]
-    args = [ctx.x, *state_syms]
-    rhs_fns: list = []
+    # chain[i] is the state index whose value is component i's derivative
+    # within the jet ladder, or None where the solved right side gives it
+    chain: list[int | None] = []
+    tops = []
     for dep, k in layout:
         if k < orders[dep] - 1:
-            idx = names.index(str(ctx.coord(dep, k + 1)))
-            rhs_fns.append(idx)  # chain rule within the jet ladder
+            chain.append(names.index(str(ctx.coord(dep, k + 1))))
         else:
-            rhs = sys.solved[ctx.coord(dep, orders[dep])]
-            rhs_fns.append(sp.lambdify(args, rhs.sym, modules="math"))
+            chain.append(None)
+            tops.append(sys.solved[ctx.coord(dep, orders[dep])].sym)
+    fn = _compile((ctx.x, *(sp.Symbol(n) for n in names)), tuple(tops))
 
     def deriv(t: float, y: list[float]) -> list[float]:
-        out = []
-        for fn in rhs_fns:
-            if isinstance(fn, int):
-                out.append(y[fn])
-            else:
-                try:
-                    out.append(fn(t, *y))
-                except (ZeroDivisionError, ValueError, OverflowError) as exc:
-                    raise SingularPointError(f"right side singular at t={t}: {exc}") from exc
-        return out
+        try:
+            top = iter(fn(t, *y))
+        except (ZeroDivisionError, ValueError, OverflowError) as exc:
+            raise SingularPointError(f"right side singular at t={t}: {exc}") from exc
+        return [next(top) if i is None else y[i] for i in chain]
 
     t0, t1 = float(t_span[0]), float(t_span[1])
     steps = int(round((t1 - t0) / h))
@@ -131,7 +141,9 @@ def integrate(
 
 def invariant_along_trajectory(e: Expr, traj: Trajectory):
     """Evaluate an expression on each jet sample of the trajectory and return
-    (values, central-difference derivative on the interior grid)."""
+    (values, central-difference derivative on the interior grid).  Samples
+    are passed as Python floats, so a pole raises ``SingularPointError``
+    instead of giving inf."""
     import numpy as np
 
     ctx = traj.ctx
@@ -140,12 +152,12 @@ def invariant_along_trajectory(e: Expr, traj: Trajectory):
     unknown = free - set(names)
     if unknown:
         raise ExprError(f"expression needs coordinates not on the trajectory: {sorted(unknown)}")
-    fn = sp.lambdify([sp.Symbol(n) for n in names], e.sym, modules="math")
-    cols = [traj.ts] + list(traj.samples.values())
+    fn = _compile(tuple(sp.Symbol(n) for n in names), (e.sym,))
+    rows = zip(traj.ts.tolist(), *(c.tolist() for c in traj.samples.values()))
     values = np.empty(len(traj.ts))
-    for i in range(len(traj.ts)):
+    for i, row in enumerate(rows):
         try:
-            values[i] = fn(*[c[i] for c in cols])
+            values[i] = fn(*row)[0]
         except (ZeroDivisionError, ValueError, OverflowError) as exc:
             raise SingularPointError(f"invariant singular at sample {i}: {exc}") from exc
     deriv = (values[2:] - values[:-2]) / (2 * traj.h)

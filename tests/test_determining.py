@@ -11,7 +11,7 @@ from jetsigma.determining import (
     generate_determining,
     verify_candidate,
 )
-from jetsigma.exprs import Expr, is_zero, substitute
+from jetsigma.exprs import Expr, UndeclaredSymbolError, is_zero, substitute
 from jetsigma.jets import JetContext, VectorField, VectorFieldSet
 from jetsigma.prolong import SigmaMatrix
 from jetsigma.reduction import ODESystem, verify_sigma_symmetry
@@ -114,6 +114,30 @@ def test_collect_coefficients_direct_reading():
     out = collect_coefficients(P("c*u_1 + d*u_1^2"), ["u_1"])
     assert set(e.sym for e in out) == {sp.Symbol("c"), sp.Symbol("d")}
     assert collect_coefficients(P("0"), ["u_1"]) == []
+
+
+def test_collect_vars_resolved_through_symbol_table():
+    """String collection variables go through the symbol table: an alias
+    collects like its canonical name, an undeclared name raises."""
+    ctx = JetContext("x", ["u", "v"], 2, parameters=["c1", "c2", "k1", "k2", "p1", "p2", "q1", "q2"])
+    P = ctx.parse
+    system = ODESystem(
+        ctx,
+        2,
+        [P("u_2 - u_1*v_1*(1+exp(-u))"), P("v_2 - u_1*v_1*(1+exp(-v))")],
+        solved={"u_2": P("u_1*v_1*(1+exp(-u))"), "v_2": P("u_1*v_1*(1+exp(-v))")},
+    )
+    ansatz = Ansatz(
+        ctx,
+        phi=[[P("c1"), P("c2")], [P("k1"), P("k2")]],
+        sigma=SigmaMatrix(ctx, [[P("0"), P("p1*u_1 + p2*v_1")], [P("q1*u_1 + q2*v_1"), P("0")]]),
+    )
+    canonical = generate_determining(system, ansatz, ["u_1", "v_1"]).coefficient_equations
+    alias = generate_determining(system, ansatz, ["u_x", "v_x"]).coefficient_equations
+    assert len(canonical) > 4
+    assert alias == canonical
+    with pytest.raises(UndeclaredSymbolError):
+        generate_determining(system, ansatz, ["w_1"])
 
 
 def test_collect_coefficients_rejects_hidden_variable():

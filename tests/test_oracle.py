@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy as sp
 
-from jetsigma.exprs import Expr, eval_numeric
+from jetsigma import gallery, oracle
+from jetsigma.exprs import Expr, SingularPointError, eval_numeric
 from jetsigma.jets import JetContext
 from jetsigma.oracle import (
     GridMismatchError,
@@ -12,7 +14,10 @@ from jetsigma.oracle import (
     invariant_along_trajectory,
     sample_jet_point,
 )
-from jetsigma.reduction import ODESystem, reconstruction_check
+from jetsigma.reduction import ODESystem, reconstruction_check, solve_for_highest
+
+# A numpy warning (an inf or nan produced on the way) fails the test.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def test_free_particle():
@@ -96,3 +101,99 @@ def test_integration_needs_initial_data():
     sys = ODESystem(ctx, 2, [P("u_2")], solved={"u_2": P("0")})
     with pytest.raises(Exception):
         integrate(sys, {"u": 0}, (0.0, 1.0), 1e-3)
+
+
+def test_invariant_pole_raises():
+    """A pole on the trajectory raises like log(0) does, not inf."""
+    ctx = JetContext("x", ["u"], 1)
+    P = ctx.parse
+    sys = ODESystem(ctx, 1, [P("u_1 + 1")], solved={"u_1": P("-1")})
+    traj = integrate(sys, {"u": 0}, (0.0, 0.1), 1e-2)
+    for text in ("1/u", "u^(-2)", "log(u)"):
+        with pytest.raises(SingularPointError):
+            invariant_along_trajectory(P(text), traj)
+
+
+def _reference_integrate(sys, initial, t_span, h):
+    """RK4 with one lambdify per right side, evaluated one at a time: the
+    reference the compiled vector right side must match bit for bit."""
+    ctx = sys.ctx
+    orders = sys.solved_orders()
+    layout = [(dep, k) for dep in ctx.dependents for k in range(orders[dep])]
+    names = [str(ctx.coord(dep, k)) for dep, k in layout]
+    args = [ctx.x, *(sp.Symbol(n) for n in names)]
+    fns = []
+    for dep, k in layout:
+        if k < orders[dep] - 1:
+            fns.append(names.index(str(ctx.coord(dep, k + 1))))
+        else:
+            rhs = sys.solved[ctx.coord(dep, orders[dep])]
+            fns.append(sp.lambdify(args, rhs.sym, modules="math"))
+
+    def deriv(t, y):
+        return [y[fn] if isinstance(fn, int) else fn(t, *y) for fn in fns]
+
+    t, y = float(t_span[0]), [float(initial[n]) for n in names]
+    history = [list(y)]
+    for _ in range(int(round((t_span[1] - t_span[0]) / h))):
+        k1 = deriv(t, y)
+        k2 = deriv(t + h / 2, [yi + h / 2 * ki for yi, ki in zip(y, k1)])
+        k3 = deriv(t + h / 2, [yi + h / 2 * ki for yi, ki in zip(y, k2)])
+        k4 = deriv(t + h, [yi + h * ki for yi, ki in zip(y, k3)])
+        y = [yi + h / 6 * (a + 2 * b + 2 * c + d) for yi, a, b, c, d in zip(y, k1, k2, k3, k4)]
+        t += h
+        history.append(list(y))
+    arr = np.array(history)
+    return {n: arr[:, i].copy() for i, n in enumerate(names)}
+
+
+def _reference_invariant(e, traj):
+    names = [traj.ctx.independent, *traj.samples.keys()]
+    fn = sp.lambdify([sp.Symbol(n) for n in names], e.sym, modules="math")
+    cols = [traj.ts, *traj.samples.values()]
+    return np.array([fn(*[c[i] for c in cols]) for i in range(len(traj.ts))])
+
+
+@pytest.mark.parametrize(
+    "name, initial",
+    [
+        ("exp_coupled_pair", {"u": 0, "v": 0, "u_1": 1, "v_1": 1}),
+        ("scaling_pair", {"u": 1, "v": 0, "u_1": Fraction(1, 2), "v_1": Fraction(1, 2)}),
+        (
+            "partial_rank_triple",
+            {"u": 1, "v": Fraction(1, 2), "w": 1,
+             "u_1": Fraction(3, 10), "v_1": Fraction(1, 5), "w_1": Fraction(1, 10)},
+        ),
+    ],
+)
+def test_integrate_matches_reference_bit_for_bit(name, initial):
+    case = getattr(gallery, name)()
+    system = case.system if case.system.solved is not None else solve_for_highest(case.system)
+    traj = integrate(system, initial, (0.0, 0.2), 1e-3)
+    reference = _reference_integrate(system, initial, (0.0, 0.2), 1e-3)
+    assert list(traj.samples) == list(reference)
+    for n, values in reference.items():
+        assert traj.samples[n].tobytes() == values.tobytes(), n
+    for seed in case.seeds:
+        values, _ = invariant_along_trajectory(seed, traj)
+        assert values.tobytes() == _reference_invariant(seed, traj).tobytes(), seed
+
+
+def test_each_tree_compiles_once(monkeypatch):
+    compiled = []
+    real = sp.lambdify
+
+    def counting(args, expr, **kwargs):
+        compiled.append((tuple(args), tuple(expr)))
+        return real(args, expr, **kwargs)
+
+    oracle._compile.cache_clear()
+    monkeypatch.setattr(oracle.sp, "lambdify", counting)
+    case = gallery.exp_coupled_pair()
+    initial = {"u": 0, "v": 0, "u_1": 1, "v_1": 1}
+    first = integrate(case.system, initial, (0.0, 0.05), 1e-2)
+    second = integrate(case.system, initial, (0.0, 0.1), 1e-2)
+    for traj in (first, second):
+        invariant_along_trajectory(case.seeds[0], traj)
+    assert len(compiled) == 2
+    assert len(set(compiled)) == 2
