@@ -9,11 +9,11 @@ first derivatives.
 """
 
 from jetsigma import gallery
-from jetsigma.determining import Ansatz, generate_determining, verify_candidate
+from jetsigma.determining import Ansatz, generate_determining
 from jetsigma.exprs import print_expr, substitute
 from jetsigma.jets import JetContext
 from jetsigma.prolong import SigmaMatrix
-from jetsigma.reduction import ODESystem
+from jetsigma.reduction import ODESystem, verify_sigma_symmetry
 
 ctx, system, ansatz = gallery.constant_coefficient_ansatz()
 print("system:")
@@ -55,5 +55,5 @@ print(
 )
 
 case = gallery.exp_coupled_pair()
-rep = verify_candidate(case.system, case.fields, case.sigma)
+rep = verify_sigma_symmetry(case.fields, case.sigma, case.system)
 print("concrete candidate verified against the bundled system:", rep.holds)

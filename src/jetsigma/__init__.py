@@ -44,7 +44,7 @@ from .reduction import (
     solve_for_highest,
     verify_sigma_symmetry,
 )
-from .determining import Ansatz, collect_coefficients, generate_determining, verify_candidate
+from .determining import Ansatz, collect_coefficients, generate_determining
 from .oracle import Trajectory, integrate, invariant_along_trajectory, sample_jet_point
 
 __version__ = "0.1.0"

@@ -152,7 +152,7 @@ def _run_involution(session: Session, order: int, trials: int, seed: int) -> Rep
     rep = Report("involution")
     Ys = session.prolonged(order)
     try:
-        sf = structure_functions(Ys, seed=seed)
+        sf = structure_functions(Ys)
         rep.show("involutive", ["yes"])
         rep.show("structure functions", [repr(sf)])
     except NotInvolutiveError as exc:
@@ -228,7 +228,7 @@ def _run_reduce(session: Session, order: int, trials: int, seed: int) -> Report:
     session.require("system")
     change = session.require("coordinate_change")
     system = session.solved_system()
-    reduced, rrep = reduce_system(system, None, change, trials=trials, seed=seed)
+    reduced, rrep = reduce_system(system, None, change)
     rep.show(
         "reduced system",
         [f"{print_expr(e)} = 0" for e in reduced.equations],
@@ -431,9 +431,6 @@ def main(argv: list[str] | None = None) -> int:
             seed=args.seed,
             zero_sigma=args.zero_sigma,
         )
-    except MissingSessionDataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ExprError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

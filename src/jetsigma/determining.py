@@ -1,6 +1,7 @@
 """Symmetry determining equations for a given system under a coefficient
-ansatz: residual generation, candidate verification, and coefficient
-collection for parameter-only templates."""
+ansatz: residual generation, and coefficient collection for parameter-only
+templates.  A concrete (fields, twist) pair is checked with
+``reduction.verify_sigma_symmetry``."""
 
 from __future__ import annotations
 
@@ -9,17 +10,16 @@ from typing import Sequence
 
 import sympy as sp
 
-from .exprs import _AMBIENT, Expr, ExprError, _used
+from .exprs import _AMBIENT, Expr, ExprError, _name_symbol, _used
 from .jets import JetContext, VectorField, VectorFieldSet
 from .prolong import SigmaMatrix
-from .reduction import ODESystem, SymmetryReport, verify_sigma_symmetry
+from .reduction import ODESystem, verify_sigma_symmetry
 
 __all__ = [
     "Ansatz",
     "NotPolynomialInVarsError",
     "generate_determining",
     "DeterminingResult",
-    "verify_candidate",
     "collect_coefficients",
 ]
 
@@ -132,19 +132,6 @@ def generate_determining(
     return DeterminingResult(residuals, coeff_eqs)
 
 
-def verify_candidate(
-    sys: ODESystem,
-    Xs: VectorFieldSet,
-    sigma: SigmaMatrix,
-    trials: int = 20,
-    seed: int = 0,
-    deny: Sequence[Expr] = (),
-) -> SymmetryReport:
-    """Check a concrete (fields, twist) pair against the system; the report
-    carries one residual per (field, equation) pair."""
-    return verify_sigma_symmetry(Xs, sigma, sys, trials=trials, seed=seed, deny=deny)
-
-
 def _default_collect_vars(residuals, ctx: JetContext) -> list[sp.Symbol]:
     """Jet coordinates of order >= 1 that occur polynomially (outside every
     kernel/opaque argument) in the residuals."""
@@ -170,9 +157,8 @@ def collect_coefficients(residual: Expr, collect_vars: Sequence[sp.Symbol | str]
     joint vanishing is equivalent to the residual vanishing identically in
     those variables.  They are read off the numerator's terms, in decreasing
     lex order of their exponents in the coordinates.  A string names a
-    coordinate by its canonical name (``u_1``, not the alias ``u_x``);
-    ``generate_determining`` resolves aliases through the symbol table."""
-    syms = [sp.Symbol(v) if isinstance(v, str) else v for v in collect_vars]
+    coordinate by its canonical name or an alias (``u_1`` or ``u_x``)."""
+    syms = [_name_symbol(v) if isinstance(v, str) else v for v in collect_vars]
     if residual.is_rational_zero or not syms:
         return []
     f = residual._field()

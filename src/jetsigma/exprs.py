@@ -159,6 +159,14 @@ _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*$")
 _ALIASES = {"x": 1, "xx": 2, "xxx": 3}
 
 
+def _name_symbol(name: str) -> sp.Symbol:
+    """The symbol a name stands for without a symbol table: the aliases
+    ``u_x``, ``u_xx``, ``u_xxx`` are ``u_1``, ``u_2``, ``u_3``; every other
+    name is read as it is."""
+    base, sep, sub = name.partition("_")
+    return sp.Symbol(f"{base}_{_ALIASES[sub]}" if sep and sub in _ALIASES else name)
+
+
 class SymbolTable:
     """Registry of declared names: the independent variable, dependent
     variables (whose jet coordinates ``u_k`` exist for every k >= 0),
@@ -220,16 +228,12 @@ class SymbolTable:
 
     def lookup(self, text: str, offset: int = -1) -> sp.Symbol:
         """Resolve a (possibly subscripted) coordinate name to its symbol."""
-        base, sep, sub = text.partition("_")
-        if not sep:
-            return self.base_symbol(text)
-        if base not in self.dependents:
+        index = self.jet_index(_name_symbol(text))
+        if index is not None:
+            return self.jet_symbol(*index)
+        if "_" in text:
             raise UndeclaredSymbolError(text, offset)
-        if sub in _ALIASES:
-            return self.jet_symbol(base, _ALIASES[sub])
-        if sub.isdigit():
-            return self.jet_symbol(base, int(sub))
-        raise UndeclaredSymbolError(text, offset)
+        return self.base_symbol(text)
 
     def opaque(self, name: str, *args: "Expr | sp.Expr") -> "Expr":
         if name not in self.functions:
@@ -726,7 +730,7 @@ def _place(e: sp.Expr, nodes: Mapping[sp.Dummy, sp.Expr]) -> sp.Expr:
 def diff(e: Expr, s: str | sp.Symbol, table: SymbolTable | None = None) -> Expr:
     """Formal partial derivative with respect to one symbol."""
     if isinstance(s, str):
-        s = table.lookup(s) if table is not None else sp.Symbol(s)
+        s = table.lookup(s) if table is not None else _name_symbol(s)
     return derivation(e, [(s, ONE)])
 
 
@@ -786,7 +790,7 @@ def substitute(e: Expr, bindings: Mapping) -> Expr:
     """Simultaneous substitution of symbols, by composition in the field."""
     mapping = {}
     for key, val in bindings.items():
-        ks = sp.Symbol(key) if isinstance(key, str) else key
+        ks = _name_symbol(key) if isinstance(key, str) else key
         if not isinstance(ks, sp.Symbol):
             raise ExprError(f"substitution key {key!r} is not a symbol")
         mapping[ks] = normalize(val)
@@ -863,7 +867,7 @@ def eval_numeric(
     opaque_defs = opaque_defs or {}
     sub = {}
     for key, val in point.items():
-        ks = sp.Symbol(key) if isinstance(key, str) else key
+        ks = _name_symbol(key) if isinstance(key, str) else key
         sub[ks] = _to_rational(val)
     val = (e.sym if isinstance(e, Expr) else e).xreplace(sub)
     for node in _opaque_atoms(val):
@@ -952,7 +956,10 @@ def is_zero(
     # its formal derivatives are jointly unconstrained at a point
     atom_map = {} if exact else {a: sp.Dummy(f"atom{k}") for k, a in enumerate(_opaque_atoms(e.sym))}
     probe = None if exact else e.sym.xreplace(atom_map)
-    symbols = sorted(e.free_symbols if exact else probe.free_symbols, key=lambda s: s.name)
+    # the deny expressions are evaluated at the same point, so it binds their
+    # symbols too
+    symbols = set(e.free_symbols if exact else probe.free_symbols).union(*(d.free_symbols for d in deny))
+    symbols = sorted(symbols, key=lambda s: s.name)
     rng = random.Random(seed)
     done = 0
     attempts = 0

@@ -4,14 +4,13 @@ and the conditions on twist matrices that preserve involution relations."""
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import sympy as sp
 
-from .exprs import Expr, ExprError, _field_values, _poly_at, _used, is_zero, print_expr
+from .exprs import Expr, ExprError, _field_values, is_zero, print_expr
 from .jets import VectorField, VectorFieldSet, lie_bracket, total_derivative
 from .linalg import linear_solve
 from .prolong import SigmaMatrix, sigma_prolong
@@ -78,13 +77,6 @@ class StructureFunctions:
         return "StructureFunctions(" + "; ".join(parts) + ")"
 
 
-def _sample_rational_point(keys, rng: random.Random) -> dict:
-    return {
-        k: Fraction((-1 if rng.random() < 0.5 else 1) * rng.randint(1, 19), rng.randint(1, 7))
-        for k in keys
-    }
-
-
 def _denominator_factors(exprs) -> set:
     """Irreducible factors occurring in the denominators of the expressions."""
     out = set()
@@ -101,68 +93,55 @@ def _denominator_factors(exprs) -> set:
     return out
 
 
-def _admissible_coefficients(coeffs: Sequence[Expr], allowed: set) -> bool:
-    """Structure coefficients may only be singular where the fields already
-    are: every denominator factor must come from the basis or the bracket."""
-    return _denominator_factors(coeffs) <= allowed
+def _constant_expansion(bracket: VectorField, basis: Sequence[VectorField]) -> list[Expr] | None:
+    """Rational constants c with bracket = sum_k c_k basis[k], or None.
+
+    Component by component, the r + 1 entries N_k/D_k are brought over the
+    lcm L of their denominators; then every monomial coefficient of
+    sum_k c_k N_k (L/D_k) - N_T (L/D_T) in the field generators must vanish,
+    one linear system over Q for all components together."""
+    r = len(basis)
+    comps = [f.components() for f in [*basis, bracket]]
+    ncomp = len(comps[-1])
+    values = _field_values([c for cs in comps for c in cs])
+    rows: list[list[Expr]] = []
+    rhs: list[Expr] = []
+    for comp in range(ncomp):
+        entries = values[comp::ncomp]
+        lcm = entries[0].denom
+        for f in entries[1:]:
+            lcm = lcm.lcm(f.denom)
+        polys = [f.numer * lcm.exquo(f.denom) for f in entries]
+        for monom in sorted(set().union(*polys)):
+            rows.append([Expr.number(int(p.get(monom, 0))) for p in polys[:r]])
+            rhs.append(Expr.number(int(polys[r].get(monom, 0))))
+    if not rows:
+        return [Expr.number(0)] * r
+    result = linear_solve(rows, rhs)
+    return result.solution if result.ok else None
 
 
 def expand_in_basis(
     bracket: VectorField,
     basis: Sequence[VectorField],
-    seed: int = 0,
     restrict_singularities: bool = False,
     complexity_budget: int | None = None,
 ):
     """Express a field in the pointwise span of a basis.
 
-    Tries a constant-coefficient expansion first (sampled exactly over Q, then
-    certified symbolically); falls back to symbolic elimination over the
-    expression field.  With restrict_singularities, coefficients singular at
-    points where the fields themselves are regular are rejected (used during
-    bracket closure); otherwise the generic pointwise answer is accepted.
-    Returns the coefficient list, or None when no admissible expansion
-    exists."""
-    r = len(basis)
-    allowed = _denominator_factors(
-        [c for f in list(basis) + [bracket] for c in f.components()]
-    )
-    # fast path: constant coefficients, confirmed symbolically.  The field's
-    # generators are sampled as independent rationals: related exp atoms are
-    # monomials in the same generators, so a point of the pointwise
-    # pre-check below lies on the actual field
-    comps = [f.components() for f in [*basis, bracket]]
-    values = _field_values([c for cs in comps for c in cs])
-    gens = values[0].field.symbols
-    used = sorted({i for f in values for i in _used(f)}, key=lambda i: gens[i].name)
-    ncomp = len(comps[-1])
-    rng = random.Random(seed)
-    rows: list[list[Expr]] = []
-    rhs: list[Expr] = []
-    points = 0
-    attempts = 0
-    while points < max(3, r) and attempts < 40:
-        attempts += 1
-        point = _sample_rational_point(used, rng)
-        dens = [_poly_at(f.denom, point) for f in values]
-        if not all(dens):
-            continue
-        at = [Expr.number(_poly_at(f.numer, point) / d) for f, d in zip(values, dens)]
-        rows.extend([at[k * ncomp + comp] for k in range(r)] for comp in range(ncomp))
-        rhs.extend(at[r * ncomp :])
-        points += 1
-    if points >= 3:
-        candidate = linear_solve(rows, rhs)
-        if candidate.ok and _expansion_residual_is_zero(bracket, basis, candidate.solution):
-            return candidate.solution
-        # pointwise rank pre-check: if the expansion is inconsistent at a
-        # sample point, no expansion can exist and the costly symbolic
-        # elimination is skipped
-        for block in range(0, len(rows), ncomp):
-            if not linear_solve(rows[block : block + ncomp], rhs[block : block + ncomp]).ok:
-                return None
-    # symbolic path
-    mat = [[basis[k].components()[comp] for k in range(r)] for comp in range(len(bracket.components()))]
+    Constant coefficients are looked for first, by one exact linear solve
+    over Q; when none exist, the expansion is solved for over the expression
+    field.  Both solves are exact, so no answer depends on a seed; free
+    coefficients are set to zero.  With restrict_singularities, coefficients
+    singular at points where the fields themselves are regular are rejected
+    (used during bracket closure); otherwise the generic pointwise answer is
+    accepted.  A complexity_budget (in count_ops of the entries) skips the
+    symbolic solve for entries larger than it.  Returns the coefficient list,
+    or None when no admissible expansion exists."""
+    constant = _constant_expansion(bracket, basis)
+    if constant is not None:
+        return constant
+    mat = [[f.components()[comp] for f in basis] for comp in range(len(bracket.components()))]
     vec = bracket.components()
     if complexity_budget is not None:
         size = sum(sp.count_ops(e.sym) for row in mat for e in row)
@@ -173,21 +152,15 @@ def expand_in_basis(
     if result.status == "inconsistent":
         return None
     coeffs = result.solution
-    if restrict_singularities and not _admissible_coefficients(coeffs, allowed):
+    # admissible coefficients are singular only where the fields already are
+    if restrict_singularities and not _denominator_factors(coeffs) <= _denominator_factors(
+        [c for f in [*basis, bracket] for c in f.components()]
+    ):
         return None
-    if _expansion_residual_is_zero(bracket, basis, coeffs):
-        return coeffs
-    return None
+    return coeffs
 
 
-def _expansion_residual_is_zero(bracket, basis, coeffs) -> bool:
-    residual = bracket
-    for c, g in zip(coeffs, basis):
-        residual = residual.minus(g.scaled(c))
-    return residual.is_zero_field()
-
-
-def structure_functions(Vs: VectorFieldSet, seed: int = 0) -> StructureFunctions:
+def structure_functions(Vs: VectorFieldSet) -> StructureFunctions:
     """Solve [V_i, V_j] = sum_k mu[i][j][k] V_k for every pair; raises
     NotInvolutiveError with the offending bracket when a pair leaves the span."""
     r = len(Vs)
@@ -199,7 +172,7 @@ def structure_functions(Vs: VectorFieldSet, seed: int = 0) -> StructureFunctions
             if bracket.is_zero_field():
                 upper[(i, j)] = [Expr.number(0)] * r
                 continue
-            coeffs = expand_in_basis(bracket, list(Vs), seed=seed)
+            coeffs = expand_in_basis(bracket, list(Vs))
             if coeffs is None:
                 labels = bracket.coordinate_labels()
                 comps = bracket.components()
@@ -298,7 +271,8 @@ def _reduce_against(residual: VectorField, base: Sequence[VectorField], seed: in
         if num.is_rational_zero:
             continue
         ratio = num / g.components()[piv]
-        if ratio.sym.is_Rational and not ratio.is_rational_zero:
+        f = ratio._field()
+        if f and f.numer.is_ground and f.denom.is_ground:
             tentative = residual.minus(g.scaled(ratio))
             if _nonzero_count(tentative) < _nonzero_count(residual):
                 residual = tentative
@@ -313,6 +287,11 @@ def close_under_bracket(
     coefficient complexity aborts the closure instead of grinding."""
     if max_new < 0:
         raise ExprError("max_new must be >= 0")
+
+    def in_span(f: VectorField, basis: list[VectorField]) -> bool:
+        expansion = expand_in_basis(f, basis, restrict_singularities=True, complexity_budget=complexity_budget)
+        return expansion is not None
+
     base = list(Vs)
     gens = list(Vs)
     added: list[VectorField] = []
@@ -330,31 +309,13 @@ def close_under_bracket(
                     )
                 # span checks run against the round-start set so independent
                 # residuals discovered in one round are all adjoined together
-                if (
-                    expand_in_basis(
-                        bracket,
-                        gens,
-                        seed=seed,
-                        restrict_singularities=True,
-                        complexity_budget=complexity_budget,
-                    )
-                    is not None
-                ):
+                if in_span(bracket, gens):
                     continue
                 residual = _reduce_against(bracket, base, seed)
                 residual, factor = _strip_rational_content(residual)
                 if residual.is_zero_field() or any(residual == nf for nf in new_fields):
                     continue
-                if (
-                    expand_in_basis(
-                        residual,
-                        gens + new_fields,
-                        seed=seed,
-                        restrict_singularities=True,
-                        complexity_budget=complexity_budget,
-                    )
-                    is not None
-                ):
+                if in_span(residual, gens + new_fields):
                     continue
                 if sum(sp.count_ops(c.sym) for c in residual.components()) > complexity_budget:
                     raise ClosureExceededError(
@@ -363,7 +324,7 @@ def close_under_bracket(
                 new_fields.append(residual)
                 factors.append(factor)
         if not new_fields:
-            structure = structure_functions(VectorFieldSet(gens), seed=seed)
+            structure = structure_functions(VectorFieldSet(gens))
             return VectorFieldSet(gens), ClosureReport(added, factors, structure)
         gens.extend(new_fields)
         added.extend(new_fields)
@@ -420,7 +381,7 @@ def check_involution_transfer(
     r = len(Xs)
     if sigma.r != r:
         raise ExprError("twist matrix size does not match the set")
-    mu = structure_functions(Xs, seed=seed)
+    mu = structure_functions(Xs)
     Ys = sigma_prolong(Xs, sigma, 1)
     Q: dict[tuple[int, int], list[Expr]] = {}
     R: dict[tuple[int, int], list[Expr]] = {}

@@ -244,7 +244,7 @@ def verify_sigma_symmetry(
 ) -> SymmetryReport:
     """Prolong the set to the system order with the twist and check that each
     field maps each equation to zero on the solution manifold."""
-    solved_sys = solve_for_highest(sys) if sys.solved is None else sys
+    solved_sys = solve_for_highest(sys)
     Ys = sigma_prolong(Xs, sigma, sys.order)
     residuals = {}
     verdicts = {}
@@ -368,8 +368,6 @@ def reduce_system(
     sys: ODESystem,
     table,
     change: CoordinateChange,
-    trials: int = 20,
-    seed: int = 0,
 ) -> tuple[ODESystem, ReductionReport]:
     """Rewrite each equation over the invariant coordinates via the inverse
     bindings, strip overall nonvanishing factors, and emit the reduced system.

@@ -9,7 +9,6 @@ from jetsigma.determining import (
     NotPolynomialInVarsError,
     collect_coefficients,
     generate_determining,
-    verify_candidate,
 )
 from jetsigma.exprs import Expr, UndeclaredSymbolError, is_zero, substitute
 from jetsigma.jets import JetContext, VectorField, VectorFieldSet
@@ -74,8 +73,8 @@ def test_candidate_verifies_against_both_sign_variants():
         [P("u_2 - u_1*v_1*(1+exp(-u))"), P("v_2 - u_1*v_1*(1+exp(-v))")],
         solved={"u_2": P("u_1*v_1*(1+exp(-u))"), "v_2": P("u_1*v_1*(1+exp(-v))")},
     )
-    assert verify_candidate(minus, Xs, sig).holds
-    assert verify_candidate(plus, Xs, sig).holds
+    assert verify_sigma_symmetry(Xs, sig, minus).holds
+    assert verify_sigma_symmetry(Xs, sig, plus).holds
     # the restriction of the derived invariant distinguishes the variants
     from jetsigma.jets import total_derivative
     from jetsigma.reduction import restrict
@@ -94,7 +93,7 @@ def test_zero_fields_vacuous():
     Xs = VectorFieldSet(
         [VectorField.on_base(ctx, 0, [P("0"), P("0")]) for _ in range(2)]
     )
-    rep = verify_candidate(sys, Xs, SigmaMatrix.zero(ctx, 2))
+    rep = verify_sigma_symmetry(Xs, SigmaMatrix.zero(ctx, 2), sys)
     assert rep.holds
     assert all(r.sym == 0 for r in rep.residuals.values())
 
@@ -114,6 +113,7 @@ def test_collect_coefficients_direct_reading():
     out = collect_coefficients(P("c*u_1 + d*u_1^2"), ["u_1"])
     assert set(e.sym for e in out) == {sp.Symbol("c"), sp.Symbol("d")}
     assert collect_coefficients(P("0"), ["u_1"]) == []
+    assert collect_coefficients(P("c*u_1 + d*u_1^2"), ["u_x"]) == out
 
 
 def test_collect_vars_resolved_through_symbol_table():

@@ -108,6 +108,16 @@ def test_diff_absent_symbol(table):
     assert diff(parse("x*u", table), "v", table).sym == 0
 
 
+def test_table_free_names_resolve_aliases(table):
+    """Without a symbol table, u_x, u_xx and u_xxx still name u_1, u_2, u_3."""
+    e = parse("u_1^2*v + u_3", table)
+    assert diff(e, "u_x") == diff(e, "u_1") == parse("2*u_1*v", table)
+    assert diff(e, "u_xxx") == parse("1", table)
+    assert substitute(parse("u_1*v", table), {"u_x": 3}) == parse("3*v", table)
+    assert substitute(parse("u_2", table), {"u_xx": parse("v", table)}) == parse("v", table)
+    assert eval_numeric(parse("u_1*v_2", table), {"u_x": 2, "v_xx": 3}) == 6.0
+
+
 def test_substitute_simultaneous(table):
     e = parse("u + v", table)
     assert substitute(e, {"u": parse("v", table), "v": parse("u", table)}) == e
@@ -160,6 +170,16 @@ def test_is_zero_pythagorean_is_unknown(table):
 def test_is_zero_deterministic(table):
     e = parse("u_1 - v_1", table)
     assert is_zero(e, seed=7).witness == is_zero(e, seed=7).witness
+
+
+@pytest.mark.parametrize("text", ["u", "exp(u)"])
+def test_is_zero_deny_binds_its_own_symbols(table, text):
+    """A deny expression over symbols the value does not use is evaluated at
+    the same sample point, so the point binds them too."""
+    verdict = is_zero(parse(text, table), deny=[parse("v", table), parse("u_1*w", table.extended(["w"]))])
+    assert verdict.is_nonzero
+    assert {"u", "v", "u_1", "w"} <= verdict.witness.keys()
+    assert abs(verdict.witness["v"]) > 1e-3
 
 
 def test_is_zero_opaque_atoms_sampled(table):

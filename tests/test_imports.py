@@ -1,8 +1,10 @@
 """Every module-level import of the library is used: referenced somewhere in
 its module or re-exported through ``__all__``; importing the command-line
-front end leaves numpy unloaded; and only ``exprs`` splits names at "_", so
+front end leaves numpy unloaded; only ``exprs`` splits names at "_", so
 how a name such as ``u_3`` encodes a jet coordinate is decided in one module
-(``SymbolTable.lookup`` and ``SymbolTable.jet_index``)."""
+(``SymbolTable.lookup`` and ``SymbolTable.jet_index``); and only the zero test
+(``exprs``) and the jet-point sampler (``oracle``) draw random numbers, so no
+other verdict depends on a seed."""
 
 import ast
 import os
@@ -56,6 +58,21 @@ def test_jet_names_decoded_only_in_exprs(module):
     with open(os.path.join(SRC, module), encoding="utf-8") as fh:
         tree = ast.parse(fh.read(), module)
     assert _underscore_splits(tree) == []
+
+
+def _imports_random(tree: ast.Module) -> bool:
+    return any(
+        (isinstance(node, ast.Import) and any(a.name == "random" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "random")
+        for node in ast.walk(tree)
+    )
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m not in ("exprs.py", "oracle.py")])
+def test_random_only_in_zero_test_and_sampler(module):
+    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), module)
+    assert not _imports_random(tree)
 
 
 def test_cli_import_leaves_numpy_unloaded():

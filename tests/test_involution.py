@@ -59,6 +59,18 @@ def test_structure_functions_antisymmetry():
                 assert (sf[i, j, k] + sf[j, i, k]).sym == 0
 
 
+def test_structure_functions_where_the_basis_degenerates():
+    """(u - 14) d/dv vanishes at u = 14; the expansion is decided exactly,
+    not at sample points, so that point does not matter."""
+    ctx = _ctx1()
+    P = ctx.parse
+    d_v = VectorField.on_base(ctx, 0, [P("0"), P("1")])
+    shifted = VectorField.on_base(ctx, 0, [P("0"), P("u - 14")])
+    sf = structure_functions(VectorFieldSet([VectorField.on_base(ctx, 0, [P("1"), P("0")]), shifted]))
+    assert [sf[0, 1, k] for k in range(2)] == [P("0"), P("1/(u - 14)")]
+    assert expand_in_basis(d_v, [shifted]) == [P("1/(u - 14)")]
+
+
 def test_not_involutive_witness():
     case = gallery.transpose_twist_cases()[0]
     Ys = sigma_prolong(case.fields, case.sigma, 1)

@@ -131,6 +131,16 @@ def test_zero_sigma_override_fails_with_witness():
     assert any(e.verdict == "NonZero" and e.witness for e in rep.entries)
 
 
+@pytest.mark.parametrize("name", ["partial_rank_triple", "three_component_chain"])
+def test_zero_sigma_with_deny_list_fails_with_witness(name, capsys):
+    """The deny expressions of these sessions use coordinates that some
+    residuals do not; the zero test still samples them and reports FAIL."""
+    assert main(["check-symmetry", "--session", _path(name), "--zero-sigma"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert "[FAIL]" in out and "witness: " in out
+
+
 @pytest.mark.parametrize("command", ["all", "prolong"])
 def test_zero_sigma_rejected_outside_check_symmetry(command, capsys):
     path = _path("exp_coupled_pair")
