@@ -42,6 +42,7 @@ from .reduction import (
     reduce_system,
     restrict,
     solve_for_highest,
+    symmetry_residuals,
     verify_sigma_symmetry,
 )
 from .determining import Ansatz, collect_coefficients, generate_determining

@@ -15,7 +15,6 @@ import sympy as sp
 from .equivalence import (
     gauge_transform_sigma,
     mu_sigma_bridge,
-    sigma_from_A,
     standardizing_roundtrip,
     verify_A_sigma,
 )
@@ -159,7 +158,7 @@ def _run_involution(session: Session, order: int, trials: int, seed: int) -> Rep
         rep.show("involutive", ["no"])
         rep.show("bracket outside span", [str(exc.bracket)])
         try:
-            closed, crep = close_under_bracket(Ys, seed=seed)
+            closed, crep = close_under_bracket(Ys)
             rep.show(
                 "closure",
                 [f"added {len(crep.added)} generator(s)"] + [str(f) for f in crep.added],
@@ -263,11 +262,11 @@ def _run_equivalence(session: Session, order: int, trials: int, seed: int) -> Re
         raise MissingSessionDataError("matrix A")
     A = session.matrices["A"]
     convention = session.conventions.get("A", "inverse_dx")
-    sigma = sigma_from_A(A, session.ctx, convention)
-    rep.show("induced twist", [repr(sigma.mat)])
     rt = standardizing_roundtrip(
         fields, A, order, convention, trials=trials, seed=seed, deny=session.deny
     )
+    sigma = rt.sigma
+    rep.show("induced twist", [repr(sigma.mat)])
     rep.check("twisted set equals combined standard prolongations", rt.holds)
     if session.sigma is not None:
         same = all(
@@ -321,7 +320,7 @@ def _run_determining(session: Session, order: int, trials: int, seed: int) -> Re
     ansatz = session.require("ansatz")
     from .determining import generate_determining
 
-    result = generate_determining(system, ansatz, seed=seed)
+    result = generate_determining(system, ansatz)
     for (i, h), r in sorted(result.residuals.items()):
         rep.show(f"residual field {i + 1} / equation {h + 1}", [print_expr(r)])
     if result.coefficient_equations is not None:

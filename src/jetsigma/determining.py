@@ -13,7 +13,7 @@ import sympy as sp
 from .exprs import _AMBIENT, Expr, ExprError, _name_symbol, _used
 from .jets import JetContext, VectorField, VectorFieldSet
 from .prolong import SigmaMatrix
-from .reduction import ODESystem, verify_sigma_symmetry
+from .reduction import ODESystem, symmetry_residuals
 
 __all__ = [
     "Ansatz",
@@ -100,17 +100,14 @@ class DeterminingResult:
 
 
 def generate_determining(
-    sys: ODESystem, ansatz: Ansatz, collect_vars: Sequence[sp.Symbol | str] | None = None, seed: int = 0
+    sys: ODESystem, ansatz: Ansatz, collect_vars: Sequence[sp.Symbol | str] | None = None
 ) -> DeterminingResult:
     """Flow the ansatz through the twisted prolongation, apply each field to
     each equation, and restrict to the solution manifold.  For parameter-only
     templates the residuals are additionally decomposed into coefficient
     equations, one per monomial in the jet coordinates outside the template
-    argument lists."""
-    report = verify_sigma_symmetry(
-        ansatz.fields(), ansatz.sigma, sys, trials=1, seed=seed
-    )
-    residuals = dict(report.residuals)
+    argument lists.  No residual is zero-tested here."""
+    residuals = symmetry_residuals(ansatz.fields(), ansatz.sigma, sys)
     coeff_eqs: list[Expr] | None = None
     if not ansatz.has_opaque():
         if collect_vars is None:

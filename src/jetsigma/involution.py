@@ -99,25 +99,26 @@ def _constant_expansion(bracket: VectorField, basis: Sequence[VectorField]) -> l
     Component by component, the r + 1 entries N_k/D_k are brought over the
     lcm L of their denominators; then every monomial coefficient of
     sum_k c_k N_k (L/D_k) - N_T (L/D_T) in the field generators must vanish,
-    one linear system over Q for all components together."""
+    one linear system over Q for all components together, each distinct
+    equation once."""
     r = len(basis)
     comps = [f.components() for f in [*basis, bracket]]
     ncomp = len(comps[-1])
     values = _field_values([c for cs in comps for c in cs])
-    rows: list[list[Expr]] = []
-    rhs: list[Expr] = []
+    equations: dict[tuple[int, ...], None] = {}
     for comp in range(ncomp):
         entries = values[comp::ncomp]
         lcm = entries[0].denom
         for f in entries[1:]:
             lcm = lcm.lcm(f.denom)
         polys = [f.numer * lcm.exquo(f.denom) for f in entries]
-        for monom in sorted(set().union(*polys)):
-            rows.append([Expr.number(int(p.get(monom, 0))) for p in polys[:r]])
-            rhs.append(Expr.number(int(polys[r].get(monom, 0))))
-    if not rows:
+        for monom in set().union(*polys):
+            equations[tuple(int(p.get(monom, 0)) for p in polys)] = None
+    if not equations:
         return [Expr.number(0)] * r
-    result = linear_solve(rows, rhs)
+    result = linear_solve(
+        [[Expr.number(c) for c in eq[:r]] for eq in equations], [Expr.number(eq[r]) for eq in equations]
+    )
     return result.solution if result.ok else None
 
 
@@ -199,16 +200,6 @@ class ClosureReport:
     structure: StructureFunctions
 
 
-def _pivot_coordinate(f: VectorField, seed: int) -> int | None:
-    for idx, c in enumerate(f.components()):
-        if c.is_rational_zero:
-            continue
-        verdict = is_zero(c, trials=6, seed=seed + idx)
-        if verdict.is_nonzero:
-            return idx
-    return None
-
-
 def _fraction_gcd(a: Fraction, b: Fraction) -> Fraction:
     num = math.gcd(a.numerator * b.denominator, b.numerator * a.denominator)
     return Fraction(num, a.denominator * b.denominator)
@@ -259,12 +250,14 @@ def _nonzero_count(f: VectorField) -> int:
     return sum(1 for c in f.components() if not c.is_rational_zero)
 
 
-def _reduce_against(residual: VectorField, base: Sequence[VectorField], seed: int) -> VectorField:
+def _reduce_against(residual: VectorField, base: Sequence[VectorField]) -> VectorField:
     """Subtract constant multiples of the original generators when doing so
     strictly simplifies the residual (fewer nonzero components); this keeps
-    adjoined generators in their cleanest form."""
+    adjoined generators in their cleanest form.  The pivot is the first
+    component of the generator that is nonzero in the field; any pivot gives
+    a valid subtraction, which the component count then accepts or not."""
     for g in base:
-        piv = _pivot_coordinate(g, seed)
+        piv = next((k for k, c in enumerate(g.components()) if not c.is_rational_zero), None)
         if piv is None:
             continue
         num = residual.components()[piv]
@@ -279,31 +272,33 @@ def _reduce_against(residual: VectorField, base: Sequence[VectorField], seed: in
     return residual
 
 
-def close_under_bracket(
-    Vs: VectorFieldSet, max_new: int = 8, seed: int = 0, complexity_budget: int = 600
-) -> tuple[VectorFieldSet, ClosureReport]:
+# the closure adjoins at most this many fields, and gives up on brackets and
+# generators whose coefficients exceed this many operations (sympy count_ops)
+MAX_NEW_FIELDS = 8
+COMPLEXITY_BUDGET = 600
+
+
+def close_under_bracket(Vs: VectorFieldSet) -> tuple[VectorFieldSet, ClosureReport]:
     """Adjoin bracket residuals (reduced against the original generators and
     stripped of rational content) until the set is involutive.  Wildly growing
     coefficient complexity aborts the closure instead of grinding."""
-    if max_new < 0:
-        raise ExprError("max_new must be >= 0")
 
     def in_span(f: VectorField, basis: list[VectorField]) -> bool:
-        expansion = expand_in_basis(f, basis, restrict_singularities=True, complexity_budget=complexity_budget)
+        expansion = expand_in_basis(f, basis, restrict_singularities=True, complexity_budget=COMPLEXITY_BUDGET)
         return expansion is not None
 
     base = list(Vs)
     gens = list(Vs)
     added: list[VectorField] = []
     factors: list[Expr] = []
-    for _round in range(max_new + 2):
+    for _round in range(MAX_NEW_FIELDS + 2):
         new_fields: list[VectorField] = []
         for i in range(len(gens)):
             for j in range(i + 1, len(gens)):
                 bracket = lie_bracket(gens[i], gens[j])
                 if bracket.is_zero_field():
                     continue
-                if sum(sp.count_ops(c.sym) for c in bracket.components()) > complexity_budget:
+                if sum(sp.count_ops(c.sym) for c in bracket.components()) > COMPLEXITY_BUDGET:
                     raise ClosureExceededError(
                         "closure brackets grow beyond the complexity budget"
                     )
@@ -311,13 +306,13 @@ def close_under_bracket(
                 # residuals discovered in one round are all adjoined together
                 if in_span(bracket, gens):
                     continue
-                residual = _reduce_against(bracket, base, seed)
+                residual = _reduce_against(bracket, base)
                 residual, factor = _strip_rational_content(residual)
                 if residual.is_zero_field() or any(residual == nf for nf in new_fields):
                     continue
                 if in_span(residual, gens + new_fields):
                     continue
-                if sum(sp.count_ops(c.sym) for c in residual.components()) > complexity_budget:
+                if sum(sp.count_ops(c.sym) for c in residual.components()) > COMPLEXITY_BUDGET:
                     raise ClosureExceededError(
                         "closure generators grow beyond the complexity budget"
                     )
@@ -328,11 +323,11 @@ def close_under_bracket(
             return VectorFieldSet(gens), ClosureReport(added, factors, structure)
         gens.extend(new_fields)
         added.extend(new_fields)
-        if len(added) > max_new:
+        if len(added) > MAX_NEW_FIELDS:
             raise ClosureExceededError(
-                f"closure needed more than {max_new} new fields ({len(added)} so far)"
+                f"closure needed more than {MAX_NEW_FIELDS} new fields ({len(added)} so far)"
             )
-    raise ClosureExceededError(f"closure did not terminate within {max_new + 2} rounds")
+    raise ClosureExceededError(f"closure did not terminate within {MAX_NEW_FIELDS + 2} rounds")
 
 
 # ---------------------------------------------------------------------------

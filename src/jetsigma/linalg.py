@@ -66,11 +66,11 @@ def linear_solve(mat: Sequence[Sequence[Expr]], rhs: Sequence[Expr]) -> LinearSo
     equation with zero coefficients and nonzero right side; in reduced row
     echelon form that right side is 1), or an underdetermined result whose
     particular solution sets the free variables to zero.  Pivot columns are
-    the first columns that are independent over the expression field.
+    the first columns that are independent over the expression field.  With
+    no equations the number of unknowns is unknown, so that raises.
     """
-    m = len(mat)
-    if m == 0:
-        return LinearSolveResult("underdetermined", [], [])
+    if not mat:
+        raise ExprError("a linear system needs at least one equation")
     n = len(mat[0])
     reduced, pivots = _lift([[*row, b] for row, b in zip(mat, rhs)]).rref()
     rows = reduced.to_list()

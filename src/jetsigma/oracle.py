@@ -188,6 +188,6 @@ def sample_jet_point(
         try:
             if all(abs(eval_numeric(d, pt)) > threshold for d in deny):
                 return pt
-        except (SingularPointError, ExprError):
+        except SingularPointError:
             continue
     raise ExprError(f"no admissible jet point found in {max_attempts} attempts")

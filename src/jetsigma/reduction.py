@@ -22,6 +22,7 @@ __all__ = [
     "ResidualOldCoordinateError",
     "restrict",
     "solve_for_highest",
+    "symmetry_residuals",
     "verify_sigma_symmetry",
     "SymmetryReport",
     "reduce_system",
@@ -58,8 +59,6 @@ class ODESystem:
         equations: Sequence[Expr],
         solved: Mapping | None = None,
         validate: bool = True,
-        trials: int = 12,
-        seed: int = 0,
     ):
         if order < 1:
             raise ExprError("system order must be >= 1")
@@ -92,7 +91,7 @@ class ODESystem:
                 for e in self.equations:
                     res = restrict_with(e, solved, ctx, order)
                     if not res.is_rational_zero:
-                        verdict = is_zero(res, trials=trials, seed=seed)
+                        verdict = is_zero(res)
                         if not verdict.is_zero:
                             raise ExprError(
                                 f"solved form does not satisfy equation "
@@ -234,6 +233,21 @@ class SymmetryReport:
         return "\n".join(lines)
 
 
+def symmetry_residuals(
+    Xs: VectorFieldSet, sigma: SigmaMatrix, sys: ODESystem
+) -> dict[tuple[int, int], Expr]:
+    """Prolong the set to the system order with the twist and restrict each
+    field applied to each equation to the solution manifold; keyed by
+    (field index, equation index)."""
+    solved_sys = solve_for_highest(sys)
+    Ys = sigma_prolong(Xs, sigma, sys.order)
+    return {
+        (i, h): restrict(Y.apply(F), solved_sys)
+        for i, Y in enumerate(Ys)
+        for h, F in enumerate(sys.equations)
+    }
+
+
 def verify_sigma_symmetry(
     Xs: VectorFieldSet,
     sigma: SigmaMatrix,
@@ -242,17 +256,10 @@ def verify_sigma_symmetry(
     seed: int = 0,
     deny: Sequence[Expr] = (),
 ) -> SymmetryReport:
-    """Prolong the set to the system order with the twist and check that each
-    field maps each equation to zero on the solution manifold."""
-    solved_sys = solve_for_highest(sys)
-    Ys = sigma_prolong(Xs, sigma, sys.order)
-    residuals = {}
-    verdicts = {}
-    for i, Y in enumerate(Ys):
-        for h, F in enumerate(sys.equations):
-            r = restrict(Y.apply(F), solved_sys)
-            residuals[(i, h)] = r
-            verdicts[(i, h)] = is_zero(r, trials=trials, seed=seed, deny=deny)
+    """Check that each twisted prolonged field maps each equation to zero on
+    the solution manifold: one zero test per symmetry residual."""
+    residuals = symmetry_residuals(Xs, sigma, sys)
+    verdicts = {key: is_zero(r, trials=trials, seed=seed, deny=deny) for key, r in residuals.items()}
     return SymmetryReport(residuals, verdicts)
 
 
@@ -274,9 +281,6 @@ class CoordinateChange:
         inverse: Mapping,
         retained: Sequence[str] = (),
         order: int | None = None,
-        validate: bool = True,
-        trials: int = 12,
-        seed: int = 0,
     ):
         self.old_ctx = old_ctx
         self.new = {name: normalize(e) for name, e in new.items()}
@@ -296,17 +300,15 @@ class CoordinateChange:
             (old_ctx.table.lookup(k) if isinstance(k, str) else k): normalize(v)
             for k, v in inverse.items()
         }
-        if validate:
-            forward = self.forward_map(order)
-            for old_sym, binding in self.inverse.items():
-                back = substitute(binding, forward)
-                residual = back - Expr(old_sym)
-                verdict = is_zero(residual, trials=trials, seed=seed)
-                if not verdict.is_zero:
-                    raise ExprError(
-                        f"inverse binding for {old_sym} does not invert the "
-                        f"definitions: residual {print_expr(residual)} [{verdict}]"
-                    )
+        forward = self.forward_map(order)
+        for old_sym, binding in self.inverse.items():
+            residual = substitute(binding, forward) - Expr(old_sym)
+            verdict = is_zero(residual)
+            if not verdict.is_zero:
+                raise ExprError(
+                    f"inverse binding for {old_sym} does not invert the "
+                    f"definitions: residual {print_expr(residual)} [{verdict}]"
+                )
 
     def forward_map(self, order: int) -> dict[sp.Symbol, Expr]:
         """New jet coordinates expressed in old coordinates: the level-k

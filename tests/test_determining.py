@@ -220,3 +220,23 @@ def test_residuals_linear_in_field_templates():
             outs.append(generate_determining(sys, ansatz).residuals)
         for key in outs[0]:
             assert (outs[0][key] + outs[1][key] - outs[2][key]).sym == 0
+
+
+def test_generate_determining_runs_no_zero_test(monkeypatch):
+    """Residual generation reports no verdict, so it samples nothing; the
+    counter sees the zero tests of verify_sigma_symmetry on the same input."""
+    import jetsigma.reduction
+
+    calls = []
+    real = jetsigma.reduction.is_zero
+
+    def counting(e, *args, **kwargs):
+        calls.append(e)
+        return real(e, *args, **kwargs)
+
+    monkeypatch.setattr(jetsigma.reduction, "is_zero", counting)
+    ctx, system, ansatz = gallery.constant_coefficient_ansatz()
+    result = generate_determining(system, ansatz)
+    assert calls == []
+    verify_sigma_symmetry(ansatz.fields(), ansatz.sigma, system)
+    assert len(calls) == len(result.residuals) == 4

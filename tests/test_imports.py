@@ -4,7 +4,8 @@ front end leaves numpy unloaded; only ``exprs`` splits names at "_", so
 how a name such as ``u_3`` encodes a jet coordinate is decided in one module
 (``SymbolTable.lookup`` and ``SymbolTable.jet_index``); and only the zero test
 (``exprs``) and the jet-point sampler (``oracle``) draw random numbers, so no
-other verdict depends on a seed."""
+other verdict depends on a seed.  No library call picks its own sample count
+or seed either: ``trials=`` and ``seed=`` only forward the caller's values."""
 
 import ast
 import os
@@ -73,6 +74,42 @@ def test_random_only_in_zero_test_and_sampler(module):
     with open(os.path.join(SRC, module), encoding="utf-8") as fh:
         tree = ast.parse(fh.read(), module)
     assert not _imports_random(tree)
+
+
+def _forwarded(value: ast.expr, params: frozenset) -> bool:
+    """A parameter of an enclosing function, or a parsed option ``args.*``."""
+    if isinstance(value, ast.Name):
+        return value.id in params
+    return isinstance(value, ast.Attribute) and isinstance(value.value, ast.Name) and value.value.id == "args"
+
+
+def _chosen_trials_or_seed(tree: ast.Module) -> list[int]:
+    """Lines of calls that pass ``trials=`` or ``seed=`` a value of their own
+    (a constant, arithmetic, a local) instead of forwarding one."""
+    lines = []
+
+    def visit(node: ast.AST, params: frozenset):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            params = params | {p.arg for p in [*a.posonlyargs, *a.args, *a.kwonlyargs]}
+        if isinstance(node, ast.Call):
+            lines.extend(
+                node.lineno
+                for kw in node.keywords
+                if kw.arg in ("trials", "seed") and not _forwarded(kw.value, params)
+            )
+        for child in ast.iter_child_nodes(node):
+            visit(child, params)
+
+    visit(tree, frozenset())
+    return lines
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_sample_counts_and_seeds_only_forwarded(module):
+    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), module)
+    assert _chosen_trials_or_seed(tree) == []
 
 
 def test_cli_import_leaves_numpy_unloaded():

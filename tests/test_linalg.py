@@ -1,7 +1,7 @@
 import pytest
 import sympy as sp
 
-from jetsigma.exprs import Expr
+from jetsigma.exprs import Expr, ExprError
 from jetsigma.jets import JetContext, VectorField, VectorFieldSet, lie_bracket
 from jetsigma.linalg import ExprMatrix, SingularMatrixError, linear_solve
 
@@ -17,6 +17,12 @@ def test_identity_system(ctx):
     result = linear_solve([[P("1"), P("0")], [P("0"), P("1")]], b)
     assert result.status == "solved"
     assert result.solution == b
+
+
+def test_linear_solve_without_equations_raises():
+    """With no rows the number of unknowns is unknown; no answer is made up."""
+    with pytest.raises(ExprError, match="at least one equation"):
+        linear_solve([], [])
 
 
 def test_bracket_expansion_coefficients(ctx):

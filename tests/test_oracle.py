@@ -6,7 +6,7 @@ import pytest
 import sympy as sp
 
 from jetsigma import gallery, oracle
-from jetsigma.exprs import Expr, SingularPointError, eval_numeric
+from jetsigma.exprs import Expr, ExprError, SingularPointError, eval_numeric
 from jetsigma.jets import JetContext
 from jetsigma.oracle import (
     GridMismatchError,
@@ -79,6 +79,20 @@ def test_sample_jet_point_deny():
     assert abs(pt["u"]) > Fraction(1, 1000)
     pt2 = sample_jet_point(ctx, seed=6, deny=[P("1 - u*v")])
     assert abs(eval_numeric(P("1 - u*v"), pt2)) > 1e-3
+
+
+@pytest.mark.parametrize(
+    "ctx, deny, order",
+    [
+        (JetContext("x", ["u"], 2), "u_2", 1),
+        (JetContext("x", ["u"], 2, parameters=["c"]), "c*u", None),
+    ],
+)
+def test_sample_jet_point_unbound_deny_symbol_raises(ctx, deny, order):
+    """A deny expression the point does not bind is an error at once, not
+    400 rejected attempts."""
+    with pytest.raises(ExprError, match="unbound symbols"):
+        sample_jet_point(ctx, deny=[ctx.parse(deny)], order=order)
 
 
 def test_grid_mismatch():

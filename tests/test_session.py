@@ -245,3 +245,18 @@ phi=0,1
 """
     s = loads_session(text)
     assert s.ctx.max_order == 1 and len(s.fields) == 2
+
+
+@pytest.mark.parametrize("name", ["transposed_twist", "determining_ansatz"])
+def test_all_json_depends_on_the_seed_only_in_the_seed_line(name, capsys):
+    """The closure pivots and the determining residuals sample nothing, so a
+    report whose verdicts are all exact is the same at every seed."""
+    outputs = []
+    for seed in ("0", "1"):
+        status = main(["all", "--session", _path(name), "--json", "--seed", seed])
+        outputs.append((status, capsys.readouterr().out.splitlines()))
+    (status0, lines0), (status1, lines1) = outputs
+    assert status0 == status1
+    assert len(lines0) == len(lines1)
+    differing = [(a, b) for a, b in zip(lines0, lines1) if a != b]
+    assert differing == [('  "seed": 0,', '  "seed": 1,')]
