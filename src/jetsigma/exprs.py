@@ -42,6 +42,7 @@ import re
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Callable, Iterable, Mapping, Sequence
 
 import sympy as sp
@@ -478,9 +479,14 @@ def _used(f) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _binary(op):
+def _binary(op, exact: bool = False):
+    """An operator on the field elements.  An ``exact`` one (+, -, *) of two
+    polynomials is taken on the numerators with no cancel: gcd(N, 1) = 1."""
+
     def method(self, other):
         a, b = _field_values((self, normalize(other)))
+        if exact and a.denom == 1 and b.denom == 1:
+            return Expr._of(a.raw_new(op(a.numer, b.numer), a.denom))
         try:
             return Expr._of(op(a, b))
         except ZeroDivisionError:
@@ -498,6 +504,8 @@ class Expr:
     def __init__(self, raw):
         if isinstance(raw, Expr):
             sym, frac = raw._sym, raw._frac
+        elif isinstance(raw, sp.Symbol):
+            sym, frac = None, _AMBIENT.gen(raw)
         elif isinstance(raw, (int, Fraction, sp.Expr)):
             sym, frac = None, _from_tree(sp.sympify(raw))
         else:
@@ -539,10 +547,10 @@ class Expr:
         return f
 
     # -- arithmetic ---------------------------------------------------------
-    __add__ = __radd__ = _binary(lambda a, b: a + b)
-    __sub__ = _binary(lambda a, b: a - b)
-    __rsub__ = _binary(lambda a, b: b - a)
-    __mul__ = __rmul__ = _binary(lambda a, b: a * b)
+    __add__ = __radd__ = _binary(lambda a, b: a + b, exact=True)
+    __sub__ = _binary(lambda a, b: a - b, exact=True)
+    __rsub__ = _binary(lambda a, b: b - a, exact=True)
+    __mul__ = __rmul__ = _binary(lambda a, b: a * b, exact=True)
     __truediv__ = _binary(lambda a, b: a / b)
     __rtruediv__ = _binary(lambda a, b: b / a)
 
@@ -737,7 +745,9 @@ def diff(e: Expr, s: str | sp.Symbol, table: SymbolTable | None = None) -> Expr:
 def derivation(e: Expr, terms: Iterable[tuple[sp.Symbol, Expr]]) -> Expr:
     """The sum of c * de/ds over the (s, c) pairs of ``terms``, computed in
     the ambient field: the chain rule over the generators of e, with each
-    atom's own derivative."""
+    atom's own derivative.  With e = N/D and c_g = a_g/b_g the image of
+    generator g, the terms a_g*(N'_g*D - N*D'_g) are summed over the product
+    of the distinct b_g times D^2 (``_sum_quotients``)."""
     terms = [(s, c) for s, c in terms if not c.is_rational_zero]
     f = e._field()
     names = {s for s, _ in terms}
@@ -752,11 +762,26 @@ def derivation(e: Expr, terms: Iterable[tuple[sp.Symbol, Expr]]) -> Expr:
         elif atom.free_symbols & names:
             images.append((g, atom.derivative(terms)))
     f, *coeffs = _field_values([e, *(c for _, c in images)])
-    acc = f.field.zero
+    field, numer, denom = f.field, f.numer, f.denom
+    pairs = []
     for (g, _), c in zip(images, coeffs):
         if c:
-            acc += c * f.diff(f.field.gens[f.field.symbols.index(g)])
-    return Expr._of(acc)
+            x = field.ring.gens[field.symbols.index(g)]
+            step = numer.diff(x) if denom == 1 else numer.diff(x) * denom - numer * denom.diff(x)
+            pairs.append((c.numer * step, c.denom))
+    return Expr._of(_sum_quotients(field, pairs, denom**2))
+
+
+def _sum_quotients(field, pairs: Sequence[tuple], denom=None):
+    """The sum of n/d over the (n, d) polynomial ``pairs``, divided by
+    ``denom``: one numerator over the product of the distinct d (times
+    ``denom``), so the result takes one cancel, and none when that
+    denominator is 1."""
+    one = field.ring.one
+    dens = list(dict.fromkeys(d for _, d in pairs))
+    numer = sum((n * prod((b for b in dens if b != d), start=one) for n, d in pairs), field.ring.zero)
+    denom = prod(dens, start=one if denom is None else denom)
+    return field.raw_new(numer, denom) if denom == 1 else field.new(numer, denom)
 
 
 def _powers(x, k: int) -> list:

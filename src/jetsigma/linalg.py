@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
 
-from .exprs import Expr, ExprError, _field_values, normalize, print_expr
+from .exprs import Expr, ExprError, _field_values, _sum_quotients, normalize, print_expr
 
 __all__ = [
     "ExprMatrix",
@@ -151,12 +151,14 @@ class ExprMatrix:
             raise ExprError(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
-        return ExprMatrix(
-            [
-                [sum((a * b for a, b in zip(row, col)), Expr.number(0)) for col in zip(*other.entries)]
-                for row in self.entries
-            ]
-        )
+        n = self.ncols
+
+        def entry(row, col) -> Expr:
+            values = _field_values([*row, *col])
+            pairs = [(a.numer * b.numer, a.denom * b.denom) for a, b in zip(values[:n], values[n:]) if a and b]
+            return Expr._of(_sum_quotients(values[0].field, pairs))
+
+        return ExprMatrix([[entry(row, col) for col in zip(*other.entries)] for row in self.entries])
 
     def scaled(self, factor: Expr | int) -> "ExprMatrix":
         f = normalize(factor)

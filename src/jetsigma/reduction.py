@@ -93,8 +93,9 @@ class ODESystem:
                     if not res.is_rational_zero:
                         verdict = is_zero(res)
                         if not verdict.is_zero:
+                            holds = "does not satisfy" if verdict.is_nonzero else "is not proved to satisfy"
                             raise ExprError(
-                                f"solved form does not satisfy equation "
+                                f"solved form {holds} equation "
                                 f"{print_expr(e)}: residual {print_expr(res)} [{verdict}]"
                             )
         self.solved = solved
@@ -305,8 +306,9 @@ class CoordinateChange:
             residual = substitute(binding, forward) - Expr(old_sym)
             verdict = is_zero(residual)
             if not verdict.is_zero:
+                inverts = "does not invert" if verdict.is_nonzero else "is not proved to invert"
                 raise ExprError(
-                    f"inverse binding for {old_sym} does not invert the "
+                    f"inverse binding for {old_sym} {inverts} the "
                     f"definitions: residual {print_expr(residual)} [{verdict}]"
                 )
 

@@ -4,12 +4,16 @@ from itertools import count
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.polys.fields import FracElement
+from sympy.polys.rings import PolyElement
 
 from jetsigma import exprs
 from jetsigma.exprs import (
     ArityMismatchError,
     Expr,
+    ExprError,
     ExprSyntaxError,
     SingularPointError,
     SymbolTable,
@@ -25,6 +29,7 @@ from jetsigma.exprs import (
 )
 
 from fuzzing import random_expr, random_point
+from test_grammar import TABLE as GRAMMAR_TABLE, _grammar_text
 
 
 @pytest.fixture
@@ -229,6 +234,68 @@ def test_derivation_laws_fuzzed(table):
         s = rng.choice(syms)
         assert diff(a + b, s) == diff(a, s) + diff(b, s)
         assert diff(a * b, s) == diff(a, s) * b + a * diff(b, s)
+
+
+# grammar text with a tail over several symbols: each operand gets one with
+# a nonconstant denominator, and each coefficient one with a kernel atom over
+# a denominator of its own, so the terms of a derivation do not share one
+_OPERAND_TAILS = ["u*v/(x + 1)", "(u_1 - v)/(u + c1)", "x*v_2 + u^2", "exp(u*v)/(v_2 + 2)", "A(u,v)/(x - u)"]
+_COEFFICIENT_TAILS = ["exp(u)/(v + 2)", "sin(v)/(u^2 + 1)", "log(u)/(x + 3)", "arctan(u_1)/(u - v)", "F(v)/(u_1 + 1)"]
+_TERM_SYMBOLS = [sp.Symbol(n) for n in ("x", "u", "v", "u_1", "v_2", "c1")]
+_OPERAND = st.tuples(_grammar_text(), st.sampled_from(_OPERAND_TAILS))
+_TERMS = st.lists(
+    st.tuples(st.sampled_from(_TERM_SYMBOLS), st.tuples(_grammar_text(), st.sampled_from(_COEFFICIENT_TAILS))),
+    min_size=2,
+    max_size=3,
+)
+
+
+@settings(derandomize=True, max_examples=30, database=None, deadline=None)
+@given(_OPERAND, _OPERAND, _TERMS, _TERMS, st.fractions(-5, 5, max_denominator=7))
+def test_derivation_laws_over_grammar_text(a, b, t1, t2, q):
+    """Linearity in e, additivity over the term list and the Leibniz rule,
+    for derivations with 2-3 terms whose coefficients carry denominators
+    and kernel atoms."""
+
+    def P(text_tail):
+        return parse("({}) + {}".format(*text_tail), GRAMMAR_TABLE)
+
+    try:
+        a, b = P(a), P(b)
+        T1, T2 = ([(s, P(c)) for s, c in t] for t in (t1, t2))
+    except ExprError:
+        return  # a documented failure, such as a division by zero
+    q = Expr.number(q)
+    assert derivation(a + q * b, T1) == derivation(a, T1) + q * derivation(b, T1)
+    assert derivation(a, T1 + T2) == derivation(a, T1) + derivation(a, T2)
+    assert derivation(a * b, T1) == derivation(a, T1) * b + a * derivation(b, T1)
+
+
+def test_cancel_runs_once_per_result(table, monkeypatch):
+    """No gcd for polynomial results, one per derivation otherwise, and a
+    symbol becomes a generator without a tree."""
+    P = lambda t: parse(t, table)  # noqa: E731
+    a, b, quotient = P("u^2*v - 3*x*u_1 + 1"), P("v^3 + u*v_1 - c1"), P("(u^2 + v)/(u*v + 1)")
+    u, v = sp.Symbol("u"), sp.Symbol("v")
+    terms = [(sp.Symbol("x"), P("1")), (u, P("u_1")), (v, P("v_1"))]
+    calls = []
+    cancel = PolyElement.cancel
+    monkeypatch.setattr(PolyElement, "cancel", lambda p, q: calls.append(q) or cancel(p, q))
+    results = [derivation(a, terms), a + b, a - b, a * b, derivation(a * b, terms)]
+    assert calls == []
+    assert results[-1] == results[0] * b + a * derivation(b, terms)
+    calls.clear()
+    dq = derivation(quotient, terms)
+    assert len(calls) <= 1
+    monkeypatch.setattr(PolyElement, "cancel", cancel)
+    assert dq == (P("2*u*u_1 + v_1") * P("u*v + 1") - P("u^2 + v") * P("u_1*v + u*v_1")) / P("(u*v + 1)^2")
+
+    def no_tree(tree):
+        raise AssertionError(f"{tree} went through the tree path")
+
+    monkeypatch.setattr(exprs, "_from_tree", no_tree)
+    assert Expr(u) == P("u")
+    assert Expr(sp.Symbol("u_1")) == P("u_x")
 
 
 def test_finite_difference_agreement(table):

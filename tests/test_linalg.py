@@ -1,5 +1,8 @@
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.polys.rings import PolyElement
 
 from jetsigma.exprs import Expr, ExprError
 from jetsigma.jets import JetContext, VectorField, VectorFieldSet, lie_bracket
@@ -105,6 +108,46 @@ def test_singular_matrix_rejected(ctx):
     D = ExprMatrix([[P("exp(u + 1)"), P("exp(1)*exp(u)")], [P("1"), P("1")]])
     with pytest.raises(SingularMatrixError):
         D.inverse()
+
+
+_ENTRIES = ["0", "1", "-2", "1/3", "u", "v", "2*u", "u/v", "1/(u + 1)", "u*v - 1", "(u - v)/(u + v)"]
+_SQUARE = st.integers(1, 3).flatmap(
+    lambda n: st.lists(st.lists(st.sampled_from(_ENTRIES), min_size=n, max_size=n), min_size=n, max_size=n)
+)
+
+
+@settings(derandomize=True, max_examples=60, database=None, deadline=None)
+@given(_SQUARE)
+def test_inverse_is_two_sided_or_singular(texts):
+    """M @ M^-1 = M^-1 @ M = I, or SingularMatrixError exactly when det(M)
+    is 0."""
+    P = JetContext("x", ["u", "v"], 2).parse
+    M = ExprMatrix([[P(t) for t in row] for row in texts])
+    if M.det().is_rational_zero:
+        with pytest.raises(SingularMatrixError):
+            M.inverse()
+    else:
+        Minv = M.inverse()
+        identity = ExprMatrix.identity(M.nrows)
+        assert M @ Minv == identity and Minv @ M == identity
+
+
+def test_matmul_cancels_once_per_entry(ctx, monkeypatch):
+    P = ctx.parse
+    A = ExprMatrix([[P("1/u"), P("v/(u + 1)")], [P("u_1"), P("1/(u*v)")]])
+    B = ExprMatrix([[P("u"), P("1/v")], [P("(u + 1)/v"), P("u + v")]])
+    calls = []
+    cancel = PolyElement.cancel
+    monkeypatch.setattr(PolyElement, "cancel", lambda p, q: calls.append(q) or cancel(p, q))
+    product = A @ B
+    assert len(calls) <= 4
+    monkeypatch.setattr(PolyElement, "cancel", cancel)
+    assert product == ExprMatrix(
+        [
+            [P("2"), P("1/(u*v) + v*(u + v)/(u + 1)")],
+            [P("u*u_1 + (u + 1)/(u*v^2)"), P("u_1/v + (u + v)/(u*v)")],
+        ]
+    )
 
 
 def test_matrix_algebra(ctx):

@@ -2,7 +2,7 @@ import pytest
 import sympy as sp
 
 from jetsigma import gallery
-from jetsigma.exprs import Expr, is_zero
+from jetsigma.exprs import Expr, ExprError, is_zero
 from jetsigma.jets import JetContext, VectorField, VectorFieldSet, total_derivative
 from jetsigma.prolong import SigmaMatrix, sigma_prolong
 from jetsigma.invariants import generate_invariants
@@ -25,6 +25,22 @@ def test_system_validates_solved_form():
     P = ctx.parse
     with pytest.raises(Exception):
         ODESystem(ctx, 2, [P("u_2 - u_1")], solved={"u_2": P("u_1 + 1")})
+
+
+def test_validation_message_follows_the_verdict():
+    """A residual that sampling cannot tell from zero is "not proved" to
+    hold; only a NonZero witness says the solved form or inverse is wrong."""
+    ctx = JetContext("x", ["u"], 1)
+    P = ctx.parse
+    with pytest.raises(ExprError, match=r"solved form is not proved to satisfy equation .*\[Unknown\]"):
+        ODESystem(ctx, 1, [P("u_1 - sin(u)^2 - cos(u)^2")], solved={"u_1": P("1")})
+    with pytest.raises(ExprError, match=r"solved form does not satisfy equation .*\[NonZero"):
+        ODESystem(ctx, 1, [P("u_1 - u")], solved={"u_1": P("1")})
+    z1 = sp.Symbol("z1")
+    with pytest.raises(ExprError, match=r"inverse binding for u is not proved to invert .*\[Unknown\]"):
+        CoordinateChange(ctx, new={"z1": P("u")}, inverse={"u": Expr(z1 * (sp.sin(z1) ** 2 + sp.cos(z1) ** 2))})
+    with pytest.raises(ExprError, match=r"inverse binding for u does not invert .*\[NonZero"):
+        CoordinateChange(ctx, new={"z1": P("u")}, inverse={"u": Expr(2 * z1)})
 
 
 def test_restrict_defining_equation_vanishes():
