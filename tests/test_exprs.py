@@ -274,7 +274,9 @@ def test_derivation_laws_over_grammar_text(a, b, t1, t2, q):
 def test_cancel_runs_once_per_result(table, monkeypatch):
     """No gcd for polynomial results, one per derivation otherwise, and a
     symbol becomes a generator without a tree."""
-    P = lambda t: parse(t, table)  # noqa: E731
+    def P(text):
+        return parse(text, table)
+
     a, b, quotient = P("u^2*v - 3*x*u_1 + 1"), P("v^3 + u*v_1 - c1"), P("(u^2 + v)/(u*v + 1)")
     u, v = sp.Symbol("u"), sp.Symbol("v")
     terms = [(sp.Symbol("x"), P("1")), (u, P("u_1")), (v, P("v_1"))]
