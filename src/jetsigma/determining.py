@@ -10,7 +10,7 @@ from typing import Sequence
 
 import sympy as sp
 
-from .exprs import _AMBIENT, Expr, ExprError, _name_symbol, _used
+from .exprs import Expr, ExprError, _generators, _name_symbol
 from .jets import JetContext, VectorField, VectorFieldSet
 from .prolong import SigmaMatrix
 from .reduction import ODESystem, symmetry_residuals
@@ -28,17 +28,25 @@ class NotPolynomialInVarsError(ExprError):
     """The residual is not polynomial in the requested collection variables."""
 
 
+def _opaque_applications(e: Expr):
+    """The opaque atoms of ``e``, those inside other atoms' arguments too."""
+    for _, _, atom in _generators(e._field()):
+        if atom is not None:
+            if not isinstance(atom.head, str):
+                yield atom
+            for arg in atom.args:
+                yield from _opaque_applications(arg)
+
+
 @dataclass
 class Ansatz:
     """Coefficient templates over declared parameters and opaque functions.
-    phi[i][a] is the coefficient of d/du^a for field i; the twist template is
-    a full matrix; xi templates default to zero (vertical fields)."""
+    phi[i][a] is the coefficient of d/du^a for field i (the fields are
+    vertical); the twist template is a full matrix."""
 
     ctx: JetContext
     phi: list[list[Expr]]
     sigma: SigmaMatrix
-    xi: list[Expr] | None = None
-    xi_zero: bool = True
 
     def __post_init__(self):
         r = len(self.phi)
@@ -47,50 +55,22 @@ class Ansatz:
         for row in self.phi:
             if len(row) != self.ctx.p:
                 raise ExprError("phi template row length does not match the dependents")
-        if self.xi is None:
-            self.xi = [Expr.number(0)] * r
-        if self.xi_zero and any(not x.is_rational_zero for x in self.xi):
-            raise ExprError("xi templates must vanish when xi_zero is set")
-        for row in self.phi:
-            for e in row:
-                self._check_args(e)
-        for i in range(r):
-            for j in range(r):
-                self._check_args(self.sigma[i, j])
+        legal = [Expr(self.ctx.x)] + [Expr(self.ctx.coord(a, k)) for a in range(self.ctx.p) for k in (0, 1)]
+        for e in self._templates():
+            for atom in _opaque_applications(e):
+                for arg in atom.args:
+                    if not any(arg == c for c in legal):
+                        raise ExprError(f"opaque template argument {arg} is not a coordinate of order <= 1")
 
-    def _check_args(self, e: Expr):
-        from .exprs import _opaque_atoms  # internal, deliberate
-
-        legal = {self.ctx.x} | {
-            self.ctx.coord(a, k) for a in range(self.ctx.p) for k in (0, 1)
-        }
-        for node in _opaque_atoms(e.sym):
-            for arg in node.args:
-                if not (arg.is_Symbol and arg in legal):
-                    raise ExprError(
-                        f"opaque template argument {arg} is not a coordinate of order <= 1"
-                    )
+    def _templates(self) -> list[Expr]:
+        r = self.sigma.r
+        return [e for row in self.phi for e in row] + [self.sigma[i, j] for i in range(r) for j in range(r)]
 
     def fields(self) -> VectorFieldSet:
-        return VectorFieldSet(
-            [
-                VectorField.on_base(self.ctx, self.xi[i], list(self.phi[i]))
-                for i in range(len(self.phi))
-            ]
-        )
+        return VectorFieldSet([VectorField.on_base(self.ctx, Expr.number(0), list(row)) for row in self.phi])
 
     def has_opaque(self) -> bool:
-        from .exprs import _opaque_atoms
-
-        for row in self.phi:
-            for e in row:
-                if _opaque_atoms(e.sym):
-                    return True
-        for i in range(self.sigma.r):
-            for j in range(self.sigma.r):
-                if _opaque_atoms(self.sigma[i, j].sym):
-                    return True
-        return False
+        return any(next(_opaque_applications(e), None) is not None for e in self._templates())
 
 
 @dataclass
@@ -118,12 +98,10 @@ def generate_determining(
         coeff_eqs = []
         for key in sorted(residuals):
             coeff_eqs.extend(collect_coefficients(residuals[key], collect_syms))
-        # dedupe identical equations, preserving order
-        seen = set()
-        unique = []
+        # dedupe equal equations, preserving order
+        unique: list[Expr] = []
         for e in coeff_eqs:
-            if not e.is_rational_zero and e.sym not in seen:
-                seen.add(e.sym)
+            if not e.is_rational_zero and not any(e == u for u in unique):
                 unique.append(e)
         coeff_eqs = unique
     return DeterminingResult(residuals, coeff_eqs)
@@ -135,10 +113,7 @@ def _default_collect_vars(residuals, ctx: JetContext) -> list[sp.Symbol]:
     candidates: set[sp.Symbol] = set()
     hidden: set[sp.Symbol] = set()
     for r in residuals:
-        f = r._field()
-        for i in _used(f):
-            g = f.field.symbols[i]
-            atom = _AMBIENT.atoms.get(g)
+        for _, g, atom in _generators(r._field()):
             if atom is not None:
                 hidden |= atom.free_symbols
                 continue
@@ -160,14 +135,13 @@ def collect_coefficients(residual: Expr, collect_vars: Sequence[sp.Symbol | str]
         return []
     f = residual._field()
     field, numer, denom = f.field, f.numer, f.denom
-    if Expr._of(field.raw_new(denom, field.ring.one)).free_symbols & set(syms):
-        raise NotPolynomialInVarsError(
-            f"residual denominator {denom.as_expr()} involves the collection variables"
-        )
-    for atom in filter(None, (_AMBIENT.atoms.get(field.symbols[i]) for i in _used(f))):
-        if atom.free_symbols & set(syms):
+    den = Expr._of(field.raw_new(denom, field.ring.one))
+    if den.free_symbols & set(syms):
+        raise NotPolynomialInVarsError(f"residual denominator {den} involves the collection variables")
+    for _, s, atom in _generators(f):
+        if atom is not None and atom.free_symbols & set(syms):
             raise NotPolynomialInVarsError(
-                f"collection variable occurs inside the non-polynomial term {atom.tree}"
+                f"collection variable occurs inside the non-polynomial term {Expr(s)}"
             )
     slots = [field.symbols.index(s) for s in syms if s in field.symbols]
     groups: dict[tuple, dict] = {}

@@ -469,9 +469,15 @@ def _signed(f):
     return f.raw_new(-f.numer, -f.denom) if f.denom.LC < 0 else f
 
 
-def _used(f) -> list[int]:
-    """Indices of the generators that occur in ``f``."""
-    return [i for i, (a, b) in enumerate(zip(f.numer.degrees(), f.denom.degrees())) if a > 0 or b > 0]
+def _generators(f) -> list[tuple[int, sp.Symbol, _Atom | None]]:
+    """(index, symbol, atom) for each generator that occurs in ``f``; the
+    atom is None for a symbol."""
+    symbols, atoms = f.field.symbols, _AMBIENT.atoms
+    return [
+        (i, symbols[i], atoms.get(symbols[i]))
+        for i, (a, b) in enumerate(zip(f.numer.degrees(), f.denom.degrees()))
+        if a > 0 or b > 0
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -581,11 +587,8 @@ class Expr:
 
     @property
     def free_symbols(self) -> frozenset:
-        f = self._frac
         out = set()
-        for i in _used(f):
-            s = f.field.symbols[i]
-            atom = _AMBIENT.atoms.get(s)
+        for _, s, atom in _generators(self._frac):
             out.update((s,) if atom is None else atom.free_symbols)
         return frozenset(out)
 
@@ -671,14 +674,13 @@ def _tree(f) -> sp.Expr:
     """The sympy tree of a field element.  Each product gets one merged exp;
     over a monomial denominator, an exp factor whose argument extracts a
     minus sign stays outside the sum it multiplies."""
-    field = f.field
-    atoms = [_AMBIENT.atoms.get(s) for s in field.symbols]
     numer, denom = f.numer, f.denom
-    used = _used(f)
-    if not any(atoms[i] for i in used):
+    generators = _generators(f)
+    if not any(atom for _, _, atom in generators):
         return numer.as_expr() / denom.as_expr()
-    exps = [i for i in used if atoms[i] is not None and atoms[i].head == "exp"]
-    trees = {i: field.symbols[i] if atoms[i] is None else atoms[i].tree for i in used}
+    atoms = {i: atom for i, _, atom in generators}
+    exps = [i for i, _, atom in generators if atom is not None and atom.head == "exp"]
+    trees = {i: s if atom is None else atom.tree for i, s, atom in generators}
     holders: dict[tuple, sp.Dummy] = {}
     nodes: dict[sp.Dummy, sp.Expr] = {}
 
@@ -694,7 +696,7 @@ def _tree(f) -> sp.Expr:
         terms = []
         for monom, c in p.iterterms():
             factors = [sp.Integer(int(c))]
-            factors += [trees[i] ** monom[i] for i in used if i not in shift and monom[i]]
+            factors += [tree ** monom[i] for i, tree in trees.items() if i not in shift and monom[i]]
             powers = tuple((i, monom[i] - shift[i]) for i in exps if monom[i] != shift[i])
             if powers:
                 factors.append(holder(powers))
@@ -752,9 +754,7 @@ def derivation(e: Expr, terms: Iterable[tuple[sp.Symbol, Expr]]) -> Expr:
     f = e._field()
     names = {s for s, _ in terms}
     images = []
-    for i in _used(f):
-        g = f.field.symbols[i]
-        atom = _AMBIENT.atoms.get(g)
+    for _, g, atom in _generators(f):
         if atom is None:
             cs = [c for s, c in terms if s == g]
             if cs:
@@ -822,9 +822,7 @@ def substitute(e: Expr, bindings: Mapping) -> Expr:
     while True:
         f = e._field()
         images = {}
-        for i in _used(f):
-            g = f.field.symbols[i]
-            atom = _AMBIENT.atoms.get(g)
+        for _, g, atom in _generators(f):
             if atom is None:
                 if g in mapping:
                     images[g] = mapping[g]
@@ -938,9 +936,10 @@ class ZeroVerdict:
 ZERO_VERDICT = ZeroVerdict("zero")
 
 
-def _sample_fraction(rng: random.Random) -> Fraction:
+def _sample_fraction(rng: random.Random, bound: int = 64) -> Fraction:
+    """A signed rational p/q with 1 <= p, q <= ``bound``."""
     sign = -1 if rng.random() < 0.5 else 1
-    return Fraction(sign * rng.randint(1, 64), rng.randint(1, 64))
+    return Fraction(sign * rng.randint(1, bound), rng.randint(1, bound))
 
 
 def _poly_at(p, point) -> Fraction:
@@ -976,7 +975,7 @@ def is_zero(
         return ZERO_VERDICT
     f = e._field()
     gens = f.field.symbols
-    exact = not any(gens[i] in _AMBIENT.atoms for i in _used(f))
+    exact = not any(atom for _, _, atom in _generators(f))
     # opaque applications act as independent unknowns: a smooth function and
     # its formal derivatives are jointly unconstrained at a point
     atom_map = {} if exact else {a: sp.Dummy(f"atom{k}") for k, a in enumerate(_opaque_atoms(e.sym))}

@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import sympy as sp
 
-from .exprs import Expr, ExprError, SingularPointError, eval_numeric
+from .exprs import Expr, ExprError, SingularPointError, _sample_fraction, eval_numeric
 from .jets import JetContext
 
 if TYPE_CHECKING:
@@ -164,30 +164,29 @@ def invariant_along_trajectory(e: Expr, traj: Trajectory):
     return values, deriv
 
 
+# attempts before sample_jet_point gives up on the deny list
+_MAX_ATTEMPTS = 400
+
+
 def sample_jet_point(
     ctx: JetContext,
     seed: int = 0,
     deny: Sequence[Expr] = (),
     order: int | None = None,
-    max_attempts: int = 400,
     bound: int = 64,
     threshold: float = 1e-3,
 ) -> dict[str, Fraction]:
-    """Random rational jet point with every deny-list expression bounded away
-    from zero (magnitude above the threshold, default 1e-3)."""
+    """Random rational jet point, each coordinate drawn as the zero test
+    draws its samples, with every deny-list expression bounded away from
+    zero (magnitude above the threshold, default 1e-3)."""
     rng = random.Random(seed)
     n = ctx.max_order if order is None else order
     names = [ctx.independent] + [str(ctx.coord(a, k)) for a in range(ctx.p) for k in range(n + 1)]
-    for _ in range(max_attempts):
-        pt = {
-            name: Fraction(
-                (-1 if rng.random() < 0.5 else 1) * rng.randint(1, bound), rng.randint(1, bound)
-            )
-            for name in names
-        }
+    for _ in range(_MAX_ATTEMPTS):
+        pt = {name: _sample_fraction(rng, bound) for name in names}
         try:
             if all(abs(eval_numeric(d, pt)) > threshold for d in deny):
                 return pt
         except SingularPointError:
             continue
-    raise ExprError(f"no admissible jet point found in {max_attempts} attempts")
+    raise ExprError(f"no admissible jet point found in {_MAX_ATTEMPTS} attempts")

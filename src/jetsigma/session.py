@@ -139,6 +139,13 @@ def _parse_fraction(text: str, lineno: int) -> Fraction:
         raise SessionError(f"bad rational literal {text!r}: {exc}", lineno)
 
 
+def _parse_int(text: str, lineno: int | None, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise SessionError(f"bad {what} {text.strip()!r}", lineno) from None
+
+
 def loads_session(text: str) -> Session:
     sections = list(_sections(text))
     if not sections or sections[0][0] != "context":
@@ -146,6 +153,7 @@ def loads_session(text: str) -> Session:
 
     # pass 1: context with optional parameter/function declarations
     ctx_kv: dict[str, str] = {}
+    ctx_lines: dict[str, int] = {}
     params: list[str] = []
     functions: dict[str, int] = {}
     for keyword, name, lines in sections:
@@ -155,6 +163,7 @@ def loads_session(text: str) -> Session:
                     raise SessionError(f"expected key=value, got {line!r}", lineno)
                 k, v = line.split("=", 1)
                 ctx_kv[k.strip()] = v.strip()
+                ctx_lines[k.strip()] = lineno
         elif keyword == "params":
             for lineno, line in lines:
                 params.extend(line.split())
@@ -167,18 +176,17 @@ def loads_session(text: str) -> Session:
                     if not ar.isdigit():
                         raise SessionError(f"bad arity in {token!r}", lineno)
                     functions[fname] = int(ar)
+    order = _parse_int(ctx_kv.get("order", "2"), ctx_lines.get("order"), "order")
     try:
         independent = ctx_kv.get("independent", "x")
         dependents = [d for d in ctx_kv.get("dependent", "").split(",") if d]
         if not dependents:
             raise SessionError("the [context] section must declare dependent variables")
-        order = int(ctx_kv.get("order", "2"))
         ctx = JetContext(independent, dependents, order, parameters=params, functions=functions)
     except ExprError as exc:
         raise SessionError(str(exc))
 
     session = Session(ctx)
-    P = ctx.parse
     implicit: list[Expr] = []
     solved: dict[str, Expr] = {}
     system_order = order
@@ -188,12 +196,11 @@ def loads_session(text: str) -> Session:
     change_retained: list[str] = []
     change_lines = False
     ansatz_phi: list[list[Expr]] = []
-    ansatz_sigma_text: str | None = None
-    ansatz_xi_zero = True
+    ansatz_sigma: list[list[Expr]] | None = None
 
     def parse_expr(text_: str, lineno: int) -> Expr:
         try:
-            return P(text_)
+            return ctx.parse(text_)
         except ExprError as exc:
             raise SessionError(f"{exc}", lineno)
 
@@ -245,7 +252,7 @@ def loads_session(text: str) -> Session:
                     coord, expr_text = body.split(":", 1)
                     solved[coord.strip()] = parse_expr(expr_text, lineno)
                 elif line.startswith("order="):
-                    system_order = int(line[len("order=") :])
+                    system_order = _parse_int(line[len("order=") :], lineno, "order")
                 else:
                     raise SessionError(f"unknown equation entry {line!r}", lineno)
         elif keyword == "invariant":
@@ -304,16 +311,23 @@ def loads_session(text: str) -> Session:
                     raise SessionError(f"unknown change entry {line!r}", lineno)
         elif keyword == "ansatz":
             for lineno, line in lines:
-                if line.startswith("phi"):
+                if line.startswith("phi") and "=" in line:
                     k, v = line.split("=", 1)
-                    idx = int(k[3:])
+                    idx = _parse_int(k[3:], lineno, "ansatz field index")
+                    if idx < 1:
+                        raise SessionError(f"ansatz field indices start at 1, got {k.strip()!r}", lineno)
                     while len(ansatz_phi) < idx:
                         ansatz_phi.append([])
                     ansatz_phi[idx - 1] = [parse_expr(p, lineno) for p in _split_top_commas(v)]
                 elif line.startswith("sigma="):
-                    ansatz_sigma_text = line[len("sigma=") :]
+                    ansatz_sigma = [
+                        [parse_expr(cell, lineno) for cell in _split_top_commas(row)]
+                        for row in line[len("sigma=") :].split(";")
+                    ]
                 elif line.startswith("xi_zero="):
-                    ansatz_xi_zero = line[len("xi_zero=") :].strip().lower() == "true"
+                    # ansatz fields are vertical; the entry may only say so
+                    if line[len("xi_zero=") :].strip().lower() != "true":
+                        raise SessionError("ansatz fields are vertical: only xi_zero=true is accepted", lineno)
                 else:
                     raise SessionError(f"unknown ansatz entry {line!r}", lineno)
         elif keyword == "oracle":
@@ -383,17 +397,11 @@ def loads_session(text: str) -> Session:
             )
         except ExprError as exc:
             raise SessionError(f"coordinate change rejected: {exc}")
-    if ansatz_phi or ansatz_sigma_text:
-        if not ansatz_phi or ansatz_sigma_text is None:
+    if ansatz_phi or ansatz_sigma:
+        if not ansatz_phi or ansatz_sigma is None:
             raise SessionError("an ansatz needs both phi templates and a sigma template")
-        rows = [
-            [P(cell) for cell in _split_top_commas(row)]
-            for row in ansatz_sigma_text.split(";")
-        ]
         try:
-            session.ansatz = Ansatz(
-                ctx, ansatz_phi, SigmaMatrix(ctx, rows), xi_zero=ansatz_xi_zero
-            )
+            session.ansatz = Ansatz(ctx, ansatz_phi, SigmaMatrix(ctx, ansatz_sigma))
         except ExprError as exc:
             raise SessionError(f"ansatz rejected: {exc}")
     return session

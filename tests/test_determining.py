@@ -10,7 +10,7 @@ from jetsigma.determining import (
     collect_coefficients,
     generate_determining,
 )
-from jetsigma.exprs import Expr, UndeclaredSymbolError, is_zero, substitute
+from jetsigma.exprs import Expr, ExprError, UndeclaredSymbolError, is_zero, substitute
 from jetsigma.jets import JetContext, VectorField, VectorFieldSet
 from jetsigma.prolong import SigmaMatrix
 from jetsigma.reduction import ODESystem, verify_sigma_symmetry
@@ -147,6 +147,35 @@ def test_collect_coefficients_rejects_hidden_variable():
         collect_coefficients(P("exp(u_1) + u_1"), ["u_1"])
     with pytest.raises(NotPolynomialInVarsError):
         collect_coefficients(P("1/u_1"), ["u_1"])
+    # the message prints the denominator in the grammar, atoms included
+    with pytest.raises(NotPolynomialInVarsError, match=r"denominator u_1 \+ exp\(u\) involves"):
+        collect_coefficients(P("1/(u_1 + exp(u))"), ["u_1"])
+
+
+def test_ansatz_templates_are_walked_in_the_field():
+    """Opaque applications are found inside kernel arguments too, and each
+    of their arguments must be a coordinate of order <= 1."""
+    ctx = JetContext("x", ["u"], 2, parameters=["c"], functions={"A": 1})
+    P = ctx.parse
+    zero = SigmaMatrix.zero(ctx, 1)
+    assert not Ansatz(ctx, phi=[[P("c*exp(u)")]], sigma=zero).has_opaque()
+    assert Ansatz(ctx, phi=[[P("c")]], sigma=SigmaMatrix(ctx, [[P("exp(A(u_1))")]])).has_opaque()
+    assert Ansatz(ctx, phi=[[P("sin(1 + A(x))")]], sigma=zero).has_opaque()
+    for bad in ("A(u_2)", "A(u + x)", "exp(A(2*u))"):
+        with pytest.raises(ExprError, match="opaque template argument"):
+            Ansatz(ctx, phi=[[P(bad)]], sigma=zero)
+
+
+def test_coefficient_equations_deduplicated_by_value():
+    """Two equal templates give equal residuals; their coefficient equations
+    are kept once, in first-seen order."""
+    ctx = JetContext("x", ["u"], 1, parameters=["a", "b"])
+    P = ctx.parse
+    sys = ODESystem(ctx, 1, [P("u_1 - u^2")], solved={"u_1": P("u^2")})
+    phi = [[P("a*u + b")], [P("a*u + b")]]
+    ansatz = Ansatz(ctx, phi=phi, sigma=SigmaMatrix.zero(ctx, 2))
+    eqs = generate_determining(sys, ansatz, ["u"]).coefficient_equations
+    assert eqs == [P("-a"), P("-2*b")]
 
 
 def test_linear_ansatz_admits_known_solution():

@@ -384,6 +384,17 @@ def test_normal_form_matches_cancel_reference():
     assert logged.args[0] == Expr(log_arg).sym and not logged.has(sp.log(2))
 
 
+def test_generators_are_the_ones_an_element_uses(table):
+    e = parse("v*exp(u) + sin(x)", table)
+    gens = exprs._generators(e._field())
+    assert [(s, atom is None) for _, s, atom in gens][0] == (sp.Symbol("v"), True)
+    assert sorted(print_expr(Expr(s)) for _, s, atom in gens if atom is not None) == ["exp(u)", "sin(x)"]
+    assert all(e._field().field.symbols[i] == s for i, s, _ in gens)
+    # a zero numerator uses no generator, whatever its subfield
+    assert exprs._generators((e - e)._field()) == []
+    assert exprs._generators(Expr.number(3)._field()) == []
+
+
 def test_float_rejected():
     with pytest.raises(Exception):
         Expr(sp.Float(0.5) * sp.Symbol("u"))

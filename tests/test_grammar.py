@@ -15,13 +15,23 @@ KERNELS = ["exp", "log", "sin", "cos", "arctan"]
 
 
 def _grammar_text():
-    leaf = st.one_of(st.integers(0, 12).map(str), st.sampled_from(NAMES))
+    """Leaves are coordinates three times in four, and the arithmetic
+    productions are drawn twice as often as the kernel and opaque ones, so
+    most drawn values depend on a coordinate.  Each weight is a separate
+    strategy object: ``one_of`` drops repeats of one object."""
+    leaf = st.one_of(*(st.sampled_from(NAMES) for _ in range(3)), st.integers(0, 12).map(str))
 
     def extend(inner):
+        def arithmetic():
+            return [
+                st.tuples(inner, st.sampled_from("+-*/"), inner).map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+                st.tuples(inner, st.integers(-3, 3)).map(lambda t: f"({t[0]})^{t[1]}"),
+                inner.map(lambda a: f"-({a})"),
+            ]
+
         return st.one_of(
-            st.tuples(inner, st.sampled_from("+-*/"), inner).map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
-            st.tuples(inner, st.integers(-3, 3)).map(lambda t: f"({t[0]})^{t[1]}"),
-            inner.map(lambda a: f"-({a})"),
+            *arithmetic(),
+            *arithmetic(),
             st.tuples(st.sampled_from(KERNELS), inner).map(lambda t: f"{t[0]}({t[1]})"),
             st.tuples(inner, inner).map(lambda t: f"A({t[0]},{t[1]})"),
             inner.map(lambda a: f"F({a})"),
@@ -50,6 +60,11 @@ def _grammar_text():
 @example("1/(u + exp(u - v))")
 @example("D(A,1,0)(u_1,v_xx)^-2")
 @example("1/(u - u)")
+@example("exp(1/u)*exp(-1/(u + 1)) - exp(1/(u^2 + u))").xfail(
+    reason="ROADMAP item 2: exp terms over denominators that share a factor are not reduced against "
+    "each other, so the element is nonzero but prints as text that parses to 0",
+    raises=AssertionError,
+)
 def test_parse_print_round_trip(text):
     try:
         e = parse(text, TABLE)

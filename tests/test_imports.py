@@ -2,7 +2,9 @@
 its module or re-exported through ``__all__``; importing the command-line
 front end leaves numpy unloaded; only ``exprs`` splits names at "_", so
 how a name such as ``u_3`` encodes a jet coordinate is decided in one module
-(``SymbolTable.lookup`` and ``SymbolTable.jet_index``); and only the zero test
+(``SymbolTable.lookup`` and ``SymbolTable.jet_index``); outside ``exprs`` an
+expression's sympy tree (``.sym``) is read only by the few functions that
+print, compile or reshape it (``TREE_READERS``); and only the zero test
 (``exprs``) and the jet-point sampler (``oracle``) draw random numbers, so no
 other verdict depends on a seed.  No library call picks its own sample count
 or seed either: ``trials=`` and ``seed=`` only forward the caller's values."""
@@ -59,6 +61,39 @@ def test_jet_names_decoded_only_in_exprs(module):
     with open(os.path.join(SRC, module), encoding="utf-8") as fh:
         tree = ast.parse(fh.read(), module)
     assert _underscore_splits(tree) == []
+
+
+# (module, qualified function name) pairs allowed to read ``Expr.sym``
+TREE_READERS = {
+    ("jets.py", "VectorField.__str__"),
+    ("oracle.py", "integrate"),
+    ("oracle.py", "invariant_along_trajectory"),
+    ("reduction.py", "reduce_system"),
+    ("involution.py", "_strip_rational_content"),
+}
+
+
+def _tree_reads(tree: ast.Module) -> list[tuple[str, int]]:
+    """(qualified name of the enclosing function, line) of each ``.sym`` read."""
+    reads = []
+
+    def visit(node: ast.AST, scope: str):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Attribute) and node.attr == "sym":
+            reads.append((scope, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return reads
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "exprs.py"])
+def test_trees_read_only_at_the_edges(module):
+    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), module)
+    assert [(scope, line) for scope, line in _tree_reads(tree) if (module, scope) not in TREE_READERS] == []
 
 
 def _imports_random(tree: ast.Module) -> bool:

@@ -3,13 +3,15 @@ import random
 import pytest
 
 from jetsigma import gallery
-from jetsigma.exprs import Expr, is_zero
+from jetsigma.exprs import Expr, _field_values, is_zero
 from jetsigma.jets import JetContext, VectorField, VectorFieldSet, lie_bracket
 from jetsigma.involution import (
     ClosureExceededError,
     NotInvolutiveError,
     check_involution_transfer,
     close_under_bracket,
+    _denominator_factors,
+    _size,
     expand_in_basis,
     structure_functions,
 )
@@ -212,3 +214,21 @@ def test_expand_in_basis_with_related_exp_atoms():
     # and exp(2u + v) as independent values
     target = VectorField.on_base(ctx, 0, [P("exp(2*u + v)"), P("exp(u + v)")])
     assert expand_in_basis(target, [y1]) == [P("exp(u)")]
+
+
+def test_denominator_factors_are_read_from_the_field():
+    """The irreducible factors of the denominators of values in one subfield;
+    an exp generator never vanishes and is left out, a constant is no factor."""
+    P = _ctx1().parse
+    texts = ["1/(u*(u + v)^2)", "exp(-u)/(v - 1)", "u/3", "u", "u + v", "v - 1"]
+    *values, u, uv, v1 = _field_values([P(t) for t in texts])
+    assert _denominator_factors(values) == {u.numer, uv.numer, v1.numer}
+
+
+def test_closure_size_counts_field_terms_and_atom_arguments():
+    P = _ctx1().parse
+    assert _size(P("3")) == 2
+    assert _size(P("(u + 1)/(v - 2)")) == 4
+    # one numerator term over 1, and the argument u + v over 1
+    assert _size(P("u*sin(u + v)")) == 5
+    assert _size(P("exp(u)/(1 + exp(u))")) == 5

@@ -72,6 +72,14 @@ def test_sample_jet_point_determinism():
     assert sample_jet_point(ctx, seed=3) == sample_jet_point(ctx, seed=3)
 
 
+def test_sample_jet_point_value_is_pinned():
+    """The point drawn for a seed stays what it was when the sampler drew its
+    own signed rationals instead of sharing the zero test's draw."""
+    ctx = JetContext("x", ["u", "v"], 2)
+    want = {"x": "-17/48", "u": "61/9", "u_1": "61/34", "u_2": "25/61", "v": "61/51", "v_1": "2/3", "v_2": "25"}
+    assert sample_jet_point(ctx, seed=3) == {k: Fraction(v) for k, v in want.items()}
+
+
 def test_sample_jet_point_deny():
     ctx = JetContext("x", ["u", "v"], 2)
     P = ctx.parse

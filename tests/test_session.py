@@ -69,6 +69,41 @@ implicit=q + u_1
     assert "line 7" in str(err.value)
 
 
+_MALFORMED_BASE = """[context]
+independent=x
+dependent=u
+order=1
+[equation]
+order=1
+solved=u_1:u
+[ansatz]
+phi1=u
+sigma=0
+xi_zero=true
+"""
+
+
+@pytest.mark.parametrize(
+    "lineno, line",
+    [(4, "order=two"), (6, "order=x"), (9, "phi="), (9, "phi0="), (10, "sigma=(u"), (11, "xi_zero=false")],
+    ids=["context-order", "equation-order", "phi-without-index", "phi-index-zero", "sigma-syntax", "xi-zero-false"],
+)
+def test_malformed_entry_is_a_session_error_with_its_line(tmp_path, capsys, lineno, line):
+    """A malformed integer or twist template, or a request for non-vertical
+    ansatz fields, ends in ``error: ... (line N)`` and exit status 1, not a
+    traceback or an error without its line."""
+    lines = _MALFORMED_BASE.splitlines()
+    path = tmp_path / "base.session"
+    path.write_text(_MALFORMED_BASE)
+    assert main(["determining", "--session", str(path)]) == 0
+    capsys.readouterr()
+    lines[lineno - 1] = line
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["determining", "--session", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"(line {lineno})" in err
+
+
 def test_run_all_exit_zero():
     s = load_session(_path("exp_coupled_pair"))
     rep, extra = run("all", s)
