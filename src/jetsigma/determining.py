@@ -10,7 +10,7 @@ from typing import Sequence
 
 import sympy as sp
 
-from .exprs import Expr, ExprError, _generators, _name_symbol
+from .exprs import Expr, ExprError, _generators, _name_symbol, _opaque_applications
 from .jets import JetContext, VectorField, VectorFieldSet
 from .prolong import SigmaMatrix
 from .reduction import ODESystem, symmetry_residuals
@@ -26,16 +26,6 @@ __all__ = [
 
 class NotPolynomialInVarsError(ExprError):
     """The residual is not polynomial in the requested collection variables."""
-
-
-def _opaque_applications(e: Expr):
-    """The opaque atoms of ``e``, those inside other atoms' arguments too."""
-    for _, _, atom in _generators(e._field()):
-        if atom is not None:
-            if not isinstance(atom.head, str):
-                yield atom
-            for arg in atom.args:
-                yield from _opaque_applications(arg)
 
 
 @dataclass

@@ -30,21 +30,27 @@ Atoms are built unevaluated.  The kernel rewrites are exactly these:
     is "negative" when its numerator's leading coefficient is negative
 
 so exp(log(u)), log(2*u) and sin(u)^2 + cos(u)^2 stay as they are.  sympy
-trees are built only at the edges (printing, hashing, ``lambdify``, numeric
-evaluation); each product in them carries one merged ``exp(...)``.  No
-float ever enters a symbolic expression.
+trees are built only at the edges: to print, to ``lambdify``, to read an
+``Expr(sp.Expr)`` input and to name atoms; each product in them carries one
+merged ``exp(...)``.  Hashing reads the field element, and numeric
+evaluation and the zero test walk the generators (``_value``): exact in Q
+without kernel atoms, to 30 digits with them.  No float ever enters a
+symbolic expression.
 """
 
 from __future__ import annotations
 
+import numbers
 import random
 import re
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
+from sys import float_info
 from typing import Callable, Iterable, Mapping, Sequence
 
+import mpmath
 import sympy as sp
 from sympy.core.add import _addsort
 from sympy.core.mul import _mulsort
@@ -146,10 +152,6 @@ def _opaque_class(name: str, arity: int, orders: tuple[int, ...] | None = None):
 
 def _is_opaque(node) -> bool:
     return isinstance(node, sp.Function) and hasattr(type(node), "_opaque_base")
-
-
-def _opaque_atoms(e: sp.Expr):
-    return sorted((a for a in e.atoms(sp.Function) if _is_opaque(a)), key=sp.default_sort_key)
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +482,16 @@ def _generators(f) -> list[tuple[int, sp.Symbol, _Atom | None]]:
     ]
 
 
+def _opaque_applications(e: "Expr"):
+    """The opaque atoms of ``e``, those inside other atoms' arguments too."""
+    for _, _, atom in _generators(e._field()):
+        if atom is not None:
+            if not isinstance(atom.head, str):
+                yield atom
+            for arg in atom.args:
+                yield from _opaque_applications(arg)
+
+
 # ---------------------------------------------------------------------------
 # the Expr wrapper
 # ---------------------------------------------------------------------------
@@ -579,7 +591,10 @@ class Expr:
         return a == b
 
     def __hash__(self):
-        return hash(self.sym)
+        # a subfield move or an exp generator's retirement relabels the
+        # monomials but keeps their coefficients
+        f = self._frac
+        return hash((self.free_symbols, tuple(sorted(f.numer.values())), tuple(sorted(f.denom.values()))))
 
     @property
     def is_rational_zero(self) -> bool:
@@ -853,58 +868,68 @@ def substitute(e: Expr, bindings: Mapping) -> Expr:
 # ---------------------------------------------------------------------------
 
 
-def _to_rational(v) -> sp.Rational:
-    if isinstance(v, Fraction):
-        return sp.Rational(v.numerator, v.denominator)
-    if isinstance(v, (int, sp.Rational)):
-        return sp.Rational(v)
-    if isinstance(v, float):
-        return sp.Rational(Fraction(v).limit_denominator(10**12))
-    raise ExprError(f"point component {v!r} is not rational")
+_MP = mpmath.MPContext()
+_MP.dps = 30
+_MP_KERNELS = {"exp": _MP.exp, "log": _MP.log, "sin": _MP.sin, "cos": _MP.cos, "arctan": _MP.atan}
 
 
-def _finalize_numeric(val: sp.Expr) -> float:
-    v = val.evalf(20)
-    if v.has(sp.zoo, sp.oo, -sp.oo, sp.nan):
-        raise SingularPointError("evaluation produced a pole or indeterminate value")
-    if v.free_symbols:
-        raise ExprError(f"unbound symbols in numeric evaluation: {sorted(map(str, v.free_symbols))}")
-    if not v.is_real:
-        im = abs(sp.im(v))
-        if im > sp.Float(1e-30):
-            raise SingularPointError("evaluation left the real domain (log of a nonpositive value?)")
-        v = sp.re(v)
-    try:
-        return float(v)
-    except (OverflowError, TypeError) as exc:
-        raise SingularPointError(f"evaluation overflowed: {exc}") from exc
+def _poly_at(p, point) -> Fraction:
+    """p with generator i at ``point[i]``; exact over Fractions."""
+    total = Fraction(0)
+    for monom, c in p.iterterms():
+        term = Fraction(int(c))
+        for i, k in enumerate(monom):
+            if k:
+                term *= point[i] ** k
+        total += term
+    return total
 
 
-def eval_numeric(
-    e: Expr | sp.Expr,
-    point: Mapping,
-    opaque_defs: Mapping[str, Callable] | None = None,
-) -> float:
-    """Evaluate at a rational point: exact rational arithmetic everywhere,
-    floats only at the final kernel/opaque evaluations."""
-    opaque_defs = opaque_defs or {}
-    sub = {}
-    for key, val in point.items():
-        ks = _name_symbol(key) if isinstance(key, str) else key
-        sub[ks] = _to_rational(val)
-    val = (e.sym if isinstance(e, Expr) else e).xreplace(sub)
-    for node in _opaque_atoms(val):
-        cls = type(node)
-        key = cls.__name__
-        fn = opaque_defs.get(key) or opaque_defs.get(cls._opaque_base if not any(cls._opaque_orders) else key)
-        if fn is None:
-            raise ExprError(f"no definition supplied for opaque application '{key}'")
-        args = [_finalize_numeric(sp.sympify(a)) for a in node.args]
-        val = val.xreplace({node: sp.Float(fn(*args), 20)})
-    missing = val.free_symbols
-    if missing:
-        raise ExprError(f"unbound symbols in numeric evaluation: {sorted(map(str, missing))}")
-    return _finalize_numeric(val)
+def _value(f, point: Mapping, unknowns: Mapping):
+    """``f`` at ``point`` (symbol -> Fraction), each opaque atom taking its
+    value from ``unknowns`` and each kernel atom its kernel at its argument's
+    value (divided by an exp atom's scale) to 30 digits: an exact Fraction
+    unless ``f`` has a kernel atom."""
+    values = {}
+    for i, s, atom in _generators(f):
+        if atom is None:
+            if s not in point:
+                raise ExprError(f"unbound symbols in numeric evaluation: {s}")
+            values[i] = point[s]
+        elif isinstance(atom.head, str):
+            g = _value(atom.args[0]._field(), point, unknowns) / atom.scale
+            if atom.head == "log" and g <= 0:
+                raise SingularPointError("log of a nonpositive value")
+            values[i] = _MP_KERNELS[atom.head](g)
+        elif atom in unknowns:
+            values[i] = unknowns[atom]
+        else:
+            raise ExprError(f"no value for the opaque application {atom.name}")
+    num, den = _poly_at(f.numer, values), _poly_at(f.denom, values)
+    if not den:
+        raise SingularPointError("evaluation hit a pole")
+    # a Fraction divides by an mpf only once converted
+    return num / den if isinstance(den, Fraction) else _MP.convert(num) / den
+
+
+def _finite(value) -> float:
+    """``value`` as a float; SingularPointError if it overflows one."""
+    if abs(value) > float_info.max:
+        raise SingularPointError("evaluation overflowed a float")
+    return float(value)
+
+
+def eval_numeric(e: Expr | sp.Expr, point: Mapping) -> float:
+    """``e`` at a rational point (``_value``), as a float.  A pole, a log of
+    a nonpositive value or a result too large for a float raises
+    SingularPointError; an unbound symbol or an opaque atom, ExprError."""
+    at = {}
+    for key, v in point.items():
+        if not isinstance(v, (float, numbers.Rational)):
+            raise ExprError(f"point component {v!r} is not rational")
+        v = Fraction(v).limit_denominator(10**12) if isinstance(v, float) else Fraction(v)
+        at[_name_symbol(key) if isinstance(key, str) else key] = v
+    return _finite(_value(normalize(e)._field(), at, {}))
 
 
 # ---------------------------------------------------------------------------
@@ -942,75 +967,57 @@ def _sample_fraction(rng: random.Random, bound: int = 64) -> Fraction:
     return Fraction(sign * rng.randint(1, bound), rng.randint(1, bound))
 
 
-def _poly_at(p, point) -> Fraction:
-    """p at exact rational values, ``point[i]`` for generator i."""
-    total = Fraction(0)
-    for monom, c in p.iterterms():
-        term = Fraction(int(c))
-        for i, k in enumerate(monom):
-            if k:
-                term *= point[i] ** k
-        total += term
-    return total
+def _unknowns(f) -> set:
+    """The symbols and opaque atoms of ``f`` outside opaque arguments."""
+    out = set()
+    for _, s, atom in _generators(f):
+        kernel = atom is not None and isinstance(atom.head, str)
+        out |= _unknowns(atom.args[0]._field()) if kernel else {atom or s}
+    return out
 
 
-def is_zero(
-    e: Expr,
-    trials: int = 20,
-    seed: int = 0,
-    deny: Sequence[Expr] = (),
-) -> ZeroVerdict:
+def is_zero(e: Expr, trials: int = 20, seed: int = 0, deny: Sequence[Expr] = ()) -> ZeroVerdict:
     """Zero iff the normal form is the rational constant 0.  Otherwise
     sample random rational points, skipping singular ones and points where a
-    ``deny`` expression nearly vanishes.  A value without atoms is a
-    rational function: the first point where its numerator is nonzero (and
-    its denominator is not) is an exact witness.  A value with atoms is
-    evaluated numerically, with opaque applications as independent
-    unknowns; a value above 1e-9 in magnitude is a witness, and if every
-    sample vanishes the result is Unknown (a possible identity outside the
-    rewrite set, such as sin^2 + cos^2 = 1)."""
+    ``deny`` expression nearly vanishes; each sample is ``_value``, with the
+    opaque applications as unknowns drawn with the symbols.  A value without
+    atoms is exact: the first point where its numerator is nonzero is a
+    witness.  A value with atoms is a witness above 1e-9 in magnitude, and
+    if every sample vanishes the result is Unknown (a possible identity
+    outside the rewrite set, such as sin^2 + cos^2 = 1)."""
     if trials < 1:
         raise ExprError("trials must be >= 1")
     if e.is_rational_zero:
         return ZERO_VERDICT
     f = e._field()
-    gens = f.field.symbols
     exact = not any(atom for _, _, atom in _generators(f))
-    # opaque applications act as independent unknowns: a smooth function and
-    # its formal derivatives are jointly unconstrained at a point
-    atom_map = {} if exact else {a: sp.Dummy(f"atom{k}") for k, a in enumerate(_opaque_atoms(e.sym))}
-    probe = None if exact else e.sym.xreplace(atom_map)
+    # a smooth function and its formal derivatives are jointly unconstrained
+    # at a point; the opaque atoms, those inside opaque arguments included,
+    # are named atom0, atom1, ... in the order of their trees
+    opaque = sorted(set(_opaque_applications(e)), key=lambda a: sp.default_sort_key(a.tree))
+    names = {atom: f"atom{k}" for k, atom in enumerate(opaque)}
     # the deny expressions are evaluated at the same point, so it binds their
     # symbols too
-    symbols = set(e.free_symbols if exact else probe.free_symbols).union(*(d.free_symbols for d in deny))
-    symbols = sorted(symbols, key=lambda s: s.name)
+    unknowns = _unknowns(f).union(*(d.free_symbols for d in deny))
+    unknowns = sorted(unknowns, key=lambda x: names[x] if isinstance(x, _Atom) else x.name)
     rng = random.Random(seed)
-    done = 0
-    attempts = 0
+    done = attempts = 0
     while done < trials:
         attempts += 1
         if attempts > 10 * trials:
-            raise SingularDomainError(
-                f"no nonsingular sample point found in {attempts - 1} attempts"
-            )
-        assignment = {s: _sample_fraction(rng) for s in symbols}
+            raise SingularDomainError(f"no nonsingular sample point found in {attempts - 1} attempts")
+        # one draw binds the symbols and the opaque atoms alike
+        draw = {x: _sample_fraction(rng) for x in unknowns}
         try:
-            if any(abs(eval_numeric(d.sym.xreplace(atom_map), assignment)) <= 1e-3 for d in deny):
+            if any(abs(_finite(_value(d._field(), draw, draw))) <= 1e-3 for d in deny):
                 continue
-            if exact:
-                point = [assignment.get(s) for s in gens]
-                num, den = _poly_at(f.numer, point), _poly_at(f.denom, point)
-                if not den:
-                    continue
-                value = float(num / den)
-            else:
-                value = eval_numeric(probe, assignment)
-                num = abs(value) > 1e-9
+            value = _value(f, draw, draw)
+            number = _finite(value)
         except SingularPointError:
             continue
-        if num:
-            witness = {str(k): v for k, v in assignment.items()}
-            return ZeroVerdict("nonzero", witness=witness, value=value)
+        if value != 0 if exact else abs(number) > 1e-9:
+            witness = {f"_{names[x]}" if isinstance(x, _Atom) else x.name: v for x, v in draw.items()}
+            return ZeroVerdict("nonzero", witness=witness, value=number)
         done += 1
     return ZeroVerdict("unknown")
 

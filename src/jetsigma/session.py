@@ -85,21 +85,15 @@ class Session:
 
 
 def _split_top_commas(text: str) -> list[str]:
-    parts = []
-    depth = 0
-    current = []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
+    """The comma-separated cells of ``text`` outside parentheses, stripped;
+    an empty cell is kept, so the caller reports it with its line."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        depth += (ch == "(") - (ch == ")")
         if ch == "," and depth == 0:
-            parts.append("".join(current).strip())
-            current = []
-        else:
-            current.append(ch)
-    parts.append("".join(current).strip())
-    return [p for p in parts if p]
+            parts.append(text[start:i].strip())
+            start = i + 1
+    return parts + [text[start:].strip()]
 
 
 def _sections(text: str):
@@ -173,10 +167,12 @@ def loads_session(text: str) -> Session:
                     if "/" not in token:
                         raise SessionError(f"expected name/arity, got {token!r}", lineno)
                     fname, ar = token.split("/", 1)
-                    if not ar.isdigit():
+                    if not ar.isdigit() or int(ar) < 1:
                         raise SessionError(f"bad arity in {token!r}", lineno)
                     functions[fname] = int(ar)
     order = _parse_int(ctx_kv.get("order", "2"), ctx_lines.get("order"), "order")
+    if order < 0:
+        raise SessionError("order must be >= 0", ctx_lines.get("order"))
     try:
         independent = ctx_kv.get("independent", "x")
         dependents = [d for d in ctx_kv.get("dependent", "").split(",") if d]
@@ -199,6 +195,8 @@ def loads_session(text: str) -> Session:
     ansatz_sigma: list[list[Expr]] | None = None
 
     def parse_expr(text_: str, lineno: int) -> Expr:
+        if not text_.strip():
+            raise SessionError("empty expression (a doubled or trailing comma?)", lineno)
         try:
             return ctx.parse(text_)
         except ExprError as exc:
@@ -253,6 +251,8 @@ def loads_session(text: str) -> Session:
                     solved[coord.strip()] = parse_expr(expr_text, lineno)
                 elif line.startswith("order="):
                     system_order = _parse_int(line[len("order=") :], lineno, "order")
+                    if system_order < 1:
+                        raise SessionError("system order must be >= 1", lineno)
                 else:
                     raise SessionError(f"unknown equation entry {line!r}", lineno)
         elif keyword == "invariant":

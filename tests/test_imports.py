@@ -7,9 +7,13 @@ expression's sympy tree (``.sym``) is read only by the few functions that
 print, compile or reshape it (``TREE_READERS``); and only the zero test
 (``exprs``) and the jet-point sampler (``oracle``) draw random numbers, so no
 other verdict depends on a seed.  No library call picks its own sample count
-or seed either: ``trials=`` and ``seed=`` only forward the caller's values."""
+or seed either: ``trials=`` and ``seed=`` only forward the caller's values.
+Every function the benchmark's tracer wraps (``perfbench/tracing.py``
+``TARGETS``) exists where it says."""
 
 import ast
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -155,3 +159,24 @@ def test_cli_import_leaves_numpy_unloaded():
         capture_output=True, text=True, env=env, check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_perfbench_trace_targets_resolve():
+    """A renamed or moved library function would drop out of the per-layer
+    trace silently; each target must be defined on the owner it names, as
+    ``Tracer.install`` reads it."""
+    path = os.path.join(SRC, "..", "..", "perfbench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for name, module, paths in tracing.TARGETS:
+        home = importlib.import_module(f"jetsigma.{module}")
+        for target in paths:
+            try:
+                owner, attr = tracing._resolve(home, target)
+            except AttributeError:
+                owner, attr = None, None
+            if owner is None or attr not in vars(owner):
+                missing.append(f"{name}: jetsigma.{module}.{target}")
+    assert missing == []

@@ -85,8 +85,24 @@ xi_zero=true
 
 @pytest.mark.parametrize(
     "lineno, line",
-    [(4, "order=two"), (6, "order=x"), (9, "phi="), (9, "phi0="), (10, "sigma=(u"), (11, "xi_zero=false")],
-    ids=["context-order", "equation-order", "phi-without-index", "phi-index-zero", "sigma-syntax", "xi-zero-false"],
+    [
+        (4, "order=two"),
+        (4, "order=-1"),
+        (6, "order=x"),
+        (6, "order=-3"),
+        (9, "phi="),
+        (9, "phi0="),
+        (9, "phi1=u,"),
+        (10, "sigma=(u"),
+        (10, "sigma=0,"),
+        (10, "sigma=0;"),
+        (11, "xi_zero=false"),
+    ],
+    ids=[
+        "context-order", "context-order-negative", "equation-order", "equation-order-negative",
+        "phi-without-index", "phi-index-zero", "phi-trailing-comma", "sigma-syntax", "sigma-trailing-comma",
+        "sigma-trailing-semicolon", "xi-zero-false",
+    ],
 )
 def test_malformed_entry_is_a_session_error_with_its_line(tmp_path, capsys, lineno, line):
     """A malformed integer or twist template, or a request for non-vertical
@@ -102,6 +118,25 @@ def test_malformed_entry_is_a_session_error_with_its_line(tmp_path, capsys, line
     assert main(["determining", "--session", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"(line {lineno})" in err
+
+
+@pytest.mark.parametrize(
+    "body, lineno",
+    [
+        ("[functions]\nA/1 B/0", 5),
+        ("[matrix A]\nrow=1,", 5),
+        ("[matrix A]\nrow=1,,2", 5),
+        ("[matrix A]\nrow=,1", 5),
+        ("[oracle]\ninitial=u:1,", 5),
+    ],
+    ids=["arity-zero", "matrix-trailing-comma", "matrix-doubled-comma", "matrix-leading-comma", "initial-trailing-comma"],
+)
+def test_bad_entry_names_its_line(body, lineno):
+    """An arity below 1 or an empty cell in a comma-separated row is a
+    SessionError carrying the entry's line, not a shorter row."""
+    with pytest.raises(SessionError) as err:
+        loads_session(f"[context]\ndependent=u\norder=1\n{body}\n")
+    assert err.value.line == lineno
 
 
 def test_run_all_exit_zero():
