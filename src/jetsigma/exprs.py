@@ -524,8 +524,10 @@ class Expr:
             sym, frac = raw._sym, raw._frac
         elif isinstance(raw, sp.Symbol):
             sym, frac = None, _AMBIENT.gen(raw)
-        elif isinstance(raw, (int, Fraction, sp.Expr)):
-            sym, frac = None, _from_tree(sp.sympify(raw))
+        elif isinstance(raw, (int, Fraction)) and not isinstance(raw, bool):
+            sym, frac = None, Expr.number(raw)._frac
+        elif isinstance(raw, sp.Expr):
+            sym, frac = None, _from_tree(raw)
         else:
             raise TypeError(f"cannot interpret {raw!r} as an expression")
         object.__setattr__(self, "_sym", sym)

@@ -4,6 +4,7 @@ in one text format that commands can load and re-emit."""
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
@@ -84,20 +85,38 @@ class Session:
         return self._solved
 
 
-def _split_top_commas(text: str) -> list[str]:
-    """The comma-separated cells of ``text`` outside parentheses, stripped;
-    an empty cell is kept, so the caller reports it with its line."""
-    parts, depth, start = [], 0, 0
-    for i, ch in enumerate(text):
-        depth += (ch == "(") - (ch == ")")
-        if ch == "," and depth == 0:
-            parts.append(text[start:i].strip())
-            start = i + 1
-    return parts + [text[start:].strip()]
+# keyword: (keys read once, as a regex; keys that may repeat; takes a name;
+# may repeat).  A section with no keys lists bare words.  A named section
+# appears once per name.
+_SECTIONS = {
+    "context": ("independent|dependent|order", (), False, False),
+    "params": (None, (), False, False),
+    "functions": (None, (), False, False),
+    "field": ("xi|phi", (), True, False),
+    "sigma": (None, ("row",), False, False),
+    "equation": ("order", ("implicit", "solved"), False, False),
+    "invariant": ("order|expr|eta", (), False, True),
+    "matrix": ("convention", ("row",), True, False),
+    "change": (r"inverse\s+\S+|\S+", ("retained",), False, False),
+    "ansatz": (r"phi[1-9]\d*|sigma|xi_zero", (), False, False),
+    "oracle": ("initial|t1|step", (), False, False),
+    "deny": (None, ("expr",), False, True),
+}
+_WORDS = ("params", "functions")
 
 
-def _sections(text: str):
-    """Yield (header, name, [(lineno, line), ...]) triples."""
+def _once(seen: set, what: str, lineno: int) -> None:
+    """Record ``what``; recording it a second time is an error."""
+    if what in seen:
+        raise SessionError(f"repeated {what}", lineno)
+    seen.add(what)
+
+
+def _sections(text: str, seen: set):
+    """Yield (keyword, name, header line, [(lineno, key, value), ...]) for
+    each section, checked against _SECTIONS.  Each own-line entry and each
+    header-line token is split into key and value at its first '=', both
+    stripped; the value of a bare word is None."""
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -107,303 +126,219 @@ def _sections(text: str):
             end = line.find("]")
             if end < 0:
                 raise SessionError("unterminated section header", lineno)
-            header = line[1:end].strip()
-            rest = line[end + 1 :].strip()
-            parts = header.split(None, 1)
-            keyword = parts[0]
-            name = parts[1].strip() if len(parts) > 1 else None
             if current is not None:
                 yield current
-            current = (keyword, name, [])
-            if rest:
-                for token in rest.split():
-                    current[2].append((lineno, token))
+            keyword, _, name = line[1:end].strip().partition(" ")
+            name = name.strip() or None
+            if keyword not in _SECTIONS:
+                raise SessionError(f"unknown section [{keyword}]", lineno)
+            once, many, named, repeats = _SECTIONS[keyword]
+            if named != (name is not None):
+                raise SessionError(f"a [{keyword}] section {'needs a' if named else 'takes no'} name", lineno)
+            if not repeats:
+                _once(seen, f"[{keyword}{' ' + name if named else ''}] section", lineno)
+            current, keys = (keyword, name, lineno, []), set()
+            tokens = line[end + 1 :].split()
+        elif current is None:
+            raise SessionError("content before the first section header", lineno)
         else:
-            if current is None:
-                raise SessionError("content before the first section header", lineno)
-            current[2].append((lineno, line))
+            tokens = [line]
+        for token in tokens:
+            key, eq, value = token.partition("=")
+            key, value = " ".join(key.split()), value.strip()
+            if (keyword in _WORDS) == bool(eq):
+                raise SessionError(f"expected {'names' if keyword in _WORDS else 'key=value'}, got {token!r}", lineno)
+            if keyword not in _WORDS and key not in many:
+                if once is None or not re.fullmatch(once, key):
+                    raise SessionError(f"unknown [{keyword}] entry {key!r}", lineno)
+                _once(keys, f"{key}= entry", lineno)
+            current[3].append((lineno, key, value if eq else None))
     if current is not None:
         yield current
 
 
-def _parse_fraction(text: str, lineno: int) -> Fraction:
+def _at(lineno: int, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, with a library error reported at ``lineno``."""
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SessionError(f"bad rational literal {text!r}: {exc}", lineno)
+        return build(*args, **kwargs)
+    except SessionError:
+        raise
+    except ExprError as exc:
+        raise SessionError(str(exc), lineno) from None
 
 
-def _parse_int(text: str, lineno: int | None, what: str) -> int:
+def _split_top_commas(text: str, lineno: int) -> list[str]:
+    """The comma-separated cells of ``text`` outside parentheses, stripped;
+    an empty cell is an error at ``lineno``."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        depth += (ch == "(") - (ch == ")")
+        if ch == "," and depth == 0:
+            parts.append(text[start:i].strip())
+            start = i + 1
+    parts.append(text[start:].strip())
+    if "" in parts:
+        raise SessionError(f"empty cell in {text!r} (a doubled or trailing comma?)", lineno)
+    return parts
+
+
+def _pair(text: str, lineno: int) -> tuple[str, str]:
+    """The coordinate and value of a ``coordinate:value`` cell."""
+    coord, colon, value = (part.strip() for part in text.partition(":"))
+    if not colon:
+        raise SessionError(f"expected coordinate:value, got {text!r}", lineno)
+    return coord, value
+
+
+def _int(text: str, lineno: int, what: str, low: int) -> int:
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
-        raise SessionError(f"bad {what} {text.strip()!r}", lineno) from None
+        raise SessionError(f"bad {what} {text!r}", lineno) from None
+    if value < low:
+        raise SessionError(f"{what} must be >= {low}, got {value}", lineno)
+    return value
+
+
+def _fraction(text: str, lineno: int, positive: bool = False) -> Fraction:
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SessionError(f"bad rational literal {text!r}: {exc}", lineno) from None
+    if positive and value <= 0:
+        raise SessionError(f"expected a positive value, got {text!r}", lineno)
+    return value
+
+
+def _choose(text: str, lineno: int, key: str, choices: tuple[str, ...]) -> str:
+    if text not in choices:
+        raise SessionError(f"{key} must be {' or '.join(choices)}, got {text!r}", lineno)
+    return text
 
 
 def loads_session(text: str) -> Session:
-    sections = list(_sections(text))
+    seen: set[str] = set()
+    sections = list(_sections(text, seen))
     if not sections or sections[0][0] != "context":
-        raise SessionError("the first section must be [context]", 1)
+        raise SessionError("the first section must be [context]", sections[0][2] if sections else 1)
 
-    # pass 1: context with optional parameter/function declarations
-    ctx_kv: dict[str, str] = {}
-    ctx_lines: dict[str, int] = {}
-    params: list[str] = []
-    functions: dict[str, int] = {}
-    for keyword, name, lines in sections:
-        if keyword == "context":
-            for lineno, line in lines:
-                if "=" not in line:
-                    raise SessionError(f"expected key=value, got {line!r}", lineno)
-                k, v = line.split("=", 1)
-                ctx_kv[k.strip()] = v.strip()
-                ctx_lines[k.strip()] = lineno
-        elif keyword == "params":
-            for lineno, line in lines:
-                params.extend(line.split())
-        elif keyword == "functions":
-            for lineno, line in lines:
-                for token in line.split():
-                    if "/" not in token:
-                        raise SessionError(f"expected name/arity, got {token!r}", lineno)
-                    fname, ar = token.split("/", 1)
-                    if not ar.isdigit() or int(ar) < 1:
-                        raise SessionError(f"bad arity in {token!r}", lineno)
-                    functions[fname] = int(ar)
-    order = _parse_int(ctx_kv.get("order", "2"), ctx_lines.get("order"), "order")
-    if order < 0:
-        raise SessionError("order must be >= 0", ctx_lines.get("order"))
-    try:
-        independent = ctx_kv.get("independent", "x")
-        dependents = [d for d in ctx_kv.get("dependent", "").split(",") if d]
-        if not dependents:
-            raise SessionError("the [context] section must declare dependent variables")
-        ctx = JetContext(independent, dependents, order, parameters=params, functions=functions)
-    except ExprError as exc:
-        raise SessionError(str(exc))
+    # pass 1: the context, with the parameter and function declarations
+    context_line = sections[0][2]
+    context = {k: (v, n) for n, k, v in sections[0][3]}
+    words = {kw: [(w, n) for n, k, _ in entries for w in k.split()] for kw, _, _, entries in sections if kw in _WORDS}
+    params = words.get("params", [])
+    if "dependent" not in context:
+        raise SessionError("the [context] section must declare dependent variables", context_line)
+    independent = context.get("independent", ("x", context_line))
+    dependents = _split_top_commas(*context["dependent"])
+    declared = [independent, *((d, context["dependent"][1]) for d in dependents), *params]
+    functions = {}
+    for word, lineno in words.get("functions", []):
+        fname, slash, arity = word.partition("/")
+        if not slash:
+            raise SessionError(f"expected name/arity, got {word!r}", lineno)
+        functions[fname] = _int(arity, lineno, "arity", 1)
+        declared.append((fname, lineno))
+    for name, lineno in declared:
+        _once(seen, f"declaration of {name!r}", lineno)
+    order = _int(*context.get("order", ("2", context_line)), "order", 0)
+    parameters = [w for w, _ in params]
+    ctx = _at(context_line, JetContext, independent[0], dependents, order, parameters=parameters, functions=functions)
+
+    def parse_at(text_: str, lineno: int) -> Expr:
+        return _at(lineno, ctx.parse, text_)
+
+    def parse_cells(text_: str, lineno: int) -> list[Expr]:
+        return [parse_at(cell, lineno) for cell in _split_top_commas(text_, lineno)]
 
     session = Session(ctx)
-    implicit: list[Expr] = []
-    solved: dict[str, Expr] = {}
-    system_order = order
     fields: list[VectorField] = []
-    change_new: dict[str, Expr] = {}
-    change_inverse: dict[str, str] = {}
-    change_retained: list[str] = []
-    change_lines = False
-    ansatz_phi: list[list[Expr]] = []
-    ansatz_sigma: list[list[Expr]] | None = None
-
-    def parse_expr(text_: str, lineno: int) -> Expr:
-        if not text_.strip():
-            raise SessionError("empty expression (a doubled or trailing comma?)", lineno)
-        try:
-            return ctx.parse(text_)
-        except ExprError as exc:
-            raise SessionError(f"{exc}", lineno)
-
-    for keyword, name, lines in sections:
-        if keyword in ("context", "params", "functions"):
-            continue
+    sigma_line = None
+    for keyword, name, head, entries in sections:
+        one = {k: (v, n) for n, k, v in entries}
+        rows = [parse_cells(v, n) for n, k, v in entries if k == "row"]
         if keyword == "field":
-            if name is None:
-                raise SessionError("a [field] section needs a name")
-            xi = Expr.number(0)
-            phis: list[Expr] | None = None
-            for lineno, line in lines:
-                if "=" not in line:
-                    raise SessionError(f"expected key=value, got {line!r}", lineno)
-                k, v = line.split("=", 1)
-                k = k.strip()
-                if k == "xi":
-                    xi = parse_expr(v, lineno)
-                elif k == "phi":
-                    phis = [parse_expr(p, lineno) for p in _split_top_commas(v)]
-                else:
-                    raise SessionError(f"unknown field entry {k!r}", lineno)
-            if phis is None or len(phis) != ctx.p:
-                raise SessionError(
-                    f"field '{name}' needs phi with {ctx.p} component(s)"
-                )
+            phis = parse_cells(*one["phi"]) if "phi" in one else []
+            if len(phis) != ctx.p:
+                raise SessionError(f"field '{name}' needs phi with {ctx.p} component(s)", head)
             session.field_names.append(name)
-            fields.append(VectorField.on_base(ctx, xi, phis))
+            fields.append(VectorField.on_base(ctx, parse_at(*one.get("xi", ("0", head))), phis))
         elif keyword == "sigma":
-            rows = []
-            for lineno, line in lines:
-                if not line.startswith("row="):
-                    raise SessionError(f"expected row=..., got {line!r}", lineno)
-                rows.append([parse_expr(p, lineno) for p in _split_top_commas(line[4:])])
-            if any(len(r) != len(rows) for r in rows):
-                raise SessionError(f"twist matrix must be square, got rows {[len(r) for r in rows]}")
-            try:
-                session.sigma = SigmaMatrix(ctx, rows)
-            except ExprError as exc:
-                raise SessionError(str(exc))
+            session.sigma, sigma_line = _at(head, SigmaMatrix, ctx, rows), head
         elif keyword == "equation":
-            for lineno, line in lines:
-                if line.startswith("implicit="):
-                    implicit.append(parse_expr(line[len("implicit=") :], lineno))
-                elif line.startswith("solved="):
-                    body = line[len("solved=") :]
-                    if ":" not in body:
-                        raise SessionError("solved entries use coordinate:expr", lineno)
-                    coord, expr_text = body.split(":", 1)
-                    solved[coord.strip()] = parse_expr(expr_text, lineno)
-                elif line.startswith("order="):
-                    system_order = _parse_int(line[len("order=") :], lineno, "order")
-                    if system_order < 1:
-                        raise SessionError("system order must be >= 1", lineno)
-                else:
-                    raise SessionError(f"unknown equation entry {line!r}", lineno)
+            implicit = [parse_at(v, n) for n, k, v in entries if k == "implicit"]
+            solved = {}
+            for n, k, v in entries:
+                if k == "solved":
+                    coord, rhs = _pair(v, n)
+                    coord = _at(n, ctx.table.lookup, coord)
+                    _once(seen, f"solved= coordinate {coord}", n)
+                    solved[coord] = parse_at(rhs, n)
+            system_order = _int(*one["order"], "order", 1) if "order" in one else order
+            equations = implicit or [Expr(c) - e for c, e in solved.items()]
+            session.system = _at(head, ODESystem, ctx, system_order, equations, solved or None)
         elif keyword == "invariant":
-            order_tag = None
-            expr_val = None
-            is_eta = False
-            for lineno, line in lines:
-                if line.startswith("order="):
-                    order_tag = line[len("order=") :].strip()
-                elif line.startswith("expr="):
-                    expr_val = parse_expr(line[len("expr=") :], lineno)
-                elif line.startswith("eta="):
-                    expr_val = parse_expr(line[len("eta=") :], lineno)
-                    is_eta = True
-                else:
-                    raise SessionError(f"unknown invariant entry {line!r}", lineno)
-            if expr_val is None:
-                raise SessionError("an [invariant] section needs expr=...")
-            if is_eta:
-                session.eta = expr_val
-            elif order_tag == "0":
-                session.extra_base.append(expr_val)
+            if ("expr" in one) == ("eta" in one):
+                raise SessionError("an [invariant] section needs one of expr= and eta=", head)
+            if "eta" in one:
+                _once(seen, "eta= entry", one["eta"][1])
+                session.eta = parse_at(*one["eta"])
             else:
-                session.seeds.append(expr_val)
+                tag = _choose(*one.get("order", ("1", head)), "order", ("0", "1"))
+                (session.extra_base if tag == "0" else session.seeds).append(parse_at(*one["expr"]))
         elif keyword == "matrix":
-            if name is None:
-                raise SessionError("a [matrix] section needs a name")
-            rows = []
-            for lineno, line in lines:
-                if line.startswith("row="):
-                    rows.append([parse_expr(p, lineno) for p in _split_top_commas(line[4:])])
-                elif line.startswith("convention="):
-                    session.conventions[name] = line[len("convention=") :].strip()
-                else:
-                    raise SessionError(f"unknown matrix entry {line!r}", lineno)
-            if not rows:
-                raise SessionError(f"matrix '{name}' has no rows")
-            session.matrices[name] = ExprMatrix(rows)
+            if "convention" in one:
+                value, n = one["convention"]
+                if name != "A":
+                    raise SessionError("convention= applies to [matrix A] only", n)
+                session.conventions[name] = _choose(value, n, "convention", ("inverse_dx", "dx_inverse"))
+            session.matrices[name] = _at(head, ExprMatrix, rows)
         elif keyword == "change":
-            change_lines = True
-            for lineno, line in lines:
-                if line.startswith("inverse "):
-                    body = line[len("inverse ") :]
-                    if "=" not in body:
-                        raise SessionError("inverse entries use old=expr", lineno)
-                    old, expr_text = body.split("=", 1)
-                    change_inverse[old.strip()] = expr_text.strip()
-                elif line.startswith("retained="):
-                    change_retained.extend(
-                        t for t in line[len("retained=") :].split(",") if t
-                    )
-                elif "=" in line:
-                    nm, expr_text = line.split("=", 1)
-                    change_new[nm.strip()] = parse_expr(expr_text, lineno)
-                else:
-                    raise SessionError(f"unknown change entry {line!r}", lineno)
+            new = {k: parse_at(v, n) for n, k, v in entries if k != "retained" and " " not in k}
+            if not new:
+                raise SessionError("the [change] section declares no new coordinates", head)
+            merged = _at(
+                head,
+                SymbolTable,
+                ctx.independent,
+                (*ctx.dependents, *[c for c in new if c not in ctx.dependents]),
+                ctx.table.parameters,
+                ctx.table.functions,
+            )
+            inverse = {k.split()[1]: _at(n, parse, v, merged) for n, k, v in entries if " " in k}
+            retained = [c for n, k, v in entries if k == "retained" for c in _split_top_commas(v, n)]
+            session.change = _at(head, CoordinateChange, ctx, new, inverse, retained=retained)
         elif keyword == "ansatz":
-            for lineno, line in lines:
-                if line.startswith("phi") and "=" in line:
-                    k, v = line.split("=", 1)
-                    idx = _parse_int(k[3:], lineno, "ansatz field index")
-                    if idx < 1:
-                        raise SessionError(f"ansatz field indices start at 1, got {k.strip()!r}", lineno)
-                    while len(ansatz_phi) < idx:
-                        ansatz_phi.append([])
-                    ansatz_phi[idx - 1] = [parse_expr(p, lineno) for p in _split_top_commas(v)]
-                elif line.startswith("sigma="):
-                    ansatz_sigma = [
-                        [parse_expr(cell, lineno) for cell in _split_top_commas(row)]
-                        for row in line[len("sigma=") :].split(";")
-                    ]
-                elif line.startswith("xi_zero="):
-                    # ansatz fields are vertical; the entry may only say so
-                    if line[len("xi_zero=") :].strip().lower() != "true":
-                        raise SessionError("ansatz fields are vertical: only xi_zero=true is accepted", lineno)
-                else:
-                    raise SessionError(f"unknown ansatz entry {line!r}", lineno)
+            templates = [f"phi{i}" for i in range(1, len(one.keys() - {"sigma", "xi_zero"}) + 1)]
+            if not templates or "sigma" not in one or not one.keys() >= set(templates):
+                raise SessionError("an ansatz needs a sigma template and templates phi1, phi2, ... without a gap", head)
+            if "xi_zero" in one:
+                # ansatz fields are vertical; the entry may only say so
+                _choose(one["xi_zero"][0].lower(), one["xi_zero"][1], "xi_zero", ("true",))
+            value, n = one["sigma"]
+            sigma = _at(n, SigmaMatrix, ctx, [parse_cells(row, n) for row in value.split(";")])
+            session.ansatz = _at(head, Ansatz, ctx, [parse_cells(*one[t]) for t in templates], sigma)
         elif keyword == "oracle":
-            initial: dict[str, Fraction] = {}
-            t1 = Fraction(1, 2)
-            step = Fraction(1, 1000)
-            for lineno, line in lines:
-                if line.startswith("initial="):
-                    for chunk in _split_top_commas(line[len("initial=") :]):
-                        if ":" not in chunk:
-                            raise SessionError("initial entries use coord:value", lineno)
-                        cname, val = chunk.split(":", 1)
-                        initial[cname.strip()] = _parse_fraction(val.strip(), lineno)
-                elif line.startswith("t1="):
-                    t1 = _parse_fraction(line[3:], lineno)
-                elif line.startswith("step="):
-                    step = _parse_fraction(line[5:], lineno)
-                else:
-                    raise SessionError(f"unknown oracle entry {line!r}", lineno)
+            initial = {}
+            if "initial" in one:
+                value, n = one["initial"]
+                for cell in _split_top_commas(value, n):
+                    coord, number = _pair(cell, n)
+                    _once(seen, f"initial= coordinate {coord}", n)
+                    initial[coord] = _fraction(number, n)
+            t1 = _fraction(*one.get("t1", ("1/2", head)), positive=True)
+            step = _fraction(*one.get("step", ("1/1000", head)), positive=True)
             session.oracle = OracleSpec(initial, t1, step)
         elif keyword == "deny":
-            for lineno, line in lines:
-                if line.startswith("expr="):
-                    session.deny.append(parse_expr(line[5:], lineno))
-                else:
-                    raise SessionError(f"unknown deny entry {line!r}", lineno)
-        else:
-            raise SessionError(f"unknown section [{keyword}]")
+            session.deny += [parse_at(v, n) for n, _, v in entries]
 
     if session.eta is None:
         session.eta = Expr(ctx.x)
     if fields:
         session.fields = VectorFieldSet(fields)
-    if session.sigma is not None and session.fields is not None:
-        if session.sigma.r != len(session.fields):
-            raise SessionError(
-                f"twist matrix is {session.sigma.r}x{session.sigma.r} but there are "
-                f"{len(session.fields)} fields"
-            )
-    if implicit or solved:
-        try:
-            if implicit:
-                session.system = ODESystem(ctx, system_order, implicit, solved or None)
-            else:
-                eqs = [Expr(ctx.table.lookup(c)) - e for c, e in solved.items()]
-                session.system = ODESystem(ctx, system_order, eqs, solved)
-        except ExprError as exc:
-            raise SessionError(str(exc))
-    if change_lines:
-        if not change_new:
-            raise SessionError("the [change] section declares no new coordinates")
-        merged = SymbolTable(
-            ctx.independent,
-            (*ctx.dependents, *[n for n in change_new if n not in ctx.dependents]),
-            ctx.table.parameters,
-            ctx.table.functions,
-        )
-        inverse = {}
-        for old, text_ in change_inverse.items():
-            try:
-                inverse[old] = parse(text_, merged)
-            except ExprError as exc:
-                raise SessionError(f"in inverse binding for {old}: {exc}")
-        try:
-            session.change = CoordinateChange(
-                ctx, change_new, inverse, retained=change_retained
-            )
-        except ExprError as exc:
-            raise SessionError(f"coordinate change rejected: {exc}")
-    if ansatz_phi or ansatz_sigma:
-        if not ansatz_phi or ansatz_sigma is None:
-            raise SessionError("an ansatz needs both phi templates and a sigma template")
-        try:
-            session.ansatz = Ansatz(ctx, ansatz_phi, SigmaMatrix(ctx, ansatz_sigma))
-        except ExprError as exc:
-            raise SessionError(f"ansatz rejected: {exc}")
+        if session.sigma is not None and session.sigma.r != len(fields):
+            r = session.sigma.r
+            raise SessionError(f"twist matrix is {r}x{r} but there are {len(fields)} fields", sigma_line)
     return session
 
 

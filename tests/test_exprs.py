@@ -255,6 +255,21 @@ def test_zero_test_evaluation_and_hash_build_no_tree(monkeypatch):
     assert calls == []
 
 
+def test_numbers_skip_the_tree_reader(monkeypatch):
+    """An int or a Fraction becomes a field element without sympy, equal to
+    what the tree reader makes of it; a bool is not a number here."""
+    u = Expr(sp.Symbol("u"))
+    read = exprs._from_tree
+    expected = [Expr._of(read(sp.Integer(3))), Expr._of(read(sp.Rational(-1, 2))), u + Expr._of(read(sp.Integer(1)))]
+    calls = []
+    monkeypatch.setattr(exprs, "_from_tree", lambda tree: calls.append(tree) or read(tree))
+    got = [Expr(3), Expr(Fraction(-1, 2)), u + 1]
+    assert calls == []
+    assert got == expected and [str(e) for e in got] == ["3", "-1/2", "1 + u"]
+    with pytest.raises(TypeError):
+        Expr(True)
+
+
 def _tree_value(e: Expr, point) -> float | None:
     """The reference: evalf of the tree at 30 digits; None where singular."""
     try:

@@ -128,15 +128,154 @@ def test_malformed_entry_is_a_session_error_with_its_line(tmp_path, capsys, line
         ("[matrix A]\nrow=1,,2", 5),
         ("[matrix A]\nrow=,1", 5),
         ("[oracle]\ninitial=u:1,", 5),
+        ("indepndent=t", 4),
+        ("[field X]\nxi=0\neta=x\nphi=1", 6),
+        ("[equation]\nimplicit=u_2\nexplicit=u_1", 6),
+        ("[matrix A]\nrow=1\nconvention=foo", 6),
+        ("[matrix B]\nrow=1\nconvention=inverse_dx", 6),
+        ("[oracle]\nstep=0", 5),
+        ("[oracle]\nt1=-1/2", 5),
+        ("[invariant]\norder=00\nexpr=u", 5),
+        ("[invariant]\norder=2\nexpr=u", 5),
+        ("[change]\nz=u_1\nretained=u,,u", 6),
     ],
-    ids=["arity-zero", "matrix-trailing-comma", "matrix-doubled-comma", "matrix-leading-comma", "initial-trailing-comma"],
+    ids=[
+        "arity-zero", "matrix-trailing-comma", "matrix-doubled-comma", "matrix-leading-comma", "initial-trailing-comma",
+        "context-key-typo", "field-key", "equation-key", "convention-unknown", "convention-on-B", "step-zero",
+        "t1-negative", "invariant-order-00", "invariant-order-2", "retained-doubled-comma",
+    ],
 )
 def test_bad_entry_names_its_line(body, lineno):
-    """An arity below 1 or an empty cell in a comma-separated row is a
-    SessionError carrying the entry's line, not a shorter row."""
+    """An arity below 1, an empty cell in a comma-separated row, an unknown
+    key or a value outside its range is a SessionError carrying the entry's
+    line, not a shorter row or a value that fails later."""
     with pytest.raises(SessionError) as err:
         loads_session(f"[context]\ndependent=u\norder=1\n{body}\n")
     assert err.value.line == lineno
+
+
+_PAIR = "[context]\ndependent=u,v\norder=2\n"
+
+
+@pytest.mark.parametrize(
+    "body, lineno",
+    [
+        ("[sigma]\nrow=0\n[sigma]\nrow=0", 6),
+        ("[oracle]\nt1=1\n[oracle]\nt1=1", 6),
+        ("[params]\na\n[functions]\nA/1 B/1 A/2", 7),
+        ("[params]\nc v", 5),
+        ("[field X]\nphi=1,0\n[field X]\nphi=0,1", 6),
+        ("[matrix A]\nrow=1\n[matrix A]\nrow=2", 6),
+        ("[equation]\nsolved=u_2:0\nsolved=v_2:0\nsolved=u_2:u", 7),
+        ("[equation]\nsolved=u_2:0\nsolved=u_xx:0", 6),
+        ("[change]\nz=u\nz=v", 6),
+        ("[change]\nz=u\ninverse u=z\ninverse  u = z", 7),
+        ("[ansatz]\nphi1=0,0\nphi1=0,0\nsigma=0", 6),
+        ("[ansatz]\nphi1=0,0\nsigma=0\nsigma=1", 7),
+        ("[invariant]\neta=x\n[invariant]\neta=u", 7),
+        ("[invariant]\norder=1\nexpr=u\norder=0", 7),
+        ("[oracle]\ninitial=u:0,v:1,u:2", 5),
+        ("order=3", 4),
+        ("[context]\norder=1", 4),
+    ],
+    ids=[
+        "second-sigma", "second-oracle", "function-arity-twice", "param-is-a-dependent", "field-name-reused",
+        "matrix-name-reused", "solved-coordinate", "solved-coordinate-alias", "change-coordinate", "inverse-key",
+        "ansatz-phi-index", "ansatz-sigma", "second-eta", "invariant-order", "initial-coordinate", "context-key",
+        "second-context",
+    ],
+)
+def test_repeated_entry_is_an_error_with_its_line(body, lineno):
+    """An entry or section that would overwrite one already read is an error
+    at the repeat's line."""
+    with pytest.raises(SessionError, match="repeated") as err:
+        loads_session(f"{_PAIR}{body}\n")
+    assert err.value.line == lineno
+
+
+def test_accumulating_entries_stay_legal():
+    s = loads_session(
+        f"{_PAIR}[equation]\nimplicit=u_2\nimplicit=v_2\n[invariant]\nexpr=u_1\n"
+        "[invariant]\norder=0\nexpr=u - v\n[invariant]\nexpr=v_1\n[deny]\nexpr=u\nexpr=v\n[deny]\nexpr=u + v\n"
+    )
+    assert len(s.system.equations) == 2
+    assert [str(e) for e in s.seeds] == ["u_1", "v_1"] and [str(e) for e in s.extra_base] == ["u - v"]
+    assert [str(e) for e in s.deny] == ["u", "v", "u + v"]
+
+
+def test_comma_lists_share_one_splitter():
+    """dependent= and retained= take spaces after commas and reject an empty
+    cell like every other comma list."""
+    s = loads_session("[context]\ndependent=u, v\norder=1\n[change]\nz=u_1\nretained=v, u\n")
+    assert s.ctx.dependents == ("u", "v")
+    assert s.change.retained == ("v", "u")
+    with pytest.raises(SessionError) as err:
+        loads_session("[context]\ndependent=u,,v\n")
+    assert err.value.line == 2
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "[fields X]\nphi=1,0",
+        "[field]\nphi=1,0",
+        "[sigma X]\nrow=0",
+        "[field X]\nphi=1",
+        "[field X]\nphi=1,0\n[sigma]\nrow=0,0\nrow=0,0",
+        "[sigma]\nrow=0,0\nrow=0",
+        "[sigma]\nrow=u_2,0\nrow=0,0",
+        "[equation]\norder=1\nimplicit=u_2",
+        "[equation]\norder=1",
+        "[change]\nz=u\ninverse u=2*z",
+        "[change]\nz=u\nretained=w",
+        "[change]\nretained=v",
+        "[change]\nx=u",
+        "[ansatz]\nphi1=0,0\nsigma=0,0;0,0",
+        "[ansatz]\nphi1=0,0\nphi3=0,0\nsigma=0",
+        "[ansatz]\nphi1=0,0",
+        "[invariant]\norder=1",
+        "[invariant]\nexpr=u\neta=x",
+        "[params]\nu",
+        "[params]\na\n[functions]\na/1",
+        "[functions]\nA",
+        "[matrix A]\nconvention=inverse_dx",
+        "[matrix A]\nrow=1,2\nrow=1",
+        "[oracle]\ninitial=u=0",
+        "[oracle]\nt1=1/0",
+        "[deny]\nexpr=",
+        "[deny]\nu",
+    ],
+    ids=[
+        "unknown-section", "nameless-field", "named-sigma", "phi-count", "sigma-field-count", "ragged-sigma",
+        "sigma-order-2", "odesystem-order", "empty-equation", "coordinate-change-inverse",
+        "coordinate-change-retained", "change-without-coordinates", "change-name-collision", "ansatz-size",
+        "ansatz-gap", "ansatz-without-sigma", "invariant-without-expr", "invariant-expr-and-eta",
+        "params-collision", "params-function-collision", "function-without-arity", "matrix-without-rows",
+        "ragged-matrix", "initial-pair", "t1-division-by-zero", "empty-expression", "bare-word",
+    ],
+)
+def test_every_session_error_has_its_line(body):
+    """Whatever part of the library rejects a session, the SessionError
+    carries a line: the entry's, or the section header's."""
+    with pytest.raises(SessionError) as err:
+        loads_session(f"{_PAIR}{body}\n")
+    assert err.value.line is not None and 4 <= err.value.line <= 4 + body.count("\n")
+
+
+@pytest.mark.parametrize("name", sorted(f[: -len(".session")] for f in os.listdir(SESSIONS) if f.endswith(".session")))
+def test_spaces_around_equals_and_after_commas_change_nothing(name, tmp_path, capsys):
+    """Keys and values are stripped, and so is every cell of a comma list."""
+    with open(_path(name), encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    spaced = [
+        line if line.startswith(("[", "#")) else line.replace("=", " = ", 1).replace(",", ", ") for line in lines
+    ]
+    path = tmp_path / f"{name}.session"
+    path.write_text("\n".join(spaced) + "\n")
+    status = main(["all", "--session", str(path), "--json"])
+    with open(os.path.join(os.path.dirname(__file__), "golden", f"{name}.json"), encoding="utf-8") as fh:
+        assert capsys.readouterr().out == fh.read()
+    assert status == (1 if name == "transposed_twist" else 0)
 
 
 def test_run_all_exit_zero():
