@@ -45,8 +45,8 @@ for case in gallery.transpose_twist_cases():
     transfer = check_involution_transfer(case.fields, case.sigma)
     print(
         "  transfer conditions: pointwise",
-        transfer.holds_pointwise,
+        transfer.pointwise.holds,
         "/ contracted",
-        transfer.holds_contracted,
+        transfer.contracted.holds,
     )
     print("  Q[12] =", tuple(str(e) for e in transfer.Q[(0, 1)]))

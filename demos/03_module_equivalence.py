@@ -27,7 +27,7 @@ from jetsigma.prolong import SigmaMatrix
 print("-- non-uniqueness of the transport equation --")
 quot = gallery.identity_twist_quotient()
 for name in ("A", "B"):
-    ok, _ = verify_A_sigma(quot.matrices[name], quot.sigma, quot.ctx)
+    ok = verify_A_sigma(quot.matrices[name], quot.sigma, quot.ctx).holds
     print(f"   D_x {name} = {name} sigma holds:", ok)
 
 print("\n-- bilinear mixing (inverse_dx convention) --")
@@ -35,7 +35,7 @@ bil = gallery.bilinear_mixing()
 sigma = sigma_from_A(bil.matrices["A"], bil.ctx, "inverse_dx")
 print("   induced twist:", sigma.mat)
 rt = standardizing_roundtrip(bil.fields, bil.matrices["A"], 1, "inverse_dx", deny=bil.deny)
-print("   roundtrip (combine standard prolongations == twist-prolong combined fields):", rt.holds)
+print("   roundtrip (combine standard prolongations == twist-prolong combined fields):", rt.check.holds)
 
 print("\n-- radially scaled fields with an opaque profile (dx_inverse) --")
 for maker in (gallery.radial_quotient, gallery.radial_polynomial):
@@ -45,7 +45,7 @@ for maker in (gallery.radial_quotient, gallery.radial_polynomial):
     match = all(
         (induced[i, j] - case.sigma[i, j]).sym == 0 for i in range(2) for j in range(2)
     )
-    print(f"   {case.name}: roundtrip {rt.holds}, induced twist matches {match}")
+    print(f"   {case.name}: roundtrip {rt.check.holds}, induced twist matches {match}")
 
 print("\n-- gauge behaviour of the twist --")
 ctx = bil.ctx
@@ -62,4 +62,4 @@ Phi = ExprMatrix([[P("u"), P("0")], [P("0"), P("v")]])
 S = ExprMatrix([[P("u"), P("0")], [P("0"), P("u + v")]])
 out = mu_sigma_bridge(Phi, ctx2, S=S)
 print("   dependent-index matrix M =", out.M)
-print("   twists agree on the first jet bundle:", out.lift_holds)
+print("   twists agree on the first jet bundle:", out.lift.holds)

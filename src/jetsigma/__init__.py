@@ -5,6 +5,7 @@ from .exprs import (
     Expr,
     SymbolTable,
     ZeroVerdict,
+    CheckResult,
     parse,
     normalize,
     is_zero,

@@ -18,7 +18,7 @@ from .equivalence import (
     standardizing_roundtrip,
     verify_A_sigma,
 )
-from .exprs import Expr, ExprError, ZeroVerdict, is_zero, print_expr
+from .exprs import CheckResult, Expr, ExprError, ZeroVerdict, is_zero, print_expr
 from .involution import (
     ClosureExceededError,
     NotInvolutiveError,
@@ -34,6 +34,9 @@ from .reduction import reduce_system, solve_for_highest, verify_sigma_symmetry
 from .session import MissingSessionDataError, Session, dump_reduced_session, load_session
 
 SCHEMA = "jetsigma-report/1"
+
+# an empty check set holds: the entry that records a step ran to the end
+RAN = CheckResult({}, {})
 
 
 @dataclass
@@ -59,17 +62,21 @@ class Report:
     objects: list[tuple[str, list[str]]] = field(default_factory=list)
     reduced_session: str | None = None  # set by reduce: the reduced system as session text
 
-    def check(self, name: str, verdict: ZeroVerdict | bool, residual: Expr | None = None):
-        if isinstance(verdict, bool):
-            v, witness = ("true" if verdict else "false"), ""
+    def check(self, name: str, result: ZeroVerdict | CheckResult, residual: Expr | None = None):
+        """The one entry writer.  One verdict is written with its label,
+        residual and witness point; a check set as ``true``/``false`` from its
+        fold, or ``Unknown`` when the fold is Unknown, without either."""
+        witness = ""
+        if isinstance(result, CheckResult):
+            fold = result.verdict
+            label = "Unknown" if fold.status == "unknown" else ("true" if fold.is_zero else "false")
         else:
-            v = {"zero": "Zero", "nonzero": "NonZero", "unknown": "Unknown"}[verdict.status]
-            witness = ""
-            if verdict.witness:
-                pt = ", ".join(f"{k}={v2}" for k, v2 in sorted(verdict.witness.items()))
-                witness = f"{pt} -> {verdict.value:.6g}"
+            label = result.label
+            if result.witness:
+                pt = ", ".join(f"{k}={v}" for k, v in sorted(result.witness.items()))
+                witness = f"{pt} -> {result.value:.6g}"
         self.entries.append(
-            Entry(name, v, print_expr(residual) if residual is not None else "", witness)
+            Entry(name, label, print_expr(residual) if residual is not None else "", witness)
         )
 
     def show(self, name: str, lines):
@@ -179,8 +186,8 @@ def _run_theorem2(session: Session, order: int, trials: int, seed: int) -> Repor
             f"Q[{i + 1}{j + 1}]",
             [", ".join(print_expr(e) for e in q)],
         )
-    rep.check("pointwise twist condition", tr.holds_pointwise)
-    rep.check("contracted twist condition", tr.holds_contracted)
+    rep.check("pointwise twist condition", tr.pointwise)
+    rep.check("contracted twist condition", tr.contracted)
     return rep
 
 
@@ -195,11 +202,7 @@ def _run_check_symmetry(session: Session, order: int, trials: int, seed: int, ze
         fields, sigma, system, trials=trials, seed=seed, deny=session.deny
     )
     for (i, h), verdict in sorted(sym.verdicts.items()):
-        rep.check(
-            f"field {session.field_names[i]} on equation {h + 1}",
-            verdict,
-            sym.residuals[(i, h)],
-        )
+        rep.check(f"field {session.field_names[i]} on equation {h + 1}", verdict, sym.residuals[(i, h)])
     return rep
 
 
@@ -218,7 +221,7 @@ def _run_ibdp(session: Session, order: int, trials: int, seed: int) -> Report:
         deny=session.deny,
     )
     rep.show("invariant table", repr(table).splitlines())
-    rep.check("all entries verified and independent", True)
+    rep.check("all entries verified and independent", RAN)
     return rep
 
 
@@ -250,7 +253,7 @@ def _run_reduce(session: Session, order: int, trials: int, seed: int) -> Report:
         )
     except ExprError:
         pass
-    rep.check("reduction emitted", True)
+    rep.check("reduction emitted", RAN)
     rep.reduced_session = dump_reduced_session(reduced, solved_text or None)
     return rep
 
@@ -267,22 +270,18 @@ def _run_equivalence(session: Session, order: int, trials: int, seed: int) -> Re
     )
     sigma = rt.sigma
     rep.show("induced twist", [repr(sigma.mat)])
-    rep.check("twisted set equals combined standard prolongations", rt.holds)
+    rep.check("twisted set equals combined standard prolongations", rt.check)
     if session.sigma is not None:
-        same = all(
-            is_zero(sigma[i, j] - session.sigma[i, j], trials=trials, seed=seed).is_zero
-            for i in range(sigma.r)
-            for j in range(sigma.r)
-        )
-        rep.check("induced twist matches the session twist", same)
+        match = {
+            (i, j): sigma[i, j] - session.sigma[i, j] for i in range(sigma.r) for j in range(sigma.r)
+        }
+        rep.check("induced twist matches the session twist", CheckResult.test(match, trials=trials, seed=seed))
         if convention == "inverse_dx":
-            ok, residual = verify_A_sigma(A, session.sigma, session.ctx, trials=trials, seed=seed)
-            rep.check("transport equation D_x A = A sigma", ok)
+            transport = verify_A_sigma(A, session.sigma, session.ctx, trials=trials, seed=seed)
+            rep.check("transport equation D_x A = A sigma", transport)
         else:
-            ok, residual = verify_A_sigma(
-                A.inverse(), session.sigma, session.ctx, trials=trials, seed=seed
-            )
-            rep.check("transport equation D_x A^-1 = A^-1 sigma", ok)
+            transport = verify_A_sigma(A.inverse(), session.sigma, session.ctx, trials=trials, seed=seed)
+            rep.check("transport equation D_x A^-1 = A^-1 sigma", transport)
     return rep
 
 
@@ -293,7 +292,7 @@ def _run_gauge(session: Session, order: int, trials: int, seed: int) -> Report:
         raise MissingSessionDataError("matrix B")
     out = gauge_transform_sigma(session.matrices["B"], sigma, session.ctx)
     rep.show("gauged twist", [repr(out.mat)])
-    rep.check("gauge transform computed", True)
+    rep.check("gauge transform computed", RAN)
     return rep
 
 
@@ -310,7 +309,7 @@ def _run_bridge(session: Session, order: int, trials: int, seed: int) -> Report:
     )
     rep.show("S", [repr(result.S)])
     rep.show("M", [repr(result.M)])
-    rep.check("twists agree on the first jet bundle", result.lift_holds)
+    rep.check("twists agree on the first jet bundle", result.lift)
     return rep
 
 
@@ -331,7 +330,7 @@ def _run_determining(session: Session, order: int, trials: int, seed: int) -> Re
     if not ansatz.has_opaque() and not session.ctx.table.parameters:
         for (i, h), r in sorted(result.residuals.items()):
             rep.check(f"residual {i + 1}/{h + 1}", is_zero(r, trials=trials, seed=seed), r)
-    rep.check("determining residuals generated", True)
+    rep.check("determining residuals generated", RAN)
     return rep
 
 
@@ -351,7 +350,7 @@ def _run_oracle(session: Session, order: int, trials: int, seed: int) -> Report:
     for n in traj.samples:
         errs.append(abs(traj.samples[n][-1] - half.samples[n][-1]))
     rep.show("halved-step endpoint deviation", [f"{max(errs):.3e}"])
-    rep.check("integration finite", True)
+    rep.check("integration finite", RAN)
     return rep
 
 
@@ -385,11 +384,13 @@ COMMANDS = {
 }
 
 
-def run(command: str, session: Session, order: int | None = None, trials: int = 20, seed: int = 0, zero_sigma: bool = False):
-    """Dispatch a command against a loaded session; returns (Report, extra)
-    where extra is a reduced-session text for the reduce command (and for
-    `all` when it runs reduce).  `zero_sigma` applies to check-symmetry only;
-    any other command given it raises `ExprError`."""
+def run(
+    command: str, session: Session, order: int | None = None, trials: int = 20, seed: int = 0, zero_sigma: bool = False
+) -> Report:
+    """Dispatch a command against a loaded session.  The report's
+    `reduced_session` holds the reduced system as session text after reduce
+    (and after `all` when it runs reduce).  `zero_sigma` applies to
+    check-symmetry only; any other command given it raises `ExprError`."""
     if command not in COMMANDS:
         raise ExprError(f"unknown command {command!r}")
     runner, _ = COMMANDS[command]
@@ -397,8 +398,7 @@ def run(command: str, session: Session, order: int | None = None, trials: int = 
         if command != "check-symmetry":
             raise ExprError("--zero-sigma applies to check-symmetry only")
         runner = partial(_run_check_symmetry, zero_sigma=True)
-    rep = runner(session, order if order is not None else session.ctx.max_order, trials, seed)
-    return rep, rep.reduced_session
+    return runner(session, order if order is not None else session.ctx.max_order, trials, seed)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -422,7 +422,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         session = load_session(args.session)
-        report, extra = run(
+        report = run(
             args.command,
             session,
             order=args.max_order,
@@ -430,6 +430,17 @@ def main(argv: list[str] | None = None) -> int:
             seed=args.seed,
             zero_sigma=args.zero_sigma,
         )
+        extra = report.reduced_session
+        # the report, then the reduced session beside it; neither may land on
+        # the session file or on the other
+        paths = [args.out] if args.out else []
+        if extra is not None and args.out:
+            paths.append(os.path.splitext(args.out)[0] + ".session")
+        taken = {os.path.realpath(args.session)}
+        for path in paths:
+            if os.path.realpath(path) in taken:
+                raise ExprError(f"refusing to overwrite {path}: it is the session file or the report")
+            taken.add(os.path.realpath(path))
     except ExprError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -439,18 +450,14 @@ def main(argv: list[str] | None = None) -> int:
         if args.json
         else report.to_text()
     )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
+    if not args.out:
         print(text)
-    if extra is not None and args.out:
-        base, _ = os.path.splitext(args.out)
-        with open(base + ".session", "w", encoding="utf-8") as fh:
-            fh.write(extra)
-    elif extra is not None and not args.json:
-        print("-- reduced session --")
-        print(extra, end="")
+        if extra is not None and not args.json:
+            print("-- reduced session --")
+            print(extra, end="")
+    for path, content in zip(paths, [text + "\n", extra]):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(content)
     return report.exit_status
 
 

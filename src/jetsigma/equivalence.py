@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
-from .exprs import Expr, ExprError, ZeroVerdict, is_zero, print_expr
+from .exprs import CheckResult, Expr, ExprError, print_expr
 from .involution import StructureFunctions
 from .jets import JetContext, VectorFieldSet
 from .linalg import ExprMatrix
@@ -51,13 +51,17 @@ def sigma_from_A(A: ExprMatrix, ctx: JetContext, convention: Convention = "inver
     return SigmaMatrix(ctx, raw.entries)
 
 
-def verify_A_sigma(A: ExprMatrix, sigma: SigmaMatrix, ctx: JetContext, trials: int = 20, seed: int = 0):
-    """Check D_x A = A sigma; returns (verdict, residual matrix)."""
-    residual = A.total_derivative(ctx) - (A @ sigma.mat)
-    ok = all(
-        is_zero(e, trials=trials, seed=seed).is_zero for row in residual.entries for e in row
-    )
-    return ok, residual
+def verify_A_sigma(
+    A: ExprMatrix, sigma: SigmaMatrix, ctx: JetContext, trials: int = 20, seed: int = 0
+) -> CheckResult:
+    """Check D_x A = A sigma; the residuals are the entries of D_x A - A sigma,
+    keyed by (row, column)."""
+    return _entry_checks(A.total_derivative(ctx) - (A @ sigma.mat), trials, seed)
+
+
+def _entry_checks(M: ExprMatrix, trials: int, seed: int) -> CheckResult:
+    residuals = {(i, j): e for i, row in enumerate(M.entries) for j, e in enumerate(row)}
+    return CheckResult.test(residuals, trials=trials, seed=seed)
 
 
 def transform_fields(A: ExprMatrix, Vs: VectorFieldSet) -> VectorFieldSet:
@@ -78,12 +82,7 @@ class RoundtripReport:
     sigma: SigmaMatrix
     transformed: VectorFieldSet  # A-combinations of the standard prolongations
     twisted: VectorFieldSet  # twisted prolongations of the A-combined base fields
-    residuals: list[list[Expr]]  # per field, per coefficient
-    verdicts: list[ZeroVerdict]
-
-    @property
-    def holds(self) -> bool:
-        return all(v.is_zero for v in self.verdicts)
+    check: CheckResult  # keyed by (field index, coefficient index)
 
 
 def standardizing_roundtrip(
@@ -107,14 +106,13 @@ def standardizing_roundtrip(
     transformed = transform_fields(P, Zs)
     Xs = transform_fields(P, VectorFieldSet([W for W in Ws]))
     twisted = sigma_prolong(Xs, sigma, n)
-    residuals = []
-    verdicts = []
-    for lhs, rhs in zip(transformed, twisted):
-        diff_comps = lhs.minus(rhs).components()
-        residuals.append(diff_comps)
-        for c in diff_comps:
-            verdicts.append(is_zero(c, trials=trials, seed=seed, deny=deny))
-    return RoundtripReport(sigma, transformed, twisted, residuals, verdicts)
+    residuals = {
+        (i, k): c
+        for i, (lhs, rhs) in enumerate(zip(transformed, twisted))
+        for k, c in enumerate(lhs.minus(rhs).components())
+    }
+    check = CheckResult.test(residuals, trials=trials, seed=seed, deny=deny)
+    return RoundtripReport(sigma, transformed, twisted, check)
 
 
 def gauge_transform_sigma(B: ExprMatrix, sigma: SigmaMatrix, ctx: JetContext) -> SigmaMatrix:
@@ -160,12 +158,7 @@ def theta_from_mu(A: ExprMatrix, Ys: VectorFieldSet, mu: StructureFunctions) -> 
 class BridgeResult:
     S: ExprMatrix
     M: ExprMatrix
-    commutator: ExprMatrix
-    lift_verdicts: list[ZeroVerdict]
-
-    @property
-    def lift_holds(self) -> bool:
-        return all(v.is_zero for v in self.lift_verdicts)
+    lift: CheckResult  # the commutator entries, keyed by (row, column)
 
 
 def mu_sigma_bridge(
@@ -182,7 +175,7 @@ def mu_sigma_bridge(
         M = Phi S^T Phi^-1        S^T = Phi^-1 M Phi
 
     and the two induced prolongation twists agree on the first jet bundle iff
-    [Phi^-1 (D_x Phi), S^T] = 0 (the lift verdict)."""
+    [Phi^-1 (D_x Phi), S^T] = 0 (the lift check)."""
     if not Phi.is_square:
         raise ExprError("component matrix must be square (as many fields as dependents)")
     if (S is None) == (M is None):
@@ -194,8 +187,4 @@ def mu_sigma_bridge(
         S = (Phinv @ M @ Phi).transpose()
     st = S.transpose()
     core = Phinv @ Phi.total_derivative(ctx)
-    commutator = (core @ st) - (st @ core)
-    verdicts = [
-        is_zero(e, trials=trials, seed=seed) for row in commutator.entries for e in row
-    ]
-    return BridgeResult(S, M, commutator, verdicts)
+    return BridgeResult(S, M, _entry_checks((core @ st) - (st @ core), trials, seed))

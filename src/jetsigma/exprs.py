@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 from sys import float_info
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 import mpmath
 import sympy as sp
@@ -63,6 +63,7 @@ __all__ = [
     "Expr",
     "SymbolTable",
     "ZeroVerdict",
+    "CheckResult",
     "parse",
     "normalize",
     "is_zero",
@@ -953,11 +954,15 @@ class ZeroVerdict:
     def is_nonzero(self) -> bool:
         return self.status == "nonzero"
 
+    @property
+    def label(self) -> str:
+        return {"zero": "Zero", "nonzero": "NonZero", "unknown": "Unknown"}[self.status]
+
     def __str__(self):
         if self.status == "nonzero" and self.witness is not None:
             pt = ", ".join(f"{k}={v}" for k, v in sorted(self.witness.items()))
             return f"NonZero[{self.value:.3g} at {pt}]"
-        return {"zero": "Zero", "nonzero": "NonZero", "unknown": "Unknown"}[self.status]
+        return self.label
 
 
 ZERO_VERDICT = ZeroVerdict("zero")
@@ -1022,6 +1027,54 @@ def is_zero(e: Expr, trials: int = 20, seed: int = 0, deny: Sequence[Expr] = ())
             return ZeroVerdict("nonzero", witness=witness, value=number)
         done += 1
     return ZeroVerdict("unknown")
+
+
+class Residual(NamedTuple):
+    """One member of a ``CheckResult``."""
+
+    key: Hashable
+    expr: Expr
+    verdict: ZeroVerdict
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    """Residuals keyed by the caller, each with its zero-test verdict, and
+    the one rule that folds them into one verdict: Zero when every member is
+    Zero (so an empty set is Zero), otherwise the first NonZero member's,
+    otherwise Unknown."""
+
+    residuals: dict
+    verdicts: dict
+
+    @classmethod
+    def test(
+        cls, residuals: Mapping, trials: int = 20, seed: int = 0, deny: Sequence[Expr] = ()
+    ) -> "CheckResult":
+        """One ``is_zero`` per residual, in the mapping's order."""
+        residuals = dict(residuals)
+        verdicts = {key: is_zero(r, trials=trials, seed=seed, deny=deny) for key, r in residuals.items()}
+        return cls(residuals, verdicts)
+
+    @property
+    def witnesses(self) -> list[Residual]:
+        """The members that are not Zero, in order."""
+        return [Residual(k, self.residuals[k], v) for k, v in self.verdicts.items() if not v.is_zero]
+
+    @property
+    def failure(self) -> Residual | None:
+        """The member whose verdict is the fold; None when the set holds."""
+        witnesses = self.witnesses
+        return next((w for w in witnesses if w.verdict.is_nonzero), witnesses[0] if witnesses else None)
+
+    @property
+    def verdict(self) -> ZeroVerdict:
+        failure = self.failure
+        return ZERO_VERDICT if failure is None else failure.verdict
+
+    @property
+    def holds(self) -> bool:
+        return all(v.is_zero for v in self.verdicts.values())
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from typing import Sequence
 
 import sympy as sp
 
-from .exprs import Expr, ExprError, ZeroVerdict, diff, is_zero, normalize, print_expr
+from .exprs import CheckResult, Expr, ExprError, ZeroVerdict, diff, normalize, print_expr
 from .jets import JetContext, VectorFieldSet, total_derivative
 from .linalg import ExprMatrix
 
@@ -51,10 +51,11 @@ class UnknownVerdictError(ExprError):
 
 def verify_invariant(
     Ys: VectorFieldSet, e: Expr, trials: int = 20, seed: int = 0, deny: Sequence[Expr] = ()
-) -> list[ZeroVerdict]:
-    """Apply every field of the set to e; one verdict per field.  Unknown
-    verdicts are surfaced, never silently treated as zero."""
-    return [is_zero(Y.apply(e), trials=trials, seed=seed, deny=deny) for Y in Ys]
+) -> CheckResult:
+    """Apply every field of the set to e; the residuals are keyed by field
+    index.  Unknown verdicts are surfaced, never silently treated as zero."""
+    residuals = {i: Y.apply(e) for i, Y in enumerate(Ys)}
+    return CheckResult.test(residuals, trials=trials, seed=seed, deny=deny)
 
 
 def ibdp_step(eta: Expr, zeta: Expr, ctx: JetContext) -> Expr:
@@ -120,14 +121,15 @@ def generate_invariants(
             raise ExprError(f"seed {print_expr(s)} has jet order > 1")
 
     def certify(candidate: Expr, what: str):
-        for i, verdict in enumerate(verify_invariant(Ys, candidate, trials, seed, deny)):
-            if verdict.is_nonzero:
-                raise SeedNotInvariantError(candidate, i, verdict)
-            if verdict.status == "unknown":
-                raise UnknownVerdictError(
-                    f"cannot certify {what} {print_expr(candidate)} under field "
-                    f"{i + 1}: zero test is Unknown"
-                )
+        failure = verify_invariant(Ys, candidate, trials, seed, deny).failure
+        if failure is None:
+            return
+        if failure.verdict.is_nonzero:
+            raise SeedNotInvariantError(candidate, failure.key, failure.verdict)
+        raise UnknownVerdictError(
+            f"cannot certify {what} {print_expr(candidate)} under field "
+            f"{failure.key + 1}: zero test is Unknown"
+        )
 
     for candidate in [eta, *extra_base, *seeds]:
         certify(candidate, "seed")

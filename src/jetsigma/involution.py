@@ -10,7 +10,7 @@ from typing import Sequence
 
 import sympy as sp
 
-from .exprs import Expr, ExprError, _field_values, _generators, is_zero, print_expr
+from .exprs import CheckResult, Expr, ExprError, _field_values, _generators, print_expr
 from .jets import VectorField, VectorFieldSet, lie_bracket, total_derivative
 from .linalg import linear_solve
 from .prolong import SigmaMatrix, sigma_prolong
@@ -347,22 +347,9 @@ def close_under_bracket(Vs: VectorFieldSet) -> tuple[VectorFieldSet, ClosureRepo
 class InvolutionTransferReport:
     mu: StructureFunctions
     Q: dict[tuple[int, int], list[Expr]]
-    R: dict[tuple[int, int], list[Expr]]
-    contracted: dict[tuple[int, int], list[Expr]]  # sum_k R[i][j][k] * phi^a_k, per a
     Q_contracted: dict[tuple[int, int], list[Expr]]
-    holds_pointwise: bool  # the sufficient condition: every R entry vanishes
-    holds_contracted: bool  # the weaker necessary-and-sufficient contracted form
-
-    def __str__(self):
-        lines = [
-            f"pointwise twist condition: {'holds' if self.holds_pointwise else 'fails'}",
-            f"contracted twist condition: {'holds' if self.holds_contracted else 'fails'}",
-        ]
-        for (i, j), q in sorted(self.Q.items()):
-            lines.append(
-                f"  Q[{i + 1}{j + 1}] = (" + ", ".join(print_expr(e) for e in q) + ")"
-            )
-        return "\n".join(lines)
+    pointwise: CheckResult  # the sufficient condition: R[i][j][k], keyed by (i, j, k)
+    contracted: CheckResult  # necessary and sufficient: sum_k R[i][j][k] phi^a_k, keyed by (i, j, a)
 
 
 def check_involution_transfer(
@@ -378,8 +365,9 @@ def check_involution_transfer(
                      + sum_m (sigma[i][m] mu[m][j][k] - sigma[j][m] mu[m][i][k]
                               - mu[i][j][m] sigma[m][k])
 
-    The strong condition asks every R entry to vanish; the weak one only asks
-    the contractions sum_k R[i][j][k] phi^a_k to vanish."""
+    The strong condition (``pointwise``) asks every R entry to vanish; the
+    weak one (``contracted``) only asks the contractions sum_k R[i][j][k]
+    phi^a_k to vanish."""
     ctx = Xs.ctx
     r = len(Xs)
     if sigma.r != r:
@@ -387,11 +375,9 @@ def check_involution_transfer(
     mu = structure_functions(Xs)
     Ys = sigma_prolong(Xs, sigma, 1)
     Q: dict[tuple[int, int], list[Expr]] = {}
-    R: dict[tuple[int, int], list[Expr]] = {}
-    contracted: dict[tuple[int, int], list[Expr]] = {}
     q_contracted: dict[tuple[int, int], list[Expr]] = {}
-    holds_pointwise = True
-    holds_contracted = True
+    R: dict[tuple[int, int, int], Expr] = {}
+    contracted: dict[tuple[int, int, int], Expr] = {}
     for i in range(r):
         for j in range(i + 1, r):
             q_row = []
@@ -409,8 +395,7 @@ def check_involution_transfer(
                 q_row.append(q)
                 r_row.append(q + extra)
             Q[(i, j)] = q_row
-            R[(i, j)] = r_row
-            con = []
+            R.update(((i, j, k), e) for k, e in enumerate(r_row))
             qcon = []
             for a in range(ctx.p):
                 acc = Expr.number(0)
@@ -418,14 +403,13 @@ def check_involution_transfer(
                 for k in range(r):
                     acc = acc + r_row[k] * Xs[k].phi(a)
                     qacc = qacc + q_row[k] * Xs[k].phi(a)
-                con.append(acc)
+                contracted[(i, j, a)] = acc
                 qcon.append(qacc)
-            contracted[(i, j)] = con
             q_contracted[(i, j)] = qcon
-            if any(not is_zero(e, trials=trials, seed=seed).is_zero for e in r_row):
-                holds_pointwise = False
-            if any(not is_zero(e, trials=trials, seed=seed).is_zero for e in con):
-                holds_contracted = False
     return InvolutionTransferReport(
-        mu, Q, R, contracted, q_contracted, holds_pointwise, holds_contracted
+        mu,
+        Q,
+        q_contracted,
+        CheckResult.test(R, trials=trials, seed=seed),
+        CheckResult.test(contracted, trials=trials, seed=seed),
     )

@@ -28,7 +28,7 @@ from typing import Sequence
 
 import sympy as sp
 
-from .exprs import Expr, ExprError, ZeroVerdict, is_zero, print_expr
+from .exprs import CheckResult, Expr, ExprError, print_expr
 from .jets import JetContext, VectorField, VectorFieldSet, total_derivative
 from .linalg import ExprMatrix
 
@@ -42,7 +42,6 @@ __all__ = [
     "mu_prolong_vertical",
     "chi_prolong",
     "check_prolongation_commutation",
-    "CommutationReport",
 ]
 
 
@@ -186,40 +185,9 @@ def chi_prolong(Xs: VectorFieldSet, chi: ChiData, n: int) -> VectorFieldSet:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CommutationResidual:
-    field_index: int
-    coordinate: str
-    residual: Expr
-    verdict: ZeroVerdict
-
-
-@dataclass
-class CommutationReport:
-    residuals: list[CommutationResidual]
-
-    @property
-    def holds(self) -> bool:
-        return all(r.verdict.is_zero for r in self.residuals)
-
-    @property
-    def witnesses(self) -> list[CommutationResidual]:
-        return [r for r in self.residuals if not r.verdict.is_zero]
-
-    def __str__(self):
-        lines = [f"commutation identity: {'holds' if self.holds else 'fails'}"]
-        for r in self.residuals:
-            if not r.verdict.is_zero:
-                lines.append(
-                    f"  field {r.field_index + 1}, coordinate {r.coordinate}: "
-                    f"{print_expr(r.residual)} [{r.verdict}]"
-                )
-        return "\n".join(lines)
-
-
 def check_prolongation_commutation(
     Ys: VectorFieldSet, sigma: SigmaMatrix, trials: int = 20, seed: int = 0
-) -> CommutationReport:
+) -> CheckResult:
     """Check, coordinatewise, the operator identity obeyed exactly by jointly
     twisted sets:
 
@@ -227,7 +195,8 @@ def check_prolongation_commutation(
                         - (D_x xi_i + sum_j sigma[i][j] xi_j) D_x(c)
 
     for c ranging over x and the jet coordinates of order <= n-1.  Both sides
-    are derivations, so agreement on the coordinates settles the identity."""
+    are derivations, so agreement on the coordinates settles the identity.
+    The residuals are keyed by (field index, coordinate name)."""
     ctx = Ys.ctx
     n = Ys.order
     if n < 1:
@@ -235,7 +204,7 @@ def check_prolongation_commutation(
     if len(Ys) != sigma.r:
         raise ExprError("twist matrix size does not match the set")
     coords: list[sp.Symbol] = [ctx.x] + [ctx.coord(a, k) for a in range(ctx.p) for k in range(n)]
-    residuals = []
+    residuals = {}
     for i, Y in enumerate(Ys):
         dx_xi = total_derivative(Y.xi, ctx)
         twist_scalar = dx_xi
@@ -250,8 +219,5 @@ def check_prolongation_commutation(
                 s = sigma[i, j]
                 if not s.is_rational_zero:
                     rhs = rhs + s * Ys[j].apply(ce)
-            residual = lhs - rhs
-            residuals.append(
-                CommutationResidual(i, str(c), residual, is_zero(residual, trials=trials, seed=seed))
-            )
-    return CommutationReport(residuals)
+            residuals[(i, str(c))] = lhs - rhs
+    return CheckResult.test(residuals, trials=trials, seed=seed)

@@ -8,7 +8,7 @@ from typing import Mapping, Sequence
 
 import sympy as sp
 
-from .exprs import Expr, ExprError, ZeroVerdict, diff, is_zero, normalize, print_expr, substitute
+from .exprs import CheckResult, Expr, ExprError, diff, is_zero, normalize, print_expr, substitute
 from .jets import JetContext, VectorFieldSet, total_derivative
 from .linalg import linear_solve
 from .prolong import SigmaMatrix, sigma_prolong
@@ -24,7 +24,6 @@ __all__ = [
     "solve_for_highest",
     "symmetry_residuals",
     "verify_sigma_symmetry",
-    "SymmetryReport",
     "reduce_system",
     "ReductionReport",
     "reconstruction_check",
@@ -214,26 +213,6 @@ def solve_for_highest(sys: ODESystem, targets: Sequence[sp.Symbol | str] | None 
     return ODESystem(sys.ctx, sys.order, sys.equations, solved, validate=False)
 
 
-@dataclass
-class SymmetryReport:
-    residuals: dict[tuple[int, int], Expr]  # (field index, equation index) -> residual
-    verdicts: dict[tuple[int, int], ZeroVerdict]
-
-    @property
-    def holds(self) -> bool:
-        return all(v.is_zero for v in self.verdicts.values())
-
-    def __str__(self):
-        lines = [f"twisted symmetry: {'holds' if self.holds else 'fails'}"]
-        for (i, h), v in sorted(self.verdicts.items()):
-            if not v.is_zero:
-                lines.append(
-                    f"  field {i + 1} on equation {h + 1}: "
-                    f"{print_expr(self.residuals[(i, h)])} [{v}]"
-                )
-        return "\n".join(lines)
-
-
 def symmetry_residuals(
     Xs: VectorFieldSet, sigma: SigmaMatrix, sys: ODESystem
 ) -> dict[tuple[int, int], Expr]:
@@ -256,12 +235,10 @@ def verify_sigma_symmetry(
     trials: int = 20,
     seed: int = 0,
     deny: Sequence[Expr] = (),
-) -> SymmetryReport:
+) -> CheckResult:
     """Check that each twisted prolonged field maps each equation to zero on
     the solution manifold: one zero test per symmetry residual."""
-    residuals = symmetry_residuals(Xs, sigma, sys)
-    verdicts = {key: is_zero(r, trials=trials, seed=seed, deny=deny) for key, r in residuals.items()}
-    return SymmetryReport(residuals, verdicts)
+    return CheckResult.test(symmetry_residuals(Xs, sigma, sys), trials=trials, seed=seed, deny=deny)
 
 
 # ---------------------------------------------------------------------------

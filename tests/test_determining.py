@@ -253,17 +253,20 @@ def test_residuals_linear_in_field_templates():
 
 def test_generate_determining_runs_no_zero_test(monkeypatch):
     """Residual generation reports no verdict, so it samples nothing; the
-    counter sees the zero tests of verify_sigma_symmetry on the same input."""
+    counter sees the zero tests of verify_sigma_symmetry on the same input
+    (run by ``CheckResult.test`` in ``exprs``)."""
+    import jetsigma.exprs
     import jetsigma.reduction
 
     calls = []
-    real = jetsigma.reduction.is_zero
+    real = jetsigma.exprs.is_zero
 
     def counting(e, *args, **kwargs):
         calls.append(e)
         return real(e, *args, **kwargs)
 
-    monkeypatch.setattr(jetsigma.reduction, "is_zero", counting)
+    for module in (jetsigma.exprs, jetsigma.reduction):
+        monkeypatch.setattr(module, "is_zero", counting)
     ctx, system, ansatz = gallery.constant_coefficient_ansatz()
     result = generate_determining(system, ansatz)
     assert calls == []

@@ -60,13 +60,13 @@ def test_sigma_from_singular_matrix():
 
 def test_verify_transport_equation():
     case = gallery.identity_twist_quotient()
-    okA, _ = verify_A_sigma(case.matrices["A"], case.sigma, case.ctx)
-    okB, _ = verify_A_sigma(case.matrices["B"], case.sigma, case.ctx)
+    okA = verify_A_sigma(case.matrices["A"], case.sigma, case.ctx).holds
+    okB = verify_A_sigma(case.matrices["B"], case.sigma, case.ctx).holds
     assert okA and okB
     # identity matrix against a nonzero twist leaves the negated twist
-    ok, residual = verify_A_sigma(ExprMatrix.identity(2), case.sigma, case.ctx)
-    assert not ok
-    assert (residual + case.sigma.mat).is_zero_matrix()
+    check = verify_A_sigma(ExprMatrix.identity(2), case.sigma, case.ctx)
+    assert not check.holds
+    assert all((r + case.sigma[i, j]).is_rational_zero for (i, j), r in check.residuals.items())
 
 
 def test_transform_fields_identity():
@@ -97,7 +97,7 @@ def test_roundtrip_bilinear():
     rt = standardizing_roundtrip(
         case.fields, case.matrices["A"], 1, "inverse_dx", deny=case.deny
     )
-    assert rt.holds
+    assert rt.check.holds
     assert _sigma_eq(rt.sigma, case.sigma)
     assert rt.sigma == sigma_from_A(case.matrices["A"], case.ctx, "inverse_dx")
 
@@ -107,7 +107,7 @@ def test_roundtrip_radial_quotient_opaque():
     rt = standardizing_roundtrip(
         case.fields, case.matrices["A"], 1, "dx_inverse", deny=case.deny
     )
-    assert rt.holds
+    assert rt.check.holds
     assert rt.sigma == sigma_from_A(case.matrices["A"], case.ctx, "dx_inverse")
 
 
@@ -116,13 +116,13 @@ def test_roundtrip_radial_polynomial():
     rt = standardizing_roundtrip(
         case.fields, case.matrices["A"], 1, "dx_inverse", deny=case.deny
     )
-    assert rt.holds
+    assert rt.check.holds
 
 
 def test_roundtrip_identity_matrix():
     case = gallery.exp_coupled_pair()
     rt = standardizing_roundtrip(case.fields, ExprMatrix.identity(2), 2)
-    assert rt.holds and rt.sigma.is_zero_matrix()
+    assert rt.check.holds and rt.sigma.is_zero_matrix()
     for lhs, rhs in zip(rt.transformed, [standard_prolong(X, 2) for X in case.fields]):
         assert lhs == rhs
 
@@ -133,8 +133,7 @@ def test_roundtrip_then_transport_fuzzed():
     for _ in range(4):
         A = random_unimodular(rng, ctx)
         sigma = sigma_from_A(A, ctx, "inverse_dx")
-        ok, _ = verify_A_sigma(A, sigma, ctx)
-        assert ok
+        assert verify_A_sigma(A, sigma, ctx).holds
 
 
 def test_gauge_identity_and_zero():
@@ -251,7 +250,7 @@ def test_bridge_trivial_transformation():
     Phi = ExprMatrix([[P("u"), P("1")], [P("1"), P("v")]])
     out = mu_sigma_bridge(Phi, ctx, S=ExprMatrix.identity(2))
     assert out.M == ExprMatrix.identity(2)
-    assert out.lift_holds
+    assert out.lift.holds
 
 
 def test_bridge_diagonal_lift():
@@ -260,7 +259,7 @@ def test_bridge_diagonal_lift():
     Phi = ExprMatrix([[P("u"), P("0")], [P("0"), P("v")]])
     S = ExprMatrix([[P("u + x"), P("0")], [P("0"), P("v^2")]])
     out = mu_sigma_bridge(Phi, ctx, S=S)
-    assert out.lift_holds  # diagonal matrices commute
+    assert out.lift.holds  # diagonal matrices commute
     # recovering S back from M closes the loop
     back = mu_sigma_bridge(Phi, ctx, M=out.M)
     assert back.S == S

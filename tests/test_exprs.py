@@ -13,6 +13,7 @@ from sympy.polys.rings import PolyElement
 from jetsigma import exprs
 from jetsigma.exprs import (
     ArityMismatchError,
+    CheckResult,
     Expr,
     ExprError,
     ExprSyntaxError,
@@ -175,6 +176,27 @@ def test_is_zero_pythagorean_is_unknown(table):
     # vanishes numerically
     verdict = is_zero(parse("sin(u)^2 + cos(u)^2 - 1", table))
     assert verdict.status == "unknown"
+
+
+def test_check_result_fold_order(table):
+    """NonZero beats Unknown beats Zero, whatever the order of the members;
+    an empty set is Zero."""
+    zero, nonzero, unknown = (parse(t, table) for t in ("u - u", "u_1 - v_1", "sin(u)^2 + cos(u)^2 - 1"))
+    empty = CheckResult.test({})
+    assert empty.verdict.is_zero and empty.holds and empty.witnesses == [] and empty.failure is None
+    assert CheckResult.test({"a": zero, "b": zero}).holds
+    for members in ([zero, unknown], [unknown, zero]):
+        check = CheckResult.test(dict(enumerate(members)))
+        assert check.verdict.status == "unknown" and not check.holds
+        assert [w.key for w in check.witnesses] == [members.index(unknown)]
+    for members in ([unknown, nonzero, zero], [zero, nonzero, unknown], [nonzero, unknown]):
+        check = CheckResult.test(dict(enumerate(members)))
+        assert check.verdict.is_nonzero and check.verdict is check.verdicts[members.index(nonzero)]
+        assert check.failure.key == members.index(nonzero) and check.failure.expr == nonzero
+        assert [w.key for w in check.witnesses] == [i for i, m in enumerate(members) if m is not zero]
+    # the first NonZero member decides, not the last
+    check = CheckResult.test({"p": nonzero, "q": parse("u_1 - 2*v_1", table)})
+    assert check.failure.key == "p"
 
 
 def test_is_zero_deterministic(table):

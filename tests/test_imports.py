@@ -4,7 +4,10 @@ front end leaves numpy unloaded; only ``exprs`` splits names at "_", so
 how a name such as ``u_3`` encodes a jet coordinate is decided in one module
 (``SymbolTable.lookup`` and ``SymbolTable.jet_index``); outside ``exprs`` an
 expression's sympy tree (``.sym``) is read only by the few functions that
-print, compile or reshape it (``TREE_READERS``); and only the zero test
+print, compile or reshape it (``TREE_READERS``); outside ``exprs`` a
+zero-test verdict is read only by the few functions that word an error or
+write a report entry (``VERDICT_READERS``), so every set of verdicts is
+folded by ``exprs.CheckResult``; and only the zero test
 (``exprs``) and the jet-point sampler (``oracle``) draw random numbers, so no
 other verdict depends on a seed.  No library call picks its own sample count
 or seed either: ``trials=`` and ``seed=`` only forward the caller's values.
@@ -98,6 +101,72 @@ def test_trees_read_only_at_the_edges(module):
     with open(os.path.join(SRC, module), encoding="utf-8") as fh:
         tree = ast.parse(fh.read(), module)
     assert [(scope, line) for scope, line in _tree_reads(tree) if (module, scope) not in TREE_READERS] == []
+
+
+# (module, qualified function name) pairs allowed to read a verdict's
+# ``.is_zero``, ``.is_nonzero`` or ``.status``
+VERDICT_READERS = {
+    ("reduction.py", "ODESystem.__init__"),
+    ("reduction.py", "CoordinateChange.__init__"),
+    ("invariants.py", "generate_invariants.certify"),
+    ("cli.py", "Report.check"),
+}
+
+LINEAR_SOLVE_STATUSES = {"solved", "inconsistent", "underdetermined"}
+
+
+def _verdict_reads(tree: ast.Module) -> list[tuple[str, int]]:
+    """(qualified name of the enclosing function, line) of each read of
+    ``.is_zero``, ``.is_nonzero`` or ``.status``.  A method call such as
+    ``StructureFunctions.is_zero()`` is no read, and neither is a ``.status``
+    compared only with ``linear_solve`` statuses."""
+    skip = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            skip.add(id(node.func))
+        if (
+            isinstance(node, ast.Compare)
+            and isinstance(node.left, ast.Attribute)
+            and node.left.attr == "status"
+            and all(isinstance(c, ast.Constant) and c.value in LINEAR_SOLVE_STATUSES for c in node.comparators)
+        ):
+            skip.add(id(node.left))
+    reads = []
+
+    def visit(node: ast.AST, scope: str):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in ("is_zero", "is_nonzero", "status")
+            and id(node) not in skip
+        ):
+            reads.append((scope, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return reads
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "exprs.py"])
+def test_verdicts_read_only_where_worded(module):
+    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), module)
+    assert [
+        (scope, line) for scope, line in _verdict_reads(tree) if (module, scope) not in VERDICT_READERS
+    ] == []
+
+
+def test_verdict_guard_sees_a_fold():
+    """The guard flags a module that folds verdicts on its own."""
+    tree = ast.parse(
+        "def f(vs, result):\n"
+        "    if result.status == 'inconsistent':\n"
+        "        return None\n"
+        "    return all(v.is_zero for v in vs) or vs[0].status == 'unknown' or vs[0].is_nonzero\n"
+    )
+    assert _verdict_reads(tree) == [("f", 4), ("f", 4), ("f", 4)]
 
 
 def _imports_random(tree: ast.Module) -> bool:

@@ -133,14 +133,14 @@ def test_closure_budget():
 def test_transfer_coupled_pair_holds():
     case = gallery.exp_coupled_pair()
     rep = check_involution_transfer(case.fields, case.sigma)
-    assert rep.holds_pointwise and rep.holds_contracted
+    assert rep.pointwise.holds and rep.contracted.holds
     assert rep.mu.is_zero()
 
 
 def test_transfer_scaling_pair_holds():
     case = gallery.scaling_pair()
     rep = check_involution_transfer(case.fields, case.sigma)
-    assert rep.holds_pointwise and rep.holds_contracted
+    assert rep.pointwise.holds and rep.contracted.holds
     assert rep.mu[0, 1, 1].sym == 1
 
 
@@ -148,7 +148,7 @@ def test_transfer_scaling_pair_holds():
 def test_transfer_fails_for_transposed_cases(index):
     case = gallery.transpose_twist_cases()[index]
     rep = check_involution_transfer(case.fields, case.sigma)
-    assert not rep.holds_pointwise and not rep.holds_contracted
+    assert not rep.pointwise.holds and not rep.contracted.holds
     got_Q = rep.Q[(0, 1)]
     got_contracted = rep.Q_contracted[(0, 1)]
     for got, want in zip(got_Q, case.expected_Q):
@@ -182,15 +182,15 @@ def test_transfer_constant_twist_with_commuting_fields():
     )
     sigma = SigmaMatrix(ctx, [[P("1"), P("2")], [P("3"), P("5/2")]])
     rep = check_involution_transfer(Xs, sigma)
-    assert rep.holds_pointwise and rep.holds_contracted
+    assert rep.pointwise.holds and rep.contracted.holds
 
 
 def test_pointwise_condition_implies_contracted():
     for maker in (gallery.exp_coupled_pair, gallery.scaling_pair):
         case = maker()
         rep = check_involution_transfer(case.fields, case.sigma)
-        if rep.holds_pointwise:
-            assert rep.holds_contracted
+        if rep.pointwise.holds:
+            assert rep.contracted.holds
 
 
 def test_expand_in_basis_rejects_new_singularities():

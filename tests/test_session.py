@@ -280,9 +280,9 @@ def test_spaces_around_equals_and_after_commas_change_nothing(name, tmp_path, ca
 
 def test_run_all_exit_zero():
     s = load_session(_path("exp_coupled_pair"))
-    rep, extra = run("all", s)
+    rep = run("all", s)
     assert rep.exit_status == 0
-    assert extra is not None  # the reduce stage emitted a session
+    assert rep.reduced_session is not None  # the reduce stage emitted a session
 
 
 def test_ibdp_without_eta_uses_the_independent_variable():
@@ -291,7 +291,7 @@ def test_ibdp_without_eta_uses_the_independent_variable():
     with open(_path("exp_coupled_pair"), encoding="utf-8") as fh:
         text = fh.read().replace("independent=x", "independent=t")
     s = loads_session(text)
-    rep, _ = run("ibdp", s)
+    rep = run("ibdp", s)
     assert rep.exit_status == 0
 
 
@@ -327,7 +327,7 @@ def test_all_computes_each_artifact_once(monkeypatch):
     for mod in (jetsigma.cli, jetsigma.session):
         monkeypatch.setattr(mod, "sigma_prolong", counting_prolong, raising=False)
 
-    rep, _ = run("all", s)
+    rep = run("all", s)
     assert rep.exit_status == 0
     assert len(solves) == 1
     assert builds == [2]
@@ -335,7 +335,7 @@ def test_all_computes_each_artifact_once(monkeypatch):
 
 def test_zero_sigma_override_fails_with_witness():
     s = load_session(_path("exp_coupled_pair"))
-    rep, _ = run("check-symmetry", s, zero_sigma=True)
+    rep = run("check-symmetry", s, zero_sigma=True)
     assert rep.exit_status == 1
     assert any(e.verdict == "NonZero" and e.witness for e in rep.entries)
 
@@ -400,19 +400,18 @@ def test_solved_key_of_undeclared_dependent_rejected(tmp_path, capsys):
 
 def test_reduced_session_roundtrips():
     s = load_session(_path("exp_coupled_pair"))
-    _, extra = run("reduce", s)
-    reparsed = loads_session(extra)
+    reparsed = loads_session(run("reduce", s).reduced_session)
     assert reparsed.system is not None
     assert reparsed.ctx.dependents == ("z1", "z2")
     assert reparsed.system.solved is not None
-    rep, _ = run("prolong", reparsed) if reparsed.fields else (None, None)
+    rep = run("prolong", reparsed) if reparsed.fields else None
 
 
 def test_json_reports_are_byte_identical():
     s1 = load_session(_path("exp_coupled_pair"))
     s2 = load_session(_path("exp_coupled_pair"))
-    r1, _ = run("check-symmetry", s1, trials=7, seed=3)
-    r2, _ = run("check-symmetry", s2, trials=7, seed=3)
+    r1 = run("check-symmetry", s1, trials=7, seed=3)
+    r2 = run("check-symmetry", s2, trials=7, seed=3)
     j1 = r1.to_json("exp_coupled_pair.session", 3, 7)
     j2 = r2.to_json("exp_coupled_pair.session", 3, 7)
     assert j1 == j2
@@ -469,3 +468,79 @@ def test_all_json_depends_on_the_seed_only_in_the_seed_line(name, capsys):
     assert len(lines0) == len(lines1)
     differing = [(a, b) for a, b in zip(lines0, lines1) if a != b]
     assert differing == [('  "seed": 0,', '  "seed": 1,')]
+
+
+def _copy(name, tmp_path, old="", new=""):
+    """A bundled session copied to ``tmp_path/sp.session``, with one line replaced."""
+    with open(_path(name), encoding="utf-8") as fh:
+        text = fh.read()
+    assert old in text
+    path = tmp_path / "sp.session"
+    path.write_text(text.replace(old, new, 1))
+    return path
+
+
+@pytest.mark.parametrize(
+    "command, out",
+    [("reduce", "sp.json"), ("reduce", "sp.session"), ("reduce", "r.session"), ("prolong", "sp.session")],
+)
+def test_outputs_never_overwrite_the_session_or_each_other(command, out, tmp_path, capsys):
+    """The reduced session goes beside the report with the suffix .session.
+    When the report or the reduced session would land on the session file,
+    or both on one path, nothing is written."""
+    session = _copy("exp_coupled_pair", tmp_path)
+    before = session.read_bytes()
+    assert main([command, "--session", str(session), "--out", str(tmp_path / out)]) == 1
+    assert capsys.readouterr().err.startswith("error: refusing to overwrite ")
+    assert session.read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["sp.session"]
+
+
+def test_reduce_writes_report_and_reduced_session(tmp_path, capsys):
+    session = _copy("exp_coupled_pair", tmp_path)
+    assert main(["reduce", "--session", str(session), "--out", str(tmp_path / "r.txt")]) == 0
+    assert (tmp_path / "r.txt").read_text().startswith("command: reduce\n")
+    assert loads_session((tmp_path / "r.session").read_text()).ctx.dependents == ("z1", "z2")
+
+
+# sin^2 + cos^2 = 1 lies outside the rewrite set, so a residual built on it
+# samples to zero without a zero normal form: its verdict is Unknown
+PYTHAGORAS = "sin(u)^2+cos(u)^2-1"
+
+
+@pytest.mark.parametrize(
+    "command, name, old, new, names",
+    [
+        (
+            "theorem2",
+            "exp_coupled_pair",
+            "row=0,v_1\n",
+            f"row=0,v_1+({PYTHAGORAS})*u_1\n",
+            ["pointwise twist condition", "contracted twist condition"],
+        ),
+        (
+            "equivalence",
+            "identity_twist_quotient",
+            "row=0,u_1/u\n",
+            f"row={PYTHAGORAS},u_1/u\n",
+            ["induced twist matches the session twist", "transport equation D_x A = A sigma"],
+        ),
+        (
+            "bridge",
+            "component_bridge",
+            "row=0,u + v\n",
+            f"row={PYTHAGORAS},u + v\n",
+            ["twists agree on the first jet bundle"],
+        ),
+    ],
+    ids=["theorem2", "equivalence", "bridge"],
+)
+def test_unknown_member_makes_a_check_set_unknown(command, name, old, new, names, tmp_path, capsys):
+    """A folded entry with an Unknown member and no NonZero one is reported
+    as Unknown, and the command exits 2."""
+    session = _copy(name, tmp_path, old, new)
+    assert main([command, "--session", str(session)]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln for ln in lines if ln.startswith("[UNKNOWN]")] == [f"[UNKNOWN] {n}: Unknown" for n in names]
+    assert not [ln for ln in lines if ln.startswith("[FAIL]")]
+    assert lines[-1] == "exit: 2"
