@@ -42,7 +42,7 @@ print("\ninvariant table (seeds e^-u v_1 and e^-v u_1, then one derivative):")
 print(table)
 
 reduced, report = reduce_system(case.system, table, case.change)
-solved = solve_for_highest(reduced, targets=case.reduced_targets)
+solved = solve_for_highest(reduced, targets=report.targets)
 print("\nreduced first-order system (common exponential factors stripped):")
 for coord, rhs in solved.solved.items():
     print(f"   d{coord}/dx".replace("_1", ""), "=", rhs)

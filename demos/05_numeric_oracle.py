@@ -32,8 +32,8 @@ print(
 
 Ys = sigma_prolong(case.fields, case.sigma, 2)
 table = generate_invariants(Ys, case.eta, case.seeds, 2)
-reduced, _ = reduce_system(case.system, table, case.change)
-solved = solve_for_highest(reduced, targets=case.reduced_targets)
+reduced, report = reduce_system(case.system, table, case.change)
+solved = solve_for_highest(reduced, targets=report.targets)
 matched = integrate(solved, {"z1": 1.0, "z2": 1.0}, (0.0, 1.0), 1e-3)
 ok, worst = reconstruction_check(case.change, matched, traj)
 print(f"reduced trajectory reproduces the invariant curves: {ok} (max residual {worst:.2e})")

@@ -10,8 +10,6 @@ import sys
 from dataclasses import dataclass, field
 from functools import partial
 
-import sympy as sp
-
 from .equivalence import (
     gauge_transform_sigma,
     mu_sigma_bridge,
@@ -241,12 +239,8 @@ def _run_reduce(session: Session, order: int, trials: int, seed: int) -> Report:
     )
     solved_text = {}
     try:
-        targets = [
-            str(reduced.ctx.coord(name, k)) for name, k in rrep.orders.items() if k > 0
-        ]
-        solved_red = solve_for_highest(reduced, targets=targets)
-        for t in targets:
-            solved_text[t] = solved_red.solved[sp.Symbol(t)]
+        solved_red = solve_for_highest(reduced, targets=rrep.targets)
+        solved_text = {str(t): solved_red.solved[t] for t in rrep.targets}
         rep.show(
             "solved reduced system",
             [f"{t} = {print_expr(solved_text[t])}" for t in sorted(solved_text)],
@@ -456,8 +450,12 @@ def main(argv: list[str] | None = None) -> int:
             print("-- reduced session --")
             print(extra, end="")
     for path, content in zip(paths, [text + "\n", extra]):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(content)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(content)
+        except OSError as exc:
+            print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+            return 1
     return report.exit_status
 
 

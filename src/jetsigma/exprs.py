@@ -72,7 +72,6 @@ __all__ = [
     "substitute",
     "eval_numeric",
     "print_expr",
-    "opaque",
     "ExprError",
     "ExprSyntaxError",
     "UndeclaredSymbolError",
@@ -239,24 +238,11 @@ class SymbolTable:
             raise UndeclaredSymbolError(text, offset)
         return self.base_symbol(text)
 
-    def opaque(self, name: str, *args: "Expr | sp.Expr") -> "Expr":
-        if name not in self.functions:
-            raise UndeclaredSymbolError(name)
-        arity = self.functions[name]
-        if len(args) != arity:
-            raise ArityMismatchError(name, arity, len(args))
-        return opaque(name, arity, *args)
-
     def __repr__(self):
         return (
             f"SymbolTable(independent={self.independent!r}, dependents={self.dependents!r}, "
             f"parameters={self.parameters!r}, functions={self.functions!r})"
         )
-
-
-def opaque(name: str, arity: int, *args) -> "Expr":
-    """Opaque application without a table, for internal fixture construction."""
-    return _atom(_opaque_class(name, arity), tuple(normalize(a) for a in args))
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,17 @@
 """A gallery of fully worked twisted-symmetry case studies.
 
 The bundled session files (``jetsigma/sessions/*.session``) define the cases:
-each constructor loads its session and adds only the values the case is
-expected to produce (the prolonged set, the reduced right sides).  The few
-cases without a session file (the second and third transposed twists, the
+each builder loads its session and returns it, named after the file.  The few
+inputs without a session file (the second and third transposed twists, the
 foreign fields of the bilinear mixing, the partial-rank invariant basis) are
-built here.  The demo scripts walk through them narratively; the test suite
-pins their every printed quantity.
+built here.  No builder carries an expected value; the tests keep those
+(``tests/cases.py``), and the demo scripts walk through the cases
+narratively.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, fields as dataclass_fields
-
-import sympy as sp
 
 from .exprs import Expr
 from .jets import JetContext, VectorField, VectorFieldSet
@@ -22,8 +19,6 @@ from .prolong import SigmaMatrix
 from .session import Session, load_session
 
 __all__ = [
-    "CaseStudy",
-    "TwistCase",
     "exp_coupled_pair",
     "scaling_pair",
     "transpose_twist_cases",
@@ -41,221 +36,54 @@ __all__ = [
 _SESSIONS = os.path.join(os.path.dirname(__file__), "sessions")
 
 
-@dataclass
-class CaseStudy(Session):
-    """A bundled session with the values its case study is expected to give."""
-
-    name: str = ""
-    expected_prolonged: VectorFieldSet | None = None
-    expected_reduced_rhs: dict[str, Expr] = field(default_factory=dict)
-    reduced_targets: list[str] = field(default_factory=list)
-
-
-@dataclass
-class TwistCase:
-    name: str
-    ctx: JetContext
-    fields: VectorFieldSet
-    sigma: SigmaMatrix
-    expected_first_prolongation: VectorFieldSet
-    expected_added: list[VectorField]
-    expected_table: dict[tuple[int, int], dict[int, Expr]]  # (i,j) -> {k: coeff}
-    expected_Q: list[Expr]
-    expected_Q_contracted: list[Expr]
-
-
 def _session(name: str) -> Session:
     return load_session(os.path.join(_SESSIONS, f"{name}.session"))
 
 
-def _case(name: str, **expected) -> CaseStudy:
-    """The bundled session `name` as a case study with the expected values."""
-    session = _session(name)
-    data = {f.name: getattr(session, f.name) for f in dataclass_fields(Session) if f.init}
-    return CaseStudy(**data, name=name, **expected)
-
-
-def _fields(ctx, *phi_rows):
-    return VectorFieldSet(
-        [VectorField.on_base(ctx, Expr.number(0), [ctx.parse(c) for c in row]) for row in phi_rows]
-    )
-
-
-def _sigma(ctx, rows):
-    return SigmaMatrix(ctx, [[ctx.parse(e) for e in row] for row in rows])
-
-
-def _vf(ctx, order, coeffs, xi="0"):
-    return VectorField.from_coefficients(
-        ctx, {k: ctx.parse(v) for k, v in coeffs.items()}, order, ctx.parse(xi)
-    )
-
-
-def exp_coupled_pair() -> CaseStudy:
+def exp_coupled_pair() -> Session:
     """Two translation fields on a pair of exponentially coupled second-order
     equations; the off-diagonal twist uses the opposite first derivatives.
     Full reduction to two first-order equations."""
-    z1, z2 = sp.symbols("z1 z2")
-    case = _case(
-        "exp_coupled_pair",
-        expected_reduced_rhs={"z1_1": Expr(-z1 * z2), "z2_1": Expr(z1 * z2)},
-        reduced_targets=["z1_1", "z2_1"],
-    )
-    ctx = case.ctx
-    case.expected_prolonged = VectorFieldSet(
-        [
-            _vf(ctx, 2, {("u", 0): "1", ("v", 1): "v_1", ("u", 2): "u_1*v_1", ("v", 2): "v_2"}),
-            _vf(ctx, 2, {("v", 0): "1", ("u", 1): "u_1", ("u", 2): "u_2", ("v", 2): "u_1*v_1"}),
-        ]
-    )
-    return case
+    return _session("exp_coupled_pair")
 
 
-def scaling_pair() -> CaseStudy:
+def scaling_pair() -> Session:
     """A scaling field and a transvection field with a base-and-derivative
     twist; the system couples exponentially in v and reduces to first order."""
-    z1, z2 = sp.symbols("z1 z2")
-    case = _case(
-        "scaling_pair",
-        expected_reduced_rhs={"z1_1": Expr(z2**2), "z2_1": Expr(z1 * z2)},
-        reduced_targets=["z1_1", "z2_1"],
-    )
-    ctx = case.ctx
-    case.expected_prolonged = VectorFieldSet(
-        [
-            _vf(
-                ctx,
-                2,
-                {
-                    ("u", 0): "u",
-                    ("u", 1): "u_1",
-                    ("v", 1): "u^2",
-                    ("u", 2): "u_2 + u^2*u_1",
-                    ("v", 2): "3*u*u_1",
-                },
-            ),
-            _vf(
-                ctx,
-                2,
-                {
-                    ("v", 0): "-u",
-                    ("u", 1): "-u*u_1",
-                    ("v", 1): "-u_1",
-                    ("u", 2): "-(u*u_2 + 2*u_1^2)",
-                    ("v", 2): "-(u_2 + u^2*u_1)",
-                },
-            ),
-        ]
-    )
-    return case
+    return _session("scaling_pair")
 
 
-def transpose_twist_cases() -> list[TwistCase]:
+def transpose_twist_cases() -> list[Session]:
     """Three sets whose twist matrices are transposes of working ones; the
     first prolongations then fail to stay in involution and the closure
-    adjoins extra generators."""
-    session = _session("transposed_twist")
-    ctx = session.ctx
+    adjoins extra generators.  The first is the bundled transposed_twist
+    session; each is named after its fields."""
+    first = _session("transposed_twist")
+    first.name = "translations_transposed"
+    ctx = first.ctx
     P = ctx.parse
-    cases = []
 
-    cases.append(
-        TwistCase(
-            name="translations_transposed",
-            ctx=ctx,
-            fields=session.fields,
-            sigma=session.sigma,
-            expected_first_prolongation=VectorFieldSet(
-                [
-                    _vf(ctx, 1, {("u", 0): "1", ("v", 1): "u_1"}),
-                    _vf(ctx, 1, {("v", 0): "1", ("u", 1): "v_1"}),
-                ]
-            ),
-            expected_added=[
-                _vf(ctx, 1, {("u", 1): "u_1", ("v", 1): "-v_1"}),
-                _vf(ctx, 1, {("v", 1): "u_1"}),
-                _vf(ctx, 1, {("u", 1): "v_1"}),
-            ],
-            expected_table={
-                (0, 1): {2: P("1")},
-                (0, 2): {3: P("-2")},
-                (0, 4): {2: P("1")},
-                (1, 2): {4: P("2")},
-                (1, 3): {2: P("-1")},
-                (2, 3): {3: P("2")},
-                (2, 4): {4: P("-2")},
-                (3, 4): {2: P("1")},
-            },
-            expected_Q=[P("u_1"), P("-v_1")],
-            expected_Q_contracted=[P("u_1"), P("-v_1")],
-        )
-    )
+    def fields(*phi_rows):
+        return VectorFieldSet([VectorField.on_base(ctx, 0, [P(c) for c in row]) for row in phi_rows])
 
-    fields2 = _fields(ctx, ["u", "0"], ["0", "-u"])
-    cases.append(
-        TwistCase(
-            name="scaling_transposed",
-            ctx=ctx,
-            fields=fields2,
-            sigma=_sigma(ctx, [["0", "u_1"], ["u", "0"]]),
-            expected_first_prolongation=VectorFieldSet(
-                [
-                    _vf(ctx, 1, {("u", 0): "u", ("u", 1): "u_1", ("v", 1): "-u*u_1"}),
-                    _vf(ctx, 1, {("v", 0): "-u", ("u", 1): "u^2", ("v", 1): "-u_1"}),
-                ]
-            ),
-            expected_added=[_vf(ctx, 1, {("v", 1): "u^3"})],
-            expected_table={
-                (0, 1): {1: P("1"), 2: P("1")},
-                (0, 2): {2: P("3")},
-            },
-            expected_Q=[P("u"), P("-u^2")],
-            expected_Q_contracted=[P("u^2"), P("u^3")],
-        )
-    )
-
-    fields3 = _fields(ctx, ["1", "0"], ["0", "1"])
-    cases.append(
-        TwistCase(
-            name="translations_mixed",
-            ctx=ctx,
-            fields=fields3,
-            sigma=_sigma(ctx, [["0", "u_1"], ["u", "0"]]),
-            expected_first_prolongation=VectorFieldSet(
-                [
-                    _vf(ctx, 1, {("u", 0): "1", ("v", 1): "u_1"}),
-                    _vf(ctx, 1, {("v", 0): "1", ("u", 1): "u"}),
-                ]
-            ),
-            expected_added=[
-                _vf(ctx, 1, {("u", 1): "1", ("v", 1): "-u"}),
-                _vf(ctx, 1, {("v", 1): "1"}),
-            ],
-            expected_table={
-                (0, 1): {2: P("1")},
-                (0, 2): {3: P("-2")},
-            },
-            expected_Q=[P("1"), P("-u")],
-            expected_Q_contracted=[P("1"), P("-u")],
-        )
-    )
-    return cases
+    sigma = SigmaMatrix(ctx, [[P("0"), P("u_1")], [P("u"), P("0")]])
+    return [
+        first,
+        Session(ctx, name="scaling_transposed", fields=fields(["u", "0"], ["0", "-u"]), sigma=sigma),
+        Session(ctx, name="translations_mixed", fields=fields(["1", "0"], ["0", "1"]), sigma=sigma),
+    ]
 
 
-def identity_twist_quotient() -> CaseStudy:
+def identity_twist_quotient() -> Session:
     """A scalar quotient twist u_1/u times the identity: the induced matrix
     equation has a whole family of solutions, two of which are bundled."""
-    return _case("identity_twist_quotient")
+    return _session("identity_twist_quotient")
 
 
-def bilinear_mixing() -> CaseStudy:
+def bilinear_mixing() -> Session:
     """Mixing a scaling and a rotation with a symmetric base matrix; the
     induced twist carries the determinant denominator 1 - u*v."""
-    case = _case("bilinear_mixing")
-    # the shared invariant arctan(u_1/v_1) - arctan(u/v) of the pair divides
-    # by v and v_1, so sampled points keep off both
-    case.deny += [case.ctx.parse("v_1"), case.ctx.parse("v")]
-    return case
+    return _session("bilinear_mixing")
 
 
 def bilinear_mixing_foreign_fields() -> VectorFieldSet:
@@ -264,76 +92,45 @@ def bilinear_mixing_foreign_fields() -> VectorFieldSet:
     the standard pair all fail under these fields, illustrating that module
     equality is a property of matched twists, never automatic."""
     ctx = JetContext("x", ["u", "v"], 1)
-    y1 = _vf(
-        ctx,
-        1,
-        {
-            ("u", 0): "(1-u)*v/(1-u*v)",
-            ("v", 0): "(1-v)*u/(1-u*v)",
-            ("u", 1): "(v_1 - v*u_1)/(1-u*v)",
-            ("v", 1): "(u_1 - u*v_1)/(1-u*v)",
-        },
+    coefficients = [
+        {("u", 0): "(1-u)*v/(1-u*v)", ("v", 0): "(1-v)*u/(1-u*v)",
+         ("u", 1): "(v_1 - v*u_1)/(1-u*v)", ("v", 1): "(u_1 - u*v_1)/(1-u*v)"},
+        {("u", 0): "(u + v^2)/(1-u*v)", ("v", 0): "-(u^2 + v)/(1-u*v)",
+         ("u", 1): "(u_1 + v*v_1)/(1-u*v)", ("v", 1): "-(v_1 + u*u_1)/(1-u*v)"},
+    ]
+    return VectorFieldSet(
+        [VectorField.from_coefficients(ctx, {k: ctx.parse(v) for k, v in c.items()}, 1) for c in coefficients]
     )
-    y2 = _vf(
-        ctx,
-        1,
-        {
-            ("u", 0): "(u + v^2)/(1-u*v)",
-            ("v", 0): "-(u^2 + v)/(1-u*v)",
-            ("u", 1): "(u_1 + v*v_1)/(1-u*v)",
-            ("v", 1): "-(v_1 + u*u_1)/(1-u*v)",
-        },
-    )
-    return VectorFieldSet([y1, y2])
 
 
-def radial_quotient() -> CaseStudy:
+def radial_quotient() -> Session:
     """Fields scaled by 1/(u^2+v^2) with an opaque profile function h; the
     rotation-like base matrix induces a twist on the first jet bundle."""
-    return _case("radial_quotient")
+    return _session("radial_quotient")
 
 
-def radial_polynomial() -> CaseStudy:
+def radial_polynomial() -> Session:
     """The same radial profile fields pushed through a polynomially scaled
     rotation matrix rho^2 R; the induced twist gains a factor of five on the
     diagonal."""
-    return _case("radial_polynomial")
+    return _session("radial_polynomial")
 
 
-def three_component_chain() -> CaseStudy:
+def three_component_chain() -> Session:
     """Three implicit second-order equations in (u, v, w) invariant under two
     commuting translation combinations with a first-derivative twist; a rank-2
     set over three dependents, so the reduction is mixed-order."""
-    xi, xi_1 = sp.symbols("xi xi_1")
-    z1, z2 = sp.symbols("z1 z2")
-    return _case(
-        "three_component_chain",
-        expected_reduced_rhs={
-            "xi_2": Expr(xi**3 / (xi_1**2 * z1 * z2**2)),
-            "z1_1": Expr(xi**2 / (xi_1**2 * z2)),
-            "z2_1": Expr(xi / xi_1),
-        },
-        reduced_targets=["xi_2", "z1_1", "z2_1"],
-    )
+    return _session("three_component_chain")
 
 
-def partial_rank_triple() -> CaseStudy:
+def partial_rank_triple() -> Session:
     """A scaling field and a transvection on three dependents with a nilpotent
     twist: seven joint invariants beside x, and a reduction to one second-order
     and two first-order equations."""
-    xi, xi_1 = sp.symbols("xi xi_1")
-    eta, rho = sp.symbols("eta rho")
-    case = _case(
-        "partial_rank_triple",
-        expected_reduced_rhs={
-            "xi_2": Expr(2 * rho),
-            "rho_1": Expr(eta),
-            "eta_1": Expr(xi_1 - xi),
-        },
-        reduced_targets=["xi_2", "rho_1", "eta_1"],
-    )
+    case = _session("partial_rank_triple")
     # the order-0 invariant w/u is the first seed here, and callers integrate
-    # the system, so it comes solved
+    # the system, so it comes solved; in the session file this would change
+    # the file's ibdp report
     case.seeds = case.extra_base + case.seeds
     case.extra_base = []
     case.system = case.solved_system()

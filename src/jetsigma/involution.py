@@ -117,8 +117,24 @@ def _constant_expansion(bracket: VectorField, basis: Sequence[VectorField]) -> l
     return result.solution if result.ok else None
 
 
-def _field_expansion(bracket: VectorField, basis: Sequence[VectorField], restrict_singularities: bool):
-    """``expand_in_basis`` by one solve over the expression field."""
+def expand_in_basis(bracket: VectorField, basis: Sequence[VectorField], restrict_singularities: bool = False):
+    """Express a field in the pointwise span of a basis.
+
+    Constant coefficients are looked for first, by one exact linear solve
+    over Q; when none exist, the expansion is solved for over the expression
+    field.  Both solves are exact, so no answer depends on a seed; free
+    coefficients are set to zero.  With restrict_singularities (the span
+    test of bracket closure), the field solve is skipped, and the answer is
+    None, when the fields' coefficients exceed COMPLEXITY_BUDGET terms in
+    all, and coefficients singular at points where the fields themselves
+    are regular are rejected; otherwise the generic pointwise answer is
+    accepted.  Returns the coefficient list, or None when no admissible
+    expansion exists."""
+    constant = _constant_expansion(bracket, basis)
+    if constant is not None:
+        return constant
+    if restrict_singularities and sum(map(_field_size, [*basis, bracket])) > COMPLEXITY_BUDGET:
+        return None
     vec = bracket.components()
     mat = [[f.components()[comp] for f in basis] for comp in range(len(vec))]
     result = linear_solve(mat, vec)
@@ -131,23 +147,6 @@ def _field_expansion(bracket: VectorField, basis: Sequence[VectorField], restric
         if not _denominator_factors(values[: len(coeffs)]) <= _denominator_factors(values[len(coeffs) :]):
             return None
     return coeffs
-
-
-def expand_in_basis(bracket: VectorField, basis: Sequence[VectorField], restrict_singularities: bool = False):
-    """Express a field in the pointwise span of a basis.
-
-    Constant coefficients are looked for first, by one exact linear solve
-    over Q; when none exist, the expansion is solved for over the expression
-    field.  Both solves are exact, so no answer depends on a seed; free
-    coefficients are set to zero.  With restrict_singularities, coefficients
-    singular at points where the fields themselves are regular are rejected
-    (used during bracket closure); otherwise the generic pointwise answer is
-    accepted.  Returns the coefficient list, or None when no admissible
-    expansion exists."""
-    constant = _constant_expansion(bracket, basis)
-    if constant is not None:
-        return constant
-    return _field_expansion(bracket, basis, restrict_singularities)
 
 
 def structure_functions(Vs: VectorFieldSet) -> StructureFunctions:
@@ -289,11 +288,7 @@ def close_under_bracket(Vs: VectorFieldSet) -> tuple[VectorFieldSet, ClosureRepo
     coefficient complexity aborts the closure instead of grinding."""
 
     def in_span(f: VectorField, basis: list[VectorField]) -> bool:
-        if _constant_expansion(f, basis) is not None:
-            return True
-        if sum(map(_field_size, [*basis, f])) > COMPLEXITY_BUDGET:
-            return False
-        return _field_expansion(f, basis, restrict_singularities=True) is not None
+        return expand_in_basis(f, basis, restrict_singularities=True) is not None
 
     base = list(Vs)
     gens = list(Vs)

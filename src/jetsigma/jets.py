@@ -44,11 +44,6 @@ class JetContext:
         name = self.dependents[a] if isinstance(a, int) else a
         return self.table.jet_symbol(name, k)
 
-    def coords(self, up_to: int | None = None) -> list[sp.Symbol]:
-        """All jet coordinates u^a_k with k up to the given order (excluding x)."""
-        n = self.max_order if up_to is None else up_to
-        return [self.coord(a, k) for k in range(n + 1) for a in range(self.p)]
-
     def extended(self, max_order: int) -> "JetContext":
         if max_order == self.max_order:
             return self

@@ -81,9 +81,6 @@ class SigmaMatrix:
     def __getitem__(self, ij) -> Expr:
         return self.mat[ij]
 
-    def transposed(self) -> "SigmaMatrix":
-        return SigmaMatrix(self.ctx, self.mat.transpose().entries)
-
     def scaled(self, factor: Expr | int) -> "SigmaMatrix":
         return SigmaMatrix(self.ctx, self.mat.scaled(factor).entries)
 

@@ -343,6 +343,7 @@ class ReductionReport:
     denominators: list[Expr]  # per equation, the cleared denominator
     orders: dict[str, int]  # resulting max derivative order per new variable
     dropped: list[str]  # variables whose order went below the original q
+    targets: list[sp.Symbol]  # the highest coordinate of each new variable of order > 0
 
 
 def reduce_system(
@@ -406,10 +407,11 @@ def reduce_system(
                 f"invariant coordinate '{name}' still appears at order {orders[name]}"
             )
     dropped = [n for n in new_ctx.dependents if orders[n] <= q - 1]
+    targets = [new_ctx.coord(name, k) for name, k in orders.items() if k > 0]
     new_order = max(max(orders.values()), 1)
     reduced = ODESystem(new_ctx.extended(new_order) if new_ctx.max_order < new_order else new_ctx,
                         new_order, new_equations, solved=None)
-    return reduced, ReductionReport(stripped, denominators, orders, dropped)
+    return reduced, ReductionReport(stripped, denominators, orders, dropped, targets)
 
 
 def reconstruction_check(

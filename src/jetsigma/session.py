@@ -4,6 +4,7 @@ in one text format that commands can load and re-emit."""
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -42,6 +43,7 @@ class OracleSpec:
 @dataclass
 class Session:
     ctx: JetContext
+    name: str = ""  # the file's stem, for a loaded session
     field_names: list[str] = field(default_factory=list)
     fields: VectorFieldSet | None = None
     sigma: SigmaMatrix | None = None
@@ -350,7 +352,9 @@ def load_session(path: str) -> Session:
         raise SessionError(f"cannot read session file: {exc}")
     if not text.strip():
         raise SessionError("empty session file", 1)
-    return loads_session(text)
+    session = loads_session(text)
+    session.name = os.path.splitext(os.path.basename(path))[0]
+    return session
 
 
 def dump_reduced_session(reduced: ODESystem, solved_targets: Mapping | None = None) -> str:

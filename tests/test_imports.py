@@ -12,7 +12,7 @@ folded by ``exprs.CheckResult``; and only the zero test
 other verdict depends on a seed.  No library call picks its own sample count
 or seed either: ``trials=`` and ``seed=`` only forward the caller's values.
 Every function the benchmark's tracer wraps (``perfbench/tracing.py``
-``TARGETS``) exists where it says."""
+``TARGETS``) exists where it says, and it traces every gallery builder."""
 
 import ast
 import importlib
@@ -230,14 +230,19 @@ def test_cli_import_leaves_numpy_unloaded():
     assert out.stdout.strip() == "False"
 
 
-def test_perfbench_trace_targets_resolve():
-    """A renamed or moved library function would drop out of the per-layer
-    trace silently; each target must be defined on the owner it names, as
-    ``Tracer.install`` reads it."""
+def _tracing():
     path = os.path.join(SRC, "..", "..", "perfbench", "tracing.py")
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_perfbench_trace_targets_resolve():
+    """A renamed or moved library function would drop out of the per-layer
+    trace silently; each target must be defined on the owner it names, as
+    ``Tracer.install`` reads it."""
+    tracing = _tracing()
     missing = []
     for name, module, paths in tracing.TARGETS:
         home = importlib.import_module(f"jetsigma.{module}")
@@ -249,3 +254,11 @@ def test_perfbench_trace_targets_resolve():
             if owner is None or attr not in vars(owner):
                 missing.append(f"{name}: jetsigma.{module}.{target}")
     assert missing == []
+
+
+def test_every_gallery_builder_is_traced():
+    """A builder added to or dropped from the gallery must be added to or
+    dropped from the benchmark's gallery.build span with it."""
+    from jetsigma import gallery
+
+    assert set(gallery.__all__) == set(_tracing()._GALLERY_BUILDERS)

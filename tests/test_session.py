@@ -503,6 +503,21 @@ def test_reduce_writes_report_and_reduced_session(tmp_path, capsys):
     assert loads_session((tmp_path / "r.session").read_text()).ctx.dependents == ("z1", "z2")
 
 
+@pytest.mark.parametrize("command", ["prolong", "reduce"])
+def test_out_in_a_missing_directory_is_an_error(command, tmp_path, capsys):
+    out = tmp_path / "missing" / "r.json"
+    assert main([command, "--session", _path("exp_coupled_pair"), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+
+
+def test_unwritable_reduced_session_path_is_an_error(tmp_path, capsys):
+    """The report is written; the reduced session beside it cannot be."""
+    (tmp_path / "r.session").mkdir()
+    assert main(["reduce", "--session", _path("exp_coupled_pair"), "--out", str(tmp_path / "r.json")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path / 'r.session'}: ")
+    assert (tmp_path / "r.json").read_text().startswith("command: reduce\n")
+
+
 # sin^2 + cos^2 = 1 lies outside the rewrite set, so a residual built on it
 # samples to zero without a zero normal form: its verdict is Unknown
 PYTHAGORAS = "sin(u)^2+cos(u)^2-1"
