@@ -32,11 +32,15 @@ class NotPolynomialInVarsError(ExprError):
 class Ansatz:
     """Coefficient templates over declared parameters and opaque functions.
     phi[i][a] is the coefficient of d/du^a for field i (the fields are
-    vertical); the twist template is a full matrix."""
+    vertical); the twist template is a full matrix.  Templates compare by
+    their context and entries."""
 
     ctx: JetContext
     phi: list[list[Expr]]
     sigma: SigmaMatrix
+
+    def __hash__(self):
+        return hash((self.ctx, tuple(map(tuple, self.phi))))
 
     def __post_init__(self):
         r = len(self.phi)

@@ -12,6 +12,12 @@ never leaves the field (Bronstein's monomial-extension tower):
     sin(g)' = g'*cos(g)     cos(g)' = -g'*sin(g)
     F(g1, ..., gk)' = sum_i D(F, e_i)(g1, ..., gk)*gi'
 
+A derivation is given by its image map, from each symbol to its image, and
+resolves each generator with one lookup: ``diff`` maps one symbol to 1, a
+vector field keeps its map, and D_x has one map per ``SymbolTable``
+(``dx_images``), filled as coordinates are met.  Its terms go over one
+denominator, and terms that share one are added with no multiplication.
+
 The exp generators form a Q-basis of their arguments, the constant 1 among
 them: an argument N/D splits, by division N = q*D + r in the lex order,
 into the monomials of q and the terms m*lc(D)/D for the monomials m of r,
@@ -173,7 +179,11 @@ def _name_symbol(name: str) -> sp.Symbol:
 class SymbolTable:
     """Registry of declared names: the independent variable, dependent
     variables (whose jet coordinates ``u_k`` exist for every k >= 0),
-    parameters, and opaque functions with fixed arity."""
+    parameters, and opaque functions with fixed arity.  Two tables with the
+    same declarations are equal.
+
+    ``dx_images`` is the total derivative's image map for ``derivation``:
+    x -> 1 and u_k -> u_{k+1} for every k, filled as coordinates are met."""
 
     def __init__(
         self,
@@ -198,6 +208,8 @@ class SymbolTable:
         self.dependents = tuple(dependents)
         self.parameters = tuple(parameters)
         self.functions = functions
+        self._jet_symbols: dict[tuple[str, int], sp.Symbol] = {}
+        self.dx_images = _TotalDerivativeImages(self)
 
     def extended(self, parameters: Sequence[str] = (), functions: Mapping[str, int] | None = None) -> "SymbolTable":
         return SymbolTable(
@@ -208,11 +220,14 @@ class SymbolTable:
         )
 
     def jet_symbol(self, dep: str, k: int) -> sp.Symbol:
-        if dep not in self.dependents:
-            raise UndeclaredSymbolError(dep)
-        if k < 0:
-            raise ExprError("jet order must be >= 0")
-        return sp.Symbol(dep if k == 0 else f"{dep}_{k}")
+        s = self._jet_symbols.get((dep, k))
+        if s is None:
+            if dep not in self.dependents:
+                raise UndeclaredSymbolError(dep)
+            if k < 0:
+                raise ExprError("jet order must be >= 0")
+            s = self._jet_symbols[dep, k] = sp.Symbol(dep if k == 0 else f"{dep}_{k}")
+        return s
 
     def jet_index(self, sym: sp.Symbol) -> tuple[str, int] | None:
         """(dependent, order) of a jet coordinate symbol ``u`` or ``u_k``;
@@ -238,11 +253,39 @@ class SymbolTable:
             raise UndeclaredSymbolError(text, offset)
         return self.base_symbol(text)
 
+    def _declarations(self) -> tuple:
+        return self.independent, self.dependents, self.parameters, frozenset(self.functions.items())
+
+    def __eq__(self, other):
+        return isinstance(other, SymbolTable) and self._declarations() == other._declarations()
+
+    def __hash__(self):
+        return hash(self._declarations())
+
     def __repr__(self):
         return (
             f"SymbolTable(independent={self.independent!r}, dependents={self.dependents!r}, "
             f"parameters={self.parameters!r}, functions={self.functions!r})"
         )
+
+
+class _TotalDerivativeImages(dict):
+    """The image map of D_x on one table's symbols: x -> 1, u_k -> u_{k+1}
+    and None (image 0) for every other symbol, each entered the first time
+    it is looked up, so no jet order bounds it.  Threads that race on a miss
+    store equal images."""
+
+    def __init__(self, table: SymbolTable):
+        super().__init__({sp.Symbol(table.independent): ONE})
+        self.table = table
+
+    def __missing__(self, s: sp.Symbol):
+        index = self.table.jet_index(s)
+        image = self[s] = None if index is None else Expr(self.table.jet_symbol(index[0], index[1] + 1))
+        return image
+
+    # ``derivation`` reads images with ``get``, which here fills a miss
+    get = dict.__getitem__
 
 
 # ---------------------------------------------------------------------------
@@ -267,18 +310,18 @@ class _Atom:
         self.name = str(self.tree)
         self.free_symbols = frozenset().union(*(a.free_symbols for a in args))
 
-    def derivative(self, terms) -> "Expr":
-        """The atom's image under the derivation sum c * d/ds over ``terms``."""
+    def derivative(self, images) -> "Expr":
+        """The atom's image under the derivation with image map ``images``."""
         head, args = self.head, self.args
         if not isinstance(head, str):
             total = ZERO
-            for i, da in enumerate(derivation(a, terms) for a in args):
+            for i, da in enumerate(derivation(a, images) for a in args):
                 if not da.is_rational_zero:
                     step = tuple(o + (j == i) for j, o in enumerate(head._opaque_orders))
                     total += da * _atom(_opaque_class(head._opaque_base, len(args), step), args)
             return total
         g = args[0]
-        dg = derivation(g, terms)
+        dg = derivation(g, images)
         if dg.is_rational_zero:
             return ZERO
         if head == "exp":
@@ -745,47 +788,59 @@ def diff(e: Expr, s: str | sp.Symbol, table: SymbolTable | None = None) -> Expr:
     """Formal partial derivative with respect to one symbol."""
     if isinstance(s, str):
         s = table.lookup(s) if table is not None else _name_symbol(s)
-    return derivation(e, [(s, ONE)])
+    return derivation(e, {s: ONE})
 
 
-def derivation(e: Expr, terms: Iterable[tuple[sp.Symbol, Expr]]) -> Expr:
-    """The sum of c * de/ds over the (s, c) pairs of ``terms``, computed in
-    the ambient field: the chain rule over the generators of e, with each
-    atom's own derivative.  With e = N/D and c_g = a_g/b_g the image of
-    generator g, the terms a_g*(N'_g*D - N*D'_g) are summed over the product
-    of the distinct b_g times D^2 (``_sum_quotients``)."""
-    terms = [(s, c) for s, c in terms if not c.is_rational_zero]
+def derivation(e: Expr, images: Mapping[sp.Symbol, Expr]) -> Expr:
+    """The sum of c * de/ds over the symbols s with image c =
+    ``images.get(s)`` (None, or absent, for an image 0), computed in the
+    ambient field: the chain rule over the generators of e, one lookup per
+    generator, with each atom's own derivative.  With e = N/D and
+    c_g = a_g/b_g the image of generator g, the terms a_g*(N'_g*D - N*D'_g)
+    are summed over the product of the distinct b_g times D^2
+    (``_sum_quotients``); D^2 is not formed when D = 1."""
     f = e._field()
-    names = {s for s, _ in terms}
-    images = []
+    found = []
     for _, g, atom in _generators(f):
         if atom is None:
-            cs = [c for s, c in terms if s == g]
-            if cs:
-                images.append((g, sum(cs[1:], cs[0])))
-        elif atom.free_symbols & names:
-            images.append((g, atom.derivative(terms)))
-    f, *coeffs = _field_values([e, *(c for _, c in images)])
+            c = images.get(g)
+            if c is not None:
+                found.append((g, c))
+        elif any(images.get(s) is not None for s in atom.free_symbols):
+            found.append((g, atom.derivative(images)))
+    f, *coeffs = _field_values([e, *(c for _, c in found)])
     field, numer, denom = f.field, f.numer, f.denom
     pairs = []
-    for (g, _), c in zip(images, coeffs):
+    for (g, _), c in zip(found, coeffs):
         if c:
             x = field.ring.gens[field.symbols.index(g)]
             step = numer.diff(x) if denom == 1 else numer.diff(x) * denom - numer * denom.diff(x)
-            pairs.append((c.numer * step, c.denom))
-    return Expr._of(_sum_quotients(field, pairs, denom**2))
+            pairs.append((_times(c.numer, step), c.denom))
+    return Expr._of(_sum_quotients(field, pairs, None if denom == 1 else denom**2))
+
+
+def _times(a, b):
+    """a*b in one ring, with no product formed when a factor is 1."""
+    return b if a == 1 else a if b == 1 else a * b
 
 
 def _sum_quotients(field, pairs: Sequence[tuple], denom=None):
     """The sum of n/d over the (n, d) polynomial ``pairs``, divided by
     ``denom``: one numerator over the product of the distinct d (times
     ``denom``), so the result takes one cancel, and none when that
-    denominator is 1."""
-    one = field.ring.one
+    denominator is 1.  Numerators over one shared d are added as they are."""
+    ring = field.ring
     dens = list(dict.fromkeys(d for _, d in pairs))
-    numer = sum((n * prod((b for b in dens if b != d), start=one) for n, d in pairs), field.ring.zero)
-    denom = prod(dens, start=one if denom is None else denom)
-    return field.raw_new(numer, denom) if denom == 1 else field.new(numer, denom)
+    if len(dens) > 1:
+        numer = sum((n * prod((b for b in dens if b != d), start=ring.one) for n, d in pairs), ring.zero)
+    else:
+        numer = sum((n for n, _ in pairs), ring.zero)
+    for d in dens:
+        if d != 1:
+            denom = d if denom is None else denom * d
+    if denom is None or denom == 1:
+        return field.raw_new(numer, ring.one)
+    return field.new(numer, denom)
 
 
 def _powers(x, k: int) -> list:

@@ -1,4 +1,9 @@
-"""Jet-space coordinates, the total derivative, and vector fields on jet bundles."""
+"""Jet-space coordinates, the total derivative, and vector fields on jet bundles.
+
+Both derivations here are ``exprs.derivation`` over an image map built once:
+the total derivative reads its symbol table's ``dx_images`` (x -> 1,
+u_k -> u_{k+1}, shared by every ``extended`` context), and each vector field
+maps its coordinates to its nonzero coefficients when it is built."""
 
 from __future__ import annotations
 
@@ -6,14 +11,15 @@ from typing import Mapping, Sequence
 
 import sympy as sp
 
-from .exprs import ONE, Expr, ExprError, SymbolTable, derivation, normalize, print_expr
+from .exprs import Expr, ExprError, SymbolTable, derivation, normalize, print_expr
 
 __all__ = ["JetContext", "VectorField", "VectorFieldSet", "total_derivative", "lie_bracket"]
 
 
 class JetContext:
     """Coordinates (x, u^a_k) on the order-n jet bundle over the phase space of
-    one independent and p dependent variables."""
+    one independent and p dependent variables.  Two contexts with equal
+    declarations and order are equal."""
 
     def __init__(
         self,
@@ -62,24 +68,27 @@ class JetContext:
 
         return _parse(text, self.table)
 
+    def __eq__(self, other):
+        return isinstance(other, JetContext) and (self.table, self.max_order) == (other.table, other.max_order)
+
+    def __hash__(self):
+        return hash((self.table, self.max_order))
+
     def __repr__(self):
         return f"JetContext({self.independent}; {','.join(self.dependents)}; order={self.max_order})"
 
 
 def total_derivative(e: Expr, ctx: JetContext) -> Expr:
-    """D_x e = d_x e + sum over present coordinates of u^a_{k+1} * de/du^a_k."""
-    table = ctx.table
-    terms = [(ctx.x, ONE)]
-    for s in e.free_symbols:
-        index = table.jet_index(s)
-        if index is not None:
-            dep, k = index
-            terms.append((s, Expr(table.jet_symbol(dep, k + 1))))
-    return derivation(e, terms)
+    """D_x e = d_x e + sum over present coordinates of u^a_{k+1} * de/du^a_k,
+    through the image map of ``ctx``'s symbol table, which every
+    ``ctx.extended(n)`` shares."""
+    return derivation(e, ctx.table.dx_images)
 
 
 class VectorField:
-    """A vector field xi*d/dx + sum_a,k psi[a][k]*d/du^a_k on the order-n jet bundle."""
+    """A vector field xi*d/dx + sum_a,k psi[a][k]*d/du^a_k on the order-n jet
+    bundle.  Its image map for ``derivation`` (each coordinate with a nonzero
+    coefficient to that coefficient) is built once, with the field."""
 
     def __init__(self, ctx: JetContext, order: int, xi: Expr, psi: Sequence[Sequence[Expr]]):
         if order < 0:
@@ -94,6 +103,8 @@ class VectorField:
         self.order = order
         self.xi = normalize(xi)
         self.psi = psi
+        coefficients = zip(self.coordinates(), self.components())
+        self._images = {c: e for c, e in coefficients if not e.is_rational_zero}
 
     @staticmethod
     def on_base(ctx: JetContext, xi: Expr | int, phis: Sequence[Expr]) -> "VectorField":
@@ -125,10 +136,7 @@ class VectorField:
             raise ExprError(
                 f"expression of jet order {order} cannot be acted on by an order-{self.order} field"
             )
-        terms = [(self.ctx.x, self.xi)]
-        for a in range(self.ctx.p):
-            terms.extend((self.ctx.coord(a, k), self.psi[a][k]) for k in range(self.order + 1))
-        return derivation(e, terms)
+        return derivation(e, self._images)
 
     def __call__(self, e: Expr) -> Expr:
         return self.apply(e)
@@ -171,12 +179,13 @@ class VectorField:
         """Coefficient vector in the fixed coordinate order (x first)."""
         return [self.xi] + [self.psi[a][k] for a in range(self.ctx.p) for k in range(self.order + 1)]
 
+    def coordinates(self) -> list[sp.Symbol]:
+        """The coordinates in the order of ``components``."""
+        ctx = self.ctx
+        return [ctx.x] + [ctx.coord(a, k) for a in range(ctx.p) for k in range(self.order + 1)]
+
     def coordinate_labels(self) -> list[str]:
-        labels = [f"d/d{self.ctx.independent}"]
-        for a in range(self.ctx.p):
-            for k in range(self.order + 1):
-                labels.append(f"d/d{self.ctx.coord(a, k)}")
-        return labels
+        return [f"d/d{c}" for c in self.coordinates()]
 
     def is_zero_field(self) -> bool:
         return all(c.is_rational_zero for c in self.components())

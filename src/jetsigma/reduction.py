@@ -49,7 +49,8 @@ class ResidualOldCoordinateError(ExprError):
 class ODESystem:
     """m implicit equations F^h = 0 of order q, optionally with a solved form
     assigning each designated highest derivative an expression free of every
-    designated coordinate."""
+    designated coordinate.  Systems with equal contexts, orders, equations
+    and solved forms are equal."""
 
     def __init__(
         self,
@@ -110,6 +111,14 @@ class ODESystem:
                 raise ExprError(f"two solved coordinates for dependent '{dep}'")
             out[dep] = k
         return out
+
+    def __eq__(self, other):
+        return isinstance(other, ODESystem) and (self.ctx, self.order, self.equations, self.solved) == (
+            other.ctx, other.order, other.equations, other.solved
+        )
+
+    def __hash__(self):
+        return hash((self.ctx, self.order, self.equations))
 
     def __repr__(self):
         eqs = "; ".join(f"{print_expr(e)} = 0" for e in self.equations)
@@ -250,7 +259,8 @@ class CoordinateChange:
     """New coordinates z_j defined by invariant expressions, optional retained
     old dependents, and user-supplied inverse bindings old -> new (verified at
     construction: composing a binding with the forward definitions returns the
-    old coordinate)."""
+    old coordinate).  Changes with equal contexts, definitions, inverse
+    bindings and retained dependents are equal."""
 
     def __init__(
         self,
@@ -303,6 +313,15 @@ class CoordinateChange:
 
     def invariant_names(self) -> list[str]:
         return list(self.new.keys())
+
+    def _key(self) -> tuple:
+        return self.old_ctx, self.new_ctx, self.retained, self.new, self.inverse
+
+    def __eq__(self, other):
+        return isinstance(other, CoordinateChange) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key()[:3])
 
 
 def _split_content(numer: sp.Expr):

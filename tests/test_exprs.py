@@ -378,32 +378,54 @@ _OPERAND_TAILS = ["u*v/(x + 1)", "(u_1 - v)/(u + c1)", "x*v_2 + u^2", "exp(u*v)/
 _COEFFICIENT_TAILS = ["exp(u)/(v + 2)", "sin(v)/(u^2 + 1)", "log(u)/(x + 3)", "arctan(u_1)/(u - v)", "F(v)/(u_1 + 1)"]
 _TERM_SYMBOLS = [sp.Symbol(n) for n in ("x", "u", "v", "u_1", "v_2", "c1")]
 _OPERAND = st.tuples(_grammar_text(), st.sampled_from(_OPERAND_TAILS))
-_TERMS = st.lists(
-    st.tuples(st.sampled_from(_TERM_SYMBOLS), st.tuples(_grammar_text(), st.sampled_from(_COEFFICIENT_TAILS))),
+ZERO = Expr.number(0)
+_IMAGES = st.dictionaries(
+    st.sampled_from(_TERM_SYMBOLS),
+    st.tuples(_grammar_text(), st.sampled_from(_COEFFICIENT_TAILS)),
     min_size=2,
     max_size=3,
 )
 
 
+def _grammar_value(text_tail):
+    return parse("({}) + {}".format(*text_tail), GRAMMAR_TABLE)
+
+
 @settings(derandomize=True, max_examples=30, database=None, deadline=None)
-@given(_OPERAND, _OPERAND, _TERMS, _TERMS, st.fractions(-5, 5, max_denominator=7))
+@given(_OPERAND, _OPERAND, _IMAGES, _IMAGES, st.fractions(-5, 5, max_denominator=7))
 def test_derivation_laws_over_grammar_text(a, b, t1, t2, q):
-    """Linearity in e, additivity over the term list and the Leibniz rule,
-    for derivations with 2-3 terms whose coefficients carry denominators
-    and kernel atoms."""
-
-    def P(text_tail):
-        return parse("({}) + {}".format(*text_tail), GRAMMAR_TABLE)
-
+    """Linearity in e, additivity in the image map and the Leibniz rule,
+    for derivations with 2-3 images that carry denominators and kernel
+    atoms."""
     try:
-        a, b = P(a), P(b)
-        T1, T2 = ([(s, P(c)) for s, c in t] for t in (t1, t2))
+        a, b = _grammar_value(a), _grammar_value(b)
+        T1, T2 = ({s: _grammar_value(c) for s, c in t.items()} for t in (t1, t2))
     except ExprError:
         return  # a documented failure, such as a division by zero
     q = Expr.number(q)
+    T12 = {s: T1.get(s, ZERO) + T2.get(s, ZERO) for s in T1.keys() | T2.keys()}
     assert derivation(a + q * b, T1) == derivation(a, T1) + q * derivation(b, T1)
-    assert derivation(a, T1 + T2) == derivation(a, T1) + derivation(a, T2)
+    assert derivation(a, T12) == derivation(a, T1) + derivation(a, T2)
     assert derivation(a * b, T1) == derivation(a, T1) * b + a * derivation(b, T1)
+
+
+@settings(derandomize=True, max_examples=30, database=None, deadline=None)
+@given(_grammar_text(), _IMAGES)
+def test_derivation_is_the_sum_of_its_partials(text, images):
+    """derivation(e, images) is the sum of c*diff(e, s) over the images,
+    for grammar text with kernel and opaque atoms, a symbol absent from e
+    and a zero image among them."""
+    try:
+        e = parse(text, GRAMMAR_TABLE)
+        images = {s: _grammar_value(c) for s, c in images.items()}
+    except ExprError:
+        return  # a documented failure, such as a division by zero
+    images[sp.Symbol("w")] = Expr(sp.Symbol("u"))
+    images[sp.Symbol("x")] = ZERO
+    expected = ZERO
+    for s, c in images.items():
+        expected += c * diff(e, s)
+    assert derivation(e, images) == expected
 
 
 def test_cancel_runs_once_per_result(table, monkeypatch):
@@ -414,7 +436,7 @@ def test_cancel_runs_once_per_result(table, monkeypatch):
 
     a, b, quotient = P("u^2*v - 3*x*u_1 + 1"), P("v^3 + u*v_1 - c1"), P("(u^2 + v)/(u*v + 1)")
     u, v = sp.Symbol("u"), sp.Symbol("v")
-    terms = [(sp.Symbol("x"), P("1")), (u, P("u_1")), (v, P("v_1"))]
+    terms = {sp.Symbol("x"): P("1"), u: P("u_1"), v: P("v_1")}
     calls = []
     cancel = PolyElement.cancel
     monkeypatch.setattr(PolyElement, "cancel", lambda p, q: calls.append(q) or cancel(p, q))
@@ -574,8 +596,8 @@ def test_field_path_matches_tree_path(seed):
             (a**2, a.sym**2),
             (diff(a, s), sp.diff(a.sym, s)),
             (diff(ab, t), sp.diff(ab.sym, t)),
-            (derivation(a, [(s, b), (t, c)]), b.sym * sp.diff(a.sym, s) + c.sym * sp.diff(a.sym, t)),
-            (derivation(ab, [(s, c), (t, Expr.number(1))]), c.sym * sp.diff(ab.sym, s) + sp.diff(ab.sym, t)),
+            (derivation(a, {s: b, t: c}), b.sym * sp.diff(a.sym, s) + c.sym * sp.diff(a.sym, t)),
+            (derivation(ab, {s: c, t: Expr.number(1)}), c.sym * sp.diff(ab.sym, s) + sp.diff(ab.sym, t)),
         ]
         if not b.is_rational_zero:
             cases += [(a / b, a.sym / b.sym), (b**-2, b.sym**-2), (1 / b, 1 / b.sym)]
@@ -613,7 +635,7 @@ def test_field_path_edge_cases():
         ((2 * U + 3) / 6, (2 * u + 3) / 6),
         (-U / 3 - V / 6, -u / 3 - v / 6),
         ((U / 4 + V / 6) / (U / 2 - W / 3), (u / 4 + v / 6) / (u / 2 - w / 3)),
-        (derivation(U**2 / (V - W), [(u, V / 2), (w, 1 / U)]),
+        (derivation(U**2 / (V - W), {u: V / 2, w: 1 / U}),
          v / 2 * sp.diff(u**2 / (v - w), u) + 1 / u * sp.diff(u**2 / (v - w), w)),
     ]
     # generators whose _sort_gens keys tie (a leading zero in the digit
@@ -625,7 +647,7 @@ def test_field_path_edge_cases():
             (1 / (S1 - S2), 1 / (s1 - s2)),
             (1 / (S2 - S1), 1 / (s2 - s1)),
             ((S1 + 1) / (S2 - S1), (s1 + 1) / (s2 - s1)),
-            (derivation(1 / (S1 - S2), [(s1, S2)]), s2 * sp.diff(1 / (s1 - s2), s1)),
+            (derivation(1 / (S1 - S2), {s1: S2}), s2 * sp.diff(1 / (s1 - s2), s1)),
         ]
     assert _differing(cases) == []
     # kernel-free operands combined with an exp operand
@@ -635,8 +657,8 @@ def test_field_path_edge_cases():
         (E * (U - V), sp.exp(u) * (u - v)),
         ((U - V) / E, (u - v) / sp.exp(u)),
         (diff(E * U, u), sp.diff(sp.exp(u) * u, u)),
-        (derivation(U * V, [(u, E), (v, U)]), sp.exp(u) * v + u * u),
-        (derivation(E, [(u, U / 2)]), u / 2 * sp.exp(u)),
+        (derivation(U * V, {u: E, v: U}), sp.exp(u) * v + u * u),
+        (derivation(E, {u: U / 2}), u / 2 * sp.exp(u)),
     ]
     assert _differing(mixed) == []
 

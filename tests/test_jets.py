@@ -27,6 +27,30 @@ def test_total_derivative_extends_order(ctx):
     assert e.sym == sp.Symbol("u_3")
 
 
+def test_total_derivative_has_no_order_bound(ctx):
+    assert total_derivative(ctx.parse("u_9"), ctx) == ctx.parse("u_10")
+
+
+def test_extended_contexts_share_the_total_derivative_images(ctx):
+    wider = ctx.extended(5)
+    assert wider.table.dx_images is ctx.table.dx_images
+    assert total_derivative(wider.parse("v_4"), wider) == ctx.parse("v_5")
+    assert ctx.table.dx_images[sp.Symbol("v_4")] == ctx.parse("v_5")
+
+
+def test_apply_uses_the_coefficients_of_a_derived_field(ctx):
+    P = ctx.parse
+    V = VectorField.from_coefficients(ctx, {("u", 0): P("v"), ("u", 1): P("u")}, 1, xi=P("1"))
+    W = VectorField.from_coefficients(ctx, {("u", 0): P("-v"), ("v", 0): P("x")}, 1)
+    e = P("x*u + u_1*v")
+    assert V.apply(e) == P("u + x*v + u*v")
+    assert V.scaled(P("u")).apply(e) == P("u*(u + x*v + u*v)")
+    assert V.plus(W).apply(e) == P("u + u*v + x*u_1")
+    assert V.truncated(0).apply(P("x*u*v")) == P("u*v + x*v^2")
+    # a coefficient the sum cancels no longer acts
+    assert V.plus(W).apply(P("u")) == P("0")
+
+
 def test_apply_examples(ctx):
     P = ctx.parse
     y1 = VectorField.from_coefficients(

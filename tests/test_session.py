@@ -19,6 +19,9 @@ SESSIONS = os.path.join(
 )
 
 
+BUNDLED = sorted(f[: -len(".session")] for f in os.listdir(SESSIONS) if f.endswith(".session"))
+
+
 def _path(name):
     return os.path.join(SESSIONS, name + ".session")
 
@@ -32,6 +35,19 @@ def test_load_bundled_session():
     assert len(s.seeds) == 2
     assert s.change is not None
     assert s.oracle is not None
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_a_session_loaded_twice_is_equal(name):
+    """Contexts, systems, coordinate changes and ansatz templates compare
+    by structure, with matching hashes, so two loads of one file are equal."""
+    a, b = load_session(_path(name)), load_session(_path(name))
+    assert a == b
+    for part in ("ctx", "system", "change", "ansatz"):
+        x, y = getattr(a, part), getattr(b, part)
+        assert x == y and hash(x) == hash(y), part
+        assert x is None or x is not y
+    assert a.ctx.extended(a.ctx.max_order + 1) != a.ctx
 
 
 def test_empty_session_rejected(tmp_path):
@@ -262,7 +278,7 @@ def test_every_session_error_has_its_line(body):
     assert err.value.line is not None and 4 <= err.value.line <= 4 + body.count("\n")
 
 
-@pytest.mark.parametrize("name", sorted(f[: -len(".session")] for f in os.listdir(SESSIONS) if f.endswith(".session")))
+@pytest.mark.parametrize("name", BUNDLED)
 def test_spaces_around_equals_and_after_commas_change_nothing(name, tmp_path, capsys):
     """Keys and values are stripped, and so is every cell of a comma list."""
     with open(_path(name), encoding="utf-8") as fh:
