@@ -36,11 +36,11 @@ Atoms are built unevaluated.  The kernel rewrites are exactly these:
     is "negative" when its numerator's leading coefficient is negative
 
 so exp(log(u)), log(2*u) and sin(u)^2 + cos(u)^2 stay as they are.  sympy
-trees are built only at the edges: to print, to ``lambdify``, to read an
-``Expr(sp.Expr)`` input and to name atoms; each product in them carries one
-merged ``exp(...)``.  Hashing reads the field element, and numeric
-evaluation and the zero test walk the generators (``_value``): exact in Q
-without kernel atoms, to 30 digits with them.  No float ever enters a
+trees are built only at the edges: to print, to compile in ``oracle``, to
+read an ``Expr(sp.Expr)`` input and to name atoms; each product in them
+carries one merged ``exp(...)``.  Hashing reads the field element, and
+numeric evaluation and the zero test walk the generators (``_value``): exact
+in Q without kernel atoms, to 30 digits with them.  No float ever enters a
 symbolic expression.
 """
 

@@ -11,8 +11,18 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import sympy as sp
+from sympy.printing.pycode import PythonCodePrinter
 
-from .exprs import Expr, ExprError, SingularPointError, _sample_fraction, eval_numeric
+from .exprs import (
+    _KERNELS,
+    Expr,
+    ExprError,
+    SingularPointError,
+    _is_opaque,
+    _sample_fraction,
+    eval_numeric,
+    print_expr,
+)
 from .jets import JetContext
 
 if TYPE_CHECKING:
@@ -61,6 +71,55 @@ def _state_layout(sys) -> list[tuple[str, int]]:
     return layout
 
 
+# the settings lambdify(..., modules="math") gives its PythonCodePrinter
+_MATH_SETTINGS = {
+    "fully_qualified_modules": False,
+    "inline": True,
+    "allow_unknown_functions": True,
+    "user_functions": {},
+}
+
+
+class _KernelPrinter(PythonCodePrinter):
+    """lambdify's math printer, except that each distinct kernel call prints
+    as a local bound once to that call (``calls``: call text -> local)."""
+
+    def __init__(self):
+        super().__init__(_MATH_SETTINGS)
+        self.calls: dict[str, str] = {}
+
+
+def _hoisting(kernel: str):
+    inherited = getattr(PythonCodePrinter, f"_print_{kernel}")
+
+    def method(self, expr):
+        return self.calls.setdefault(inherited(self, expr), f"_k{len(self.calls)}")
+
+    return method
+
+
+for _kernel in _KERNELS.values():
+    setattr(_KernelPrinter, f"_print_{_kernel.__name__}", _hoisting(_kernel.__name__))
+
+_MATH = {k: v for k, v in vars(math).items() if not k.startswith("_")}
+
+
+def _function(lines: list[str], name: str, namespace: dict):
+    """The function ``name`` defined by the source ``lines`` over a copy of
+    ``namespace``."""
+    namespace = dict(namespace)
+    exec(compile("\n".join(lines), f"<oracle {name}>", "exec"), namespace)
+    return namespace[name]
+
+
+def _unbound(args: tuple[sp.Symbol, ...], trees: tuple[sp.Expr, ...]) -> list[str]:
+    """What a tree needs beyond the arguments: its other symbols, and its
+    opaque applications, which have no numeric value."""
+    symbols = set().union(*(t.free_symbols for t in trees)) - set(args)
+    opaque = {f for t in trees for f in t.atoms(sp.Function) if _is_opaque(f)}
+    return sorted(map(print_expr, symbols | opaque))
+
+
 # Enough for every right side and invariant of a bundled session or
 # cross-check to stay compiled at once.
 _COMPILED_MAX = 256
@@ -68,10 +127,64 @@ _COMPILED_MAX = 256
 
 @functools.lru_cache(maxsize=_COMPILED_MAX)
 def _compile(args: tuple[sp.Symbol, ...], trees: tuple[sp.Expr, ...]):
-    """One math-module function of the arguments returning the list of the
-    trees' values, compiled once per (arguments, trees) key: the key is all
-    that the printed code depends on."""
-    return sp.lambdify(args, list(trees), modules="math")
+    """``_rhs(*args)``, the tuple of the trees' values, compiled once per
+    (arguments, trees) key: the key is all that the printed code depends on.
+    Every node prints as lambdify prints it, except that each distinct kernel
+    call is computed once, first; the rounding is lambdify's."""
+    unbound = _unbound(args, trees)
+    if unbound:
+        raise ExprError(f"no numeric value for {', '.join(unbound)}")
+    printer = _KernelPrinter()
+    params = ", ".join(map(printer.doprint, args))
+    values = [printer.doprint(t) for t in trees]
+    return _function(
+        [
+            f"def _rhs({params}):",
+            *(f"    {local} = {call}" for call, local in printer.calls.items()),
+            f"    return ({', '.join(values)},)",
+        ],
+        "_rhs",
+        _MATH,
+    )
+
+
+@functools.cache  # one loop per state size
+def _rk4(n: int):
+    """``_run(rhs, t, h, steps, y0, ..., ts, history)``: ``steps`` classical
+    RK4 steps of ``rhs(t, y0, ...)`` from t, the n state components held in
+    locals, appending each new time to ``ts`` and state tuple to
+    ``history``.  A stage that raises in ``rhs`` is a SingularPointError at
+    the stage time."""
+
+    def row(template: str) -> str:
+        return "".join(template.format(i=i) + ", " for i in range(n))
+
+    return _function(
+        [
+            f"def _run(rhs, t, h, steps, {row('y{i}')}ts, history):",
+            "    h2 = h / 2",
+            "    h6 = h / 6",
+            "    for _ in range(steps):",
+            "        s = t",
+            "        try:",
+            f"            {row('a{i}')}= rhs(t, {row('y{i}')})",
+            "            s = t + h2",
+            f"            {row('b{i}')}= rhs(s, {row('y{i} + h2 * a{i}')})",
+            f"            {row('c{i}')}= rhs(s, {row('y{i} + h2 * b{i}')})",
+            "            s = t + h",
+            f"            {row('d{i}')}= rhs(s, {row('y{i} + h * c{i}')})",
+            "        except (ZeroDivisionError, ValueError, OverflowError) as exc:",
+            '            raise SingularPointError(f"right side singular at t={s}: {exc}") from exc',
+            *(f"        y{i} = y{i} + h6 * (a{i} + 2 * b{i} + 2 * c{i} + d{i})" for i in range(n)),
+            f"        if not ({' and '.join(f'isfinite(y{i})' for i in range(n))}):",
+            '            raise NonFiniteError(f"state became non-finite at t={t + h}")',
+            "        t += h",
+            "        ts.append(t)",
+            f"        history.append(({row('y{i}')}))",
+        ],
+        "_run",
+        {"isfinite": math.isfinite, "SingularPointError": SingularPointError, "NonFiniteError": NonFiniteError},
+    )
 
 
 def integrate(
@@ -81,59 +194,38 @@ def integrate(
     h: float = 1e-3,
 ) -> Trajectory:
     """Classical fixed-step RK4 on the first-order reformulation of a solved
-    system; local error O(h^5)."""
+    system; local error O(h^5).  The span must be a whole number of steps."""
     import numpy as np
 
-    if h <= 0:
+    if not h > 0:
         raise ExprError("step size must be positive")
     if sys.solved is None:
         raise ExprError("integration needs a solved form")
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    span = t1 - t0
+    steps = round(span / h) if 0 < span < math.inf else 0
+    if not (steps and math.isclose(steps * h, span, rel_tol=1e-9)):
+        raise ExprError(f"the span from t={t0} to t={t1} is not a positive whole number of steps of {h}")
     ctx = sys.ctx
     layout = _state_layout(sys)
-    names = [str(ctx.coord(dep, k)) for dep, k in layout]
+    coords = [ctx.coord(dep, k) for dep, k in layout]
+    names = [str(c) for c in coords]
     missing = [n for n in names if n not in initial]
     if missing:
         raise ExprError(f"initial data missing for {missing}")
     orders = sys.solved_orders()
-    # chain[i] is the state index whose value is component i's derivative
-    # within the jet ladder, or None where the solved right side gives it
-    chain: list[int | None] = []
-    tops = []
-    for dep, k in layout:
-        if k < orders[dep] - 1:
-            chain.append(names.index(str(ctx.coord(dep, k + 1))))
-        else:
-            chain.append(None)
-            tops.append(sys.solved[ctx.coord(dep, orders[dep])].sym)
-    fn = _compile((ctx.x, *(sp.Symbol(n) for n in names)), tuple(tops))
-
-    def deriv(t: float, y: list[float]) -> list[float]:
-        try:
-            top = iter(fn(t, *y))
-        except (ZeroDivisionError, ValueError, OverflowError) as exc:
-            raise SingularPointError(f"right side singular at t={t}: {exc}") from exc
-        return [next(top) if i is None else y[i] for i in chain]
-
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    steps = int(round((t1 - t0) / h))
-    ts = [t0]
+    # a component's derivative is the next coordinate of its jet ladder, or
+    # the solved right side at the top of the ladder
+    rhs = _compile(
+        (ctx.x, *coords),
+        tuple(
+            sys.solved[ctx.coord(dep, k + 1)].sym if k == orders[dep] - 1 else ctx.coord(dep, k + 1)
+            for dep, k in layout
+        ),
+    )
     y = [float(initial[n]) for n in names]
-    history = [list(y)]
-    t = t0
-    for _ in range(steps):
-        k1 = deriv(t, y)
-        k2 = deriv(t + h / 2, [yi + h / 2 * ki for yi, ki in zip(y, k1)])
-        k3 = deriv(t + h / 2, [yi + h / 2 * ki for yi, ki in zip(y, k2)])
-        k4 = deriv(t + h, [yi + h * ki for yi, ki in zip(y, k3)])
-        y = [
-            yi + h / 6 * (a + 2 * b + 2 * c + d)
-            for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
-        ]
-        if not all(math.isfinite(v) for v in y):
-            raise NonFiniteError(f"state became non-finite at t={t + h}")
-        t += h
-        ts.append(t)
-        history.append(list(y))
+    ts, history = [t0], [y]
+    _rk4(len(y))(rhs, t0, h, steps, *y, ts, history)
     arr = np.array(history)
     samples = {n: arr[:, i].copy() for i, n in enumerate(names)}
     return Trajectory(ctx, np.array(ts), samples, h)
@@ -148,18 +240,15 @@ def invariant_along_trajectory(e: Expr, traj: Trajectory):
 
     ctx = traj.ctx
     names = [ctx.independent, *traj.samples.keys()]
-    free = {s.name for s in e.free_symbols}
-    unknown = free - set(names)
-    if unknown:
-        raise ExprError(f"expression needs coordinates not on the trajectory: {sorted(unknown)}")
     fn = _compile(tuple(sp.Symbol(n) for n in names), (e.sym,))
     rows = zip(traj.ts.tolist(), *(c.tolist() for c in traj.samples.values()))
-    values = np.empty(len(traj.ts))
-    for i, row in enumerate(rows):
-        try:
-            values[i] = fn(*row)[0]
-        except (ZeroDivisionError, ValueError, OverflowError) as exc:
-            raise SingularPointError(f"invariant singular at sample {i}: {exc}") from exc
+    values = []
+    try:
+        for row in rows:
+            values.append(fn(*row)[0])
+    except (ZeroDivisionError, ValueError, OverflowError) as exc:
+        raise SingularPointError(f"invariant singular at sample {len(values)}: {exc}") from exc
+    values = np.array(values)
     deriv = (values[2:] - values[:-2]) / (2 * traj.h)
     return values, deriv
 

@@ -330,6 +330,9 @@ def loads_session(text: str) -> Session:
                     initial[coord] = _fraction(number, n)
             t1 = _fraction(*one.get("t1", ("1/2", head)), positive=True)
             step = _fraction(*one.get("step", ("1/1000", head)), positive=True)
+            if (t1 / step).denominator != 1:
+                line = one.get("step", one.get("t1", ("", head)))[1]
+                raise SessionError(f"t1={t1} is not a whole number of steps of {step}", line)
             session.oracle = OracleSpec(initial, t1, step)
         elif keyword == "deny":
             session.deny += [parse_at(v, n) for n, _, v in entries]

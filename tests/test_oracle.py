@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -136,6 +137,74 @@ def test_invariant_pole_raises():
             invariant_along_trajectory(P(text), traj)
 
 
+def test_stage_on_a_pole_reports_the_stage_time():
+    """With h = 1e-2 the second stage of the first step lands on t = 0.005,
+    the pole of 1/(x - 1/200); the error names that stage time."""
+    ctx = JetContext("x", ["v"], 1)
+    P = ctx.parse
+    sys = ODESystem(ctx, 1, [P("v_1 - 1/(x - 1/200)")], solved={"v_1": P("1/(x - 1/200)")})
+    with pytest.raises(SingularPointError, match=r"^right side singular at t=0\.005: "):
+        integrate(sys, {"v": 0}, (0.0, 0.1), 1e-2)
+
+
+def test_state_overflow_is_non_finite():
+    ctx = JetContext("x", ["u"], 1)
+    P = ctx.parse
+    sys = ODESystem(ctx, 1, [P("u_1 - u")], solved={"u_1": P("u")})
+    with pytest.raises(oracle.NonFiniteError, match=r"^state became non-finite at t=1\.0$"):
+        integrate(sys, {"u": 1e308}, (0.0, 2.0), 1.0)
+
+
+@pytest.mark.parametrize(
+    "solved, names",
+    [
+        ("a*u", "a"),
+        ("F(u) + u", "F(u)"),
+        ("b*F(x*u)", "F(u*x), b"),
+    ],
+)
+def test_right_side_without_a_numeric_value_is_rejected(solved, names):
+    """A parameter or an opaque application in a right side has no value
+    on the trajectory: an ExprError naming it, not a NameError."""
+    ctx = JetContext("x", ["u"], 1, parameters=["a", "b"], functions={"F": 1})
+    P = ctx.parse
+    sys = ODESystem(ctx, 1, [P(f"u_1 - ({solved})")], solved={"u_1": P(solved)})
+    with pytest.raises(ExprError, match=rf"^no numeric value for {re.escape(names)}$"):
+        integrate(sys, {"u": 1}, (0.0, 0.1), 1e-2)
+
+
+@pytest.mark.parametrize("invariant, names", [("F(u)", "F(u)"), ("u_1*u", "u_1"), ("a + F(u_2)", "F(u_2), a, u_2")])
+def test_invariant_without_a_numeric_value_is_rejected(invariant, names):
+    """Coordinates off the trajectory, parameters and opaque applications are
+    named in one ExprError."""
+    ctx = JetContext("x", ["u"], 2, parameters=["a"], functions={"F": 1})
+    P = ctx.parse
+    sys = ODESystem(ctx, 1, [P("u_1")], solved={"u_1": P("0")})
+    traj = integrate(sys, {"u": 1}, (0.0, 0.1), 1e-2)
+    with pytest.raises(ExprError, match=rf"^no numeric value for {re.escape(names)}$"):
+        invariant_along_trajectory(P(invariant), traj)
+
+
+@pytest.mark.parametrize(
+    "t_span, h",
+    [((0.5, 0.0), 1e-2), ((0.0, 0.0), 1e-2), ((0.0, 0.5), 0.3), ((0.0, 0.5), 2.0), ((0.0, 0.5), float("nan"))],
+)
+def test_span_must_be_a_positive_whole_number_of_steps(t_span, h):
+    ctx = JetContext("x", ["u"], 1)
+    P = ctx.parse
+    sys = ODESystem(ctx, 1, [P("u_1")], solved={"u_1": P("0")})
+    with pytest.raises(ExprError, match="step"):
+        integrate(sys, {"u": 1}, t_span, h)
+
+
+def test_span_within_rounding_of_whole_steps_is_accepted():
+    ctx = JetContext("x", ["u"], 1)
+    P = ctx.parse
+    sys = ODESystem(ctx, 1, [P("u_1")], solved={"u_1": P("0")})
+    traj = integrate(sys, {"u": 1}, (0.0, 0.3), 0.1)  # 0.3 / 0.1 is 2.9999999999999996
+    assert len(traj.ts) == 4
+
+
 def _reference_integrate(sys, initial, t_span, h):
     """RK4 with one lambdify per right side, evaluated one at a time: the
     reference the compiled vector right side must match bit for bit."""
@@ -176,6 +245,27 @@ def _reference_invariant(e, traj):
     return np.array([fn(*[c[i] for c in cols]) for i in range(len(traj.ts))])
 
 
+def _kernel_mix():
+    """A solved system repeating a log, sin, cos and arctan atom, with
+    negative powers, and two invariants over the same atoms."""
+    ctx = JetContext("x", ["u", "v"], 2)
+    P = ctx.parse
+    solved = {
+        "u_2": "sin(u)*cos(v) + log(1 + u^2)*arctan(v_1) - sin(u)^2*(2 + cos(v))^(-2)",
+        "v_2": "arctan(v_1)*cos(v) - log(1 + u^2)*(1 + u^2)^(-3) + x*sin(u)*cos(v)",
+    }
+    system = ODESystem(ctx, 2, [P(f"{k} - ({v})") for k, v in solved.items()], solved={k: P(v) for k, v in solved.items()})
+    invariants = ["log(1 + u^2) + arctan(v_1)*sin(u)", "cos(v)^(-2)*log(1 + u^2) - u_1/sin(u)", "cos(v)^(-3)"]
+    return system, [P(e) for e in invariants]
+
+
+def _case(name):
+    if name == "kernel_mix":
+        return _kernel_mix()
+    case = getattr(gallery, name)()
+    return (case.system if case.system.solved is not None else solve_for_highest(case.system)), case.seeds
+
+
 @pytest.mark.parametrize(
     "name, initial",
     [
@@ -186,36 +276,30 @@ def _reference_invariant(e, traj):
             {"u": 1, "v": Fraction(1, 2), "w": 1,
              "u_1": Fraction(3, 10), "v_1": Fraction(1, 5), "w_1": Fraction(1, 10)},
         ),
+        ("kernel_mix", {"u": 1, "v": Fraction(1, 2), "u_1": Fraction(-1, 3), "v_1": Fraction(2, 5)}),
     ],
 )
 def test_integrate_matches_reference_bit_for_bit(name, initial):
-    case = getattr(gallery, name)()
-    system = case.system if case.system.solved is not None else solve_for_highest(case.system)
+    system, invariants = _case(name)
     traj = integrate(system, initial, (0.0, 0.2), 1e-3)
     reference = _reference_integrate(system, initial, (0.0, 0.2), 1e-3)
     assert list(traj.samples) == list(reference)
     for n, values in reference.items():
         assert traj.samples[n].tobytes() == values.tobytes(), n
-    for seed in case.seeds:
-        values, _ = invariant_along_trajectory(seed, traj)
-        assert values.tobytes() == _reference_invariant(seed, traj).tobytes(), seed
+    for e in invariants:
+        values, _ = invariant_along_trajectory(e, traj)
+        assert values.tobytes() == _reference_invariant(e, traj).tobytes(), e
 
 
-def test_each_tree_compiles_once(monkeypatch):
-    compiled = []
-    real = sp.lambdify
-
-    def counting(args, expr, **kwargs):
-        compiled.append((tuple(args), tuple(expr)))
-        return real(args, expr, **kwargs)
-
+def test_each_tree_compiles_once():
+    """Two integrations of one system and an invariant on each trajectory
+    compile two kernels: the right side and the invariant."""
     oracle._compile.cache_clear()
-    monkeypatch.setattr(oracle.sp, "lambdify", counting)
     case = gallery.exp_coupled_pair()
     initial = {"u": 0, "v": 0, "u_1": 1, "v_1": 1}
     first = integrate(case.system, initial, (0.0, 0.05), 1e-2)
     second = integrate(case.system, initial, (0.0, 0.1), 1e-2)
     for traj in (first, second):
         invariant_along_trajectory(case.seeds[0], traj)
-    assert len(compiled) == 2
-    assert len(set(compiled)) == 2
+    info = oracle._compile.cache_info()
+    assert (info.misses, info.hits) == (2, 2)

@@ -151,6 +151,9 @@ def test_malformed_entry_is_a_session_error_with_its_line(tmp_path, capsys, line
         ("[matrix B]\nrow=1\nconvention=inverse_dx", 6),
         ("[oracle]\nstep=0", 5),
         ("[oracle]\nt1=-1/2", 5),
+        ("[oracle]\nt1=1/2\nstep=3/10", 6),
+        ("[oracle]\nstep=3/10\nt1=1/2", 5),
+        ("[oracle]\nt1=1/3", 5),
         ("[invariant]\norder=00\nexpr=u", 5),
         ("[invariant]\norder=2\nexpr=u", 5),
         ("[change]\nz=u_1\nretained=u,,u", 6),
@@ -158,7 +161,8 @@ def test_malformed_entry_is_a_session_error_with_its_line(tmp_path, capsys, line
     ids=[
         "arity-zero", "matrix-trailing-comma", "matrix-doubled-comma", "matrix-leading-comma", "initial-trailing-comma",
         "context-key-typo", "field-key", "equation-key", "convention-unknown", "convention-on-B", "step-zero",
-        "t1-negative", "invariant-order-00", "invariant-order-2", "retained-doubled-comma",
+        "t1-negative", "t1-not-whole-steps", "step-before-t1", "t1-not-whole-default-steps", "invariant-order-00",
+        "invariant-order-2", "retained-doubled-comma",
     ],
 )
 def test_bad_entry_names_its_line(body, lineno):
@@ -412,6 +416,19 @@ def test_solved_key_of_undeclared_dependent_rejected(tmp_path, capsys):
     path.write_text(_SOLVED_ONLY.format(key="w_2"))
     assert main(["all", "--session", str(path)]) == 1
     assert "error: undeclared symbol 'w_2'" in capsys.readouterr().err
+
+
+def test_oracle_on_a_parameter_is_an_error(tmp_path, capsys):
+    """A right side the oracle cannot evaluate (a parameter has no value on
+    the trajectory) ends in ``error: ...`` and exit status 1, not a
+    traceback, under ``oracle`` and under ``all``."""
+    path = tmp_path / "parameter.session"
+    path.write_text(
+        "[context]\ndependent=u\norder=1\n[params]\na\n[equation]\nsolved=u_1:a*u\n[oracle]\ninitial=u:1\n"
+    )
+    for command in ("oracle", "all"):
+        assert main([command, "--session", str(path)]) == 1
+        assert capsys.readouterr().err == "error: no numeric value for a\n"
 
 
 def test_reduced_session_roundtrips():
