@@ -53,6 +53,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
+from operator import itemgetter
 from sys import float_info
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -357,8 +358,9 @@ class _AmbientField:
         self.retired: dict[sp.Dummy, tuple[sp.Dummy, int]] = {}
         self.keys: dict = {}
         self.fields: dict[tuple, FracField] = {}
+        self.indices: dict[int, dict] = {}
         self.unions: dict[tuple, FracField] = {}
-        self.perms: dict[tuple, list] = {}
+        self.moves: dict[tuple, Callable] = {}
 
     def key(self, s) -> tuple:
         k = self.keys.get(s)
@@ -374,10 +376,13 @@ class _AmbientField:
         symbols = tuple(sorted(set(symbols), key=self.key))
         field = self.fields.get(symbols)
         if field is None:
-            # one object per generator tuple: ``unions`` and ``perms`` are
-            # keyed by the ids of these fields, which the cache keeps alive
+            # one object per tuple, kept alive here: ``indices``, ``unions`` and ``moves`` key on its id
             with self.lock:
-                field = self.fields.setdefault(symbols, FracField(symbols, ZZ, lex))
+                field = self.fields.get(symbols)
+                if field is None:
+                    field = FracField(symbols, ZZ, lex)
+                    self.indices[id(field)] = {s: i for i, s in enumerate(symbols)}
+                    self.fields[symbols] = field
         return field
 
     def union(self, a: FracField, b: FracField) -> FracField:
@@ -391,14 +396,21 @@ class _AmbientField:
         return u
 
     def convert(self, f, field):
-        """``f`` moved into a subfield holding all of its generators."""
+        """``f`` moved into ``field``; ExprError if ``field`` lacks one of its generators."""
         if f.field is field:
             return f
-        targets = self.perms.get((id(f.field), id(field)))
-        if targets is None:
-            targets = [(field.symbols.index(s), 1) for s in f.field.symbols]
-            self.perms[id(f.field), id(field)] = targets
-        return _relabel(f, field, targets)
+        move = self.moves.get((id(f.field), id(field)))
+        if move is None:
+            # a gather of the target's exponents; those the source lacks read the padding 0
+            index, at = self.indices[id(field)], [f.field.ngens] * field.ngens
+            for i, s in enumerate(f.field.symbols):
+                if s not in index:
+                    raise ExprError(f"the subfield lacks the generator {(self.atoms.get(s) or s).name}")
+                at[index[s]] = i
+            # one index would make itemgetter return a bare int, one slice a tuple
+            move = itemgetter(*at) if len(at) > 1 else itemgetter(slice(at[0], at[0] + 1))
+            self.moves[id(f.field), id(field)] = move
+        return _move(f, field, move)
 
     def gen(self, s):
         return self.field((s,)).gens[0]
@@ -429,10 +441,7 @@ class _AmbientField:
                     atom = new
                 powers[atom.symbol] = int(c * atom.scale)
             field = self.field(powers)
-            value = field.one
-            for s, k in powers.items():
-                value *= field.gens[field.symbols.index(s)] ** k
-            return value
+            return prod((field.gens[self.indices[id(field)][s]] ** k for s, k in powers.items()), start=field.one)
 
     def refresh(self, f):
         """``f`` with each retired exp generator replaced by its rescaled
@@ -447,24 +456,23 @@ class _AmbientField:
                 power *= k
             targets.append((s, power))
         field = self.field(s for s, _ in targets)
-        return _relabel(f, field, [(field.symbols.index(s), power) for s, power in targets])
+        targets = [(self.indices[id(field)][s], power) for s, power in targets]
 
-
-def _relabel(f, field, targets: list[tuple[int, int]]):
-    """``f`` in ``field``, its generator i becoming generator targets[i][0]
-    of ``field`` raised to the power targets[i][1]."""
-    ring = field.ring
-
-    def relabel(p):
-        terms = {}
-        for monom, c in p.items():
-            m = [0] * ring.ngens
+        def move(monom):
+            m = [0] * field.ngens
             for (i, power), k in zip(targets, monom):
                 m[i] += k * power
-            terms[tuple(m)] = c
-        return ring.zero.new(terms)
+            return tuple(m)
 
-    return field.raw_new(relabel(f.numer), relabel(f.denom))
+        return _move(f, field, move)
+
+
+def _move(f, field, move: Callable):
+    """``f`` in ``field``: each monomial m of its numerator and denominator
+    becomes move(m + (0,)), with its coefficient kept."""
+    new = field.ring.dtype
+    numer = new({move(m + (0,)): c for m, c in f.numer.items()})
+    return field.raw_new(numer, new({move(m + (0,)): c for m, c in f.denom.items()}))
 
 
 _AMBIENT = _AmbientField()
@@ -533,7 +541,7 @@ def _binary(op, exact: bool = False):
 
     def method(self, other):
         a, b = _field_values((self, normalize(other)))
-        if exact and a.denom == 1 and b.denom == 1:
+        if exact and _is_one(a.denom) and _is_one(b.denom):
             return Expr._of(a.raw_new(op(a.numer, b.numer), a.denom))
         try:
             return Expr._of(op(a, b))
@@ -810,18 +818,24 @@ def derivation(e: Expr, images: Mapping[sp.Symbol, Expr]) -> Expr:
             found.append((g, atom.derivative(images)))
     f, *coeffs = _field_values([e, *(c for _, c in found)])
     field, numer, denom = f.field, f.numer, f.denom
+    unit, index = _is_one(denom), _AMBIENT.indices[id(field)]
     pairs = []
     for (g, _), c in zip(found, coeffs):
         if c:
-            x = field.ring.gens[field.symbols.index(g)]
-            step = numer.diff(x) if denom == 1 else numer.diff(x) * denom - numer * denom.diff(x)
+            i = index[g]
+            step = numer.diff(i) if unit else numer.diff(i) * denom - numer * denom.diff(i)
             pairs.append((_times(c.numer, step), c.denom))
-    return Expr._of(_sum_quotients(field, pairs, None if denom == 1 else denom**2))
+    return Expr._of(_sum_quotients(field, pairs, None if unit else denom**2))
+
+
+def _is_one(p) -> bool:
+    """p == 1, without ``PolyElement.__eq__``'s type dispatch."""
+    return len(p) == 1 and p.get(p.ring.zero_monom) == 1
 
 
 def _times(a, b):
     """a*b in one ring, with no product formed when a factor is 1."""
-    return b if a == 1 else a if b == 1 else a * b
+    return b if _is_one(a) else a if _is_one(b) else a * b
 
 
 def _sum_quotients(field, pairs: Sequence[tuple], denom=None):
@@ -836,9 +850,9 @@ def _sum_quotients(field, pairs: Sequence[tuple], denom=None):
     else:
         numer = sum((n for n, _ in pairs), ring.zero)
     for d in dens:
-        if d != 1:
+        if not _is_one(d):
             denom = d if denom is None else denom * d
-    if denom is None or denom == 1:
+    if denom is None or _is_one(denom):
         return field.raw_new(numer, ring.one)
     return field.new(numer, denom)
 
@@ -896,10 +910,11 @@ def substitute(e: Expr, bindings: Mapping) -> Expr:
         if not images:
             return e
         f, *fracs = _field_values([e, *images.values()])
-        if all(g in f.field.symbols for g in images):
+        index = _AMBIENT.indices[id(f.field)]
+        if all(g in index for g in images):
             break
         # a new exp argument retired one of e's exp generators: start again
-    values = {f.field.symbols.index(g): (v.numer, v.denom) for g, v in zip(images, fracs)}
+    values = {index[g]: (v.numer, v.denom) for g, v in zip(images, fracs)}
     n1, d1 = _compose(f.numer, values)
     n2, d2 = _compose(f.denom, values)
     if not n2:

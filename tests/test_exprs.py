@@ -1,6 +1,7 @@
 import random
+import re
 from fractions import Fraction
-from itertools import count
+from itertools import count, permutations
 from math import isclose, isfinite
 
 import pytest
@@ -29,6 +30,7 @@ from jetsigma.exprs import (
     print_expr,
     substitute,
 )
+from jetsigma.jets import JetContext, total_derivative
 
 from fuzzing import random_expr, random_point
 from test_grammar import TABLE as GRAMMAR_TABLE, _grammar_text
@@ -815,3 +817,126 @@ def test_is_zero_verdict_is_scale_free():
         status = is_zero(e).status
         for scale in (Fraction(1, 10**15), Fraction(10**15)):
             assert is_zero(e * scale).status == status
+
+
+# ---------------------------------------------------------------------------
+# subfield moves
+# ---------------------------------------------------------------------------
+
+MOVE_TABLE = SymbolTable("x", ["u", "v", "w"], parameters=["k"])
+_MOVE_SYMBOLS = ["x", "u", "v", "w"]
+# generators a move may add: every symbol of the table, and atoms over them
+_MOVE_POOL = [sp.Symbol(n) for n in (*_MOVE_SYMBOLS, "k")] + [
+    s for _, s, atom in exprs._generators(parse("sin(u) + exp(x*w) + log(v + 2)", MOVE_TABLE)._field()) if atom
+]
+
+
+def _rational_text():
+    """A quotient of two sums of products over x, u, v and w, whose factors
+    are symbols (three times in five), small integers, and exp or log of a
+    sum, product or quotient of two symbols, so most values use 3-4
+    symbols and an atom.  Each weight is a separate strategy object:
+    ``one_of`` drops repeats of one object."""
+    symbol = st.sampled_from(_MOVE_SYMBOLS)
+    argument = st.tuples(symbol, st.sampled_from("+-*/"), symbol, st.integers(1, 3)).map(
+        lambda t: f"{t[0]} {t[1]} ({t[2]} + {t[3]})"
+    )
+    atom = st.tuples(st.sampled_from(["exp", "log"]), argument).map(lambda t: f"{t[0]}({t[1]})")
+    symbols = (st.sampled_from(_MOVE_SYMBOLS) for _ in range(3))
+    factor = st.one_of(*symbols, st.integers(2, 5).map(str), atom)
+    total = st.lists(st.lists(factor, min_size=1, max_size=3).map("*".join), min_size=2, max_size=3).map(" + ".join)
+    return st.tuples(total, total).map(lambda t: f"({t[0]})/({t[1]})")
+
+
+def _rebuilt(f, field, targets=None):
+    """The reference move, one exponent list per monomial: generator i of
+    ``f``'s subfield becomes generator targets[i][0] of ``field`` raised to
+    the power targets[i][1] (by default itself, to the power 1)."""
+    at = [(field.symbols.index(s), power) for s, power in targets or [(s, 1) for s in f.field.symbols]]
+
+    def rebuild(p):
+        terms = {}
+        for monom, c in p.items():
+            m = [0] * field.ngens
+            for (i, power), k in zip(at, monom):
+                m[i] += k * power
+            terms[tuple(m)] = c
+        return field.ring(terms)
+
+    return field.raw_new(rebuild(f.numer), rebuild(f.denom))
+
+
+@settings(derandomize=True, max_examples=200, database=None, deadline=None)
+@given(_rational_text(), st.lists(st.sampled_from(_MOVE_POOL), min_size=1, max_size=4))
+def test_move_into_a_larger_subfield(text, extra):
+    """A value moved into a subfield over its generators and some others is
+    the reference rebuild, and the same Expr with the same hash."""
+    try:
+        e = parse(text, MOVE_TABLE)
+    except ExprError:
+        return  # a documented failure, such as a division by zero
+    f = e._field()
+    target = exprs._AMBIENT.field({*f.field.symbols, *extra})
+    moved = exprs._AMBIENT.convert(f, target)
+    assert moved.field is target and moved == _rebuilt(f, target)
+    assert Expr._of(moved) == e and hash(Expr._of(moved)) == hash(e)
+
+
+@pytest.mark.parametrize("order", list(permutations([1, 2, 6])))
+def test_retired_exp_generators_refresh_to_equal_values(order):
+    """exp(w), exp(w/2) and exp(w/6), first met in any order, end as powers
+    of the one generator exp(w/6): a value built before a retirement
+    refreshes to the reference rebuild and equals the value built after."""
+    w = "r" + "".join(map(str, order))  # a fresh exp basis for each order
+    table = SymbolTable("x", [w])
+    texts = {k: f"exp({w}/{k})*(x + exp({w}/{k})) + 1/(x - exp({w}/{k}))" for k in order}
+    raw = {k: parse(texts[k], table)._frac for k in order}
+    ambient = exprs._AMBIENT
+    for k in order:
+        after = parse(texts[k], table)
+        successors = []
+        for s in raw[k].field.symbols:
+            power = 1
+            while s in ambient.retired:
+                s, step = ambient.retired[s]
+                power *= step
+            successors.append((s, power))
+        refreshed = ambient.refresh(raw[k])
+        assert refreshed == _rebuilt(raw[k], refreshed.field, successors)
+        assert Expr._of(raw[k]) == after and hash(Expr._of(raw[k])) == hash(after)
+    sixth = parse(f"exp({w}/6)", table)
+    assert parse(f"exp({w})", table) == sixth**6 and parse(f"exp({w}/2)", table) == sixth**3
+
+
+def test_move_into_a_subfield_without_a_generator_is_an_error(table):
+    """A move that would drop a generator is refused, naming it."""
+    f = parse("u*exp(v) + x", table)._field()
+    for name in ("u", "exp(v)"):
+        kept = [s for _, s, atom in exprs._generators(f) if str(atom.tree if atom else s) != name]
+        with pytest.raises(ExprError, match=f"generator {re.escape(name)}$"):
+            exprs._AMBIENT.convert(f, exprs._AMBIENT.field(kept))
+
+
+# ---------------------------------------------------------------------------
+# derivations over denominators that are constants other than 1
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text", ["u/2", "(u_1 - v)/3", "-u/(v + 1)", "-(x*u_1 - 3)/(2*v^2 + 4)", "exp(u)/6", "-log(v)/(u + 1)"]
+)
+def test_derivatives_over_constant_and_negative_denominators(text):
+    """``diff`` and ``total_derivative`` against sympy's cancel(diff(tree))
+    where the denominator is a constant other than 1 or the numerator leads
+    with a negative coefficient."""
+    ctx = JetContext("x", ["u", "v"], 2)
+    e = ctx.parse(text)
+    tree = e.sym
+    for name in ("x", "u", "v", "u_1"):
+        s = sp.Symbol(name)
+        assert diff(e, s) == Expr(sp.cancel(sp.diff(tree, s))), name
+    coordinates = [s for s in tree.free_symbols if ctx.table.jet_index(s)]
+    dx = sp.diff(tree, ctx.x) + sum(
+        sp.diff(tree, s) * ctx.table.jet_symbol(dep, k + 1) for s in coordinates for dep, k in [ctx.table.jet_index(s)]
+    )
+    assert total_derivative(e, ctx) == Expr(sp.cancel(dx))
