@@ -21,7 +21,7 @@ case = gallery.exp_coupled_pair()
 print("base fields:")
 for X in case.fields:
     print("  ", X)
-print("twist matrix:", case.sigma.mat)
+print("twist matrix:", case.sigma)
 
 Ys = sigma_prolong(case.fields, case.sigma, 2)
 print("\ntwisted prolongations to the second jet bundle:")

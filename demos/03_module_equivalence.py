@@ -33,7 +33,7 @@ for name in ("A", "B"):
 print("\n-- bilinear mixing (inverse_dx convention) --")
 bil = gallery.bilinear_mixing()
 sigma = sigma_from_A(bil.matrices["A"], bil.ctx, "inverse_dx")
-print("   induced twist:", sigma.mat)
+print("   induced twist:", sigma)
 rt = standardizing_roundtrip(bil.fields, bil.matrices["A"], 1, "inverse_dx", deny=bil.deny)
 print("   roundtrip (combine standard prolongations == twist-prolong combined fields):", rt.check.holds)
 

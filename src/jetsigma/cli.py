@@ -263,7 +263,7 @@ def _run_equivalence(session: Session, order: int, trials: int, seed: int) -> Re
         fields, A, order, convention, trials=trials, seed=seed, deny=session.deny
     )
     sigma = rt.sigma
-    rep.show("induced twist", [repr(sigma.mat)])
+    rep.show("induced twist", [repr(sigma)])
     rep.check("twisted set equals combined standard prolongations", rt.check)
     if session.sigma is not None:
         match = {
@@ -285,7 +285,7 @@ def _run_gauge(session: Session, order: int, trials: int, seed: int) -> Report:
     if "B" not in session.matrices:
         raise MissingSessionDataError("matrix B")
     out = gauge_transform_sigma(session.matrices["B"], sigma, session.ctx)
-    rep.show("gauged twist", [repr(out.mat)])
+    rep.show("gauged twist", [repr(out)])
     rep.check("gauge transform computed", RAN)
     return rep
 

@@ -9,7 +9,7 @@ from typing import Literal, Sequence
 
 from .exprs import CheckResult, Expr, ExprError, print_expr
 from .involution import StructureFunctions
-from .jets import JetContext, VectorFieldSet
+from .jets import JetContext, VectorField, VectorFieldSet
 from .linalg import ExprMatrix
 from .prolong import SigmaMatrix, sigma_prolong, standard_prolong
 
@@ -56,7 +56,7 @@ def verify_A_sigma(
 ) -> CheckResult:
     """Check D_x A = A sigma; the residuals are the entries of D_x A - A sigma,
     keyed by (row, column)."""
-    return _entry_checks(A.total_derivative(ctx) - (A @ sigma.mat), trials, seed)
+    return _entry_checks(A.total_derivative(ctx) - (A @ sigma), trials, seed)
 
 
 def _entry_checks(M: ExprMatrix, trials: int, seed: int) -> CheckResult:
@@ -68,13 +68,11 @@ def transform_fields(A: ExprMatrix, Vs: VectorFieldSet) -> VectorFieldSet:
     """New generators of the same module: (result)_i = sum_j A[i][j] V_j."""
     if A.ncols != len(Vs):
         raise ExprError(f"matrix has {A.ncols} columns but the set has {len(Vs)} fields")
-    out = []
-    for i in range(A.nrows):
-        acc = Vs[0].scaled(A[i, 0])
-        for j in range(1, len(Vs)):
-            acc = acc.plus(Vs[j].scaled(A[i, j]))
-        out.append(acc)
-    return VectorFieldSet(out)
+    ctx, n = Vs.ctx, Vs.order + 1
+    rows = (A @ ExprMatrix([V.components() for V in Vs])).entries
+    return VectorFieldSet(
+        VectorField(ctx, Vs.order, row[0], [row[1 + a * n : 1 + (a + 1) * n] for a in range(ctx.p)]) for row in rows
+    )
 
 
 @dataclass
@@ -104,7 +102,7 @@ def standardizing_roundtrip(
     P = A if convention == "dx_inverse" else A.inverse()
     Zs = VectorFieldSet([standard_prolong(W, n) for W in Ws])
     transformed = transform_fields(P, Zs)
-    Xs = transform_fields(P, VectorFieldSet([W for W in Ws]))
+    Xs = transform_fields(P, Ws)
     twisted = sigma_prolong(Xs, sigma, n)
     residuals = {
         (i, k): c
@@ -119,7 +117,7 @@ def gauge_transform_sigma(B: ExprMatrix, sigma: SigmaMatrix, ctx: JetContext) ->
     """Twist under a change of module generators: B sigma B^-1 + B D_x(B^-1)."""
     _check_base_matrix(B, ctx, "gauge matrix")
     Binv = B.inverse()
-    raw = (B @ sigma.mat @ Binv) + (B @ Binv.total_derivative(ctx))
+    raw = (B @ sigma @ Binv) + (B @ Binv.total_derivative(ctx))
     return SigmaMatrix(ctx, raw.entries)
 
 
@@ -128,29 +126,22 @@ def theta_from_mu(A: ExprMatrix, Ys: VectorFieldSet, mu: StructureFunctions) -> 
 
         theta[i][j][k] = (A[i][m] mu[m][l][h] A[j][l]
                           + A[i][m] Y_m(A[j][h]) - A[j][m] Y_m(A[i][h])) Ainv[h][k]
+
+    that is, theta_ij = (T_h[i][j] over h) Ainv, with Mu_h the mu[m][l][h] over
+    (m, l), G_h the Y_m(A[j][h]) over (m, j) and T_h = A Mu_h A^T + A G_h - (A G_h)^T.
     """
     r = len(Ys)
     if mu.r != r or A.nrows != r or A.ncols != r:
         raise ExprError("dimension mismatch between matrix, set, and structure functions")
     Ainv = A.inverse()
-    upper: dict[tuple[int, int], list[Expr]] = {}
-    for i in range(r):
-        for j in range(i + 1, r):
-            coeffs = []
-            for k in range(r):
-                acc = Expr.number(0)
-                for h in range(r):
-                    inner = Expr.number(0)
-                    for m in range(r):
-                        for l in range(r):
-                            muml = mu[m, l, h]
-                            if not muml.is_rational_zero:
-                                inner = inner + A[i, m] * muml * A[j, l]
-                    for m in range(r):
-                        inner = inner + A[i, m] * Ys[m].apply(A[j, h]) - A[j, m] * Ys[m].apply(A[i, h])
-                    acc = acc + inner * Ainv[h, k]
-                coeffs.append(acc)
-            upper[(i, j)] = coeffs
+    T = []
+    for h in range(r):
+        Mu_h = ExprMatrix([[mu[m, l, h] for l in range(r)] for m in range(r)])
+        AG = A @ ExprMatrix([[Y.apply(A[j, h]) for j in range(r)] for Y in Ys])
+        T.append(A @ Mu_h @ A.transpose() + AG - AG.transpose())
+    upper = {
+        (i, j): (ExprMatrix([[T_h[i, j] for T_h in T]]) @ Ainv).row(0) for i in range(r) for j in range(i + 1, r)
+    }
     return StructureFunctions.from_upper(r, upper)
 
 

@@ -11,8 +11,8 @@ from typing import Sequence
 import sympy as sp
 
 from .exprs import CheckResult, Expr, ExprError, _field_values, _generators, print_expr
-from .jets import VectorField, VectorFieldSet, lie_bracket, total_derivative
-from .linalg import linear_solve
+from .jets import VectorField, VectorFieldSet, lie_bracket
+from .linalg import ExprMatrix, linear_solve
 from .prolong import SigmaMatrix, sigma_prolong
 
 __all__ = [
@@ -360,47 +360,33 @@ def check_involution_transfer(
                      + sum_m (sigma[i][m] mu[m][j][k] - sigma[j][m] mu[m][i][k]
                               - mu[i][j][m] sigma[m][k])
 
+    or, with the rows Q_ij, R_ij and mu_ij over k, sigma_i the i-th row of
+    sigma and M_j the r x r matrix of the mu[m][j][k] over (m, k),
+
+        R_ij = Q_ij + D_x mu_ij + sigma_i M_j - sigma_j M_i - mu_ij sigma.
+
     The strong condition (``pointwise``) asks every R entry to vanish; the
-    weak one (``contracted``) only asks the contractions sum_k R[i][j][k]
-    phi^a_k to vanish."""
+    weak one (``contracted``) only asks the contractions R_ij Phi, with Phi
+    the r x p matrix of the phi^a_k, to vanish."""
     ctx = Xs.ctx
     r = len(Xs)
     if sigma.r != r:
         raise ExprError("twist matrix size does not match the set")
     mu = structure_functions(Xs)
     Ys = sigma_prolong(Xs, sigma, 1)
-    Q: dict[tuple[int, int], list[Expr]] = {}
-    q_contracted: dict[tuple[int, int], list[Expr]] = {}
-    R: dict[tuple[int, int, int], Expr] = {}
-    contracted: dict[tuple[int, int, int], Expr] = {}
+    Phi = ExprMatrix([[X.phi(a) for a in range(ctx.p)] for X in Xs])
+    M = [ExprMatrix([[mu[m, j, k] for k in range(r)] for m in range(r)]) for j in range(r)]
+    sigma_rows = [ExprMatrix([row]) for row in sigma.entries]
+    Q, q_contracted, R, contracted = {}, {}, {}, {}
     for i in range(r):
         for j in range(i + 1, r):
-            q_row = []
-            r_row = []
-            for k in range(r):
-                q = Ys[i].apply(sigma[j, k]) - Ys[j].apply(sigma[i, k])
-                extra = total_derivative(mu[i, j, k], ctx)
-                for m in range(r):
-                    extra = (
-                        extra
-                        + sigma[i, m] * mu[m, j, k]
-                        - sigma[j, m] * mu[m, i, k]
-                        - mu[i, j, m] * sigma[m, k]
-                    )
-                q_row.append(q)
-                r_row.append(q + extra)
-            Q[(i, j)] = q_row
-            R.update(((i, j, k), e) for k, e in enumerate(r_row))
-            qcon = []
-            for a in range(ctx.p):
-                acc = Expr.number(0)
-                qacc = Expr.number(0)
-                for k in range(r):
-                    acc = acc + r_row[k] * Xs[k].phi(a)
-                    qacc = qacc + q_row[k] * Xs[k].phi(a)
-                contracted[(i, j, a)] = acc
-                qcon.append(qacc)
-            q_contracted[(i, j)] = qcon
+            Q_ij = ExprMatrix([[Ys[i].apply(sigma[j, k]) - Ys[j].apply(sigma[i, k]) for k in range(r)]])
+            mu_ij = ExprMatrix([mu.mu[i][j]])
+            R_ij = Q_ij + mu_ij.total_derivative(ctx) + sigma_rows[i] @ M[j] - sigma_rows[j] @ M[i] - mu_ij @ sigma
+            Q[(i, j)] = Q_ij.row(0)
+            q_contracted[(i, j)] = (Q_ij @ Phi).row(0)
+            R.update(((i, j, k), e) for k, e in enumerate(R_ij.row(0)))
+            contracted.update(((i, j, a), e) for a, e in enumerate((R_ij @ Phi).row(0)))
     return InvolutionTransferReport(
         mu,
         Q,

@@ -172,7 +172,7 @@ class VectorField:
         return self.plus(other.scaled(-1))
 
     def _check_compatible(self, other: "VectorField"):
-        if self.ctx.table is not other.ctx.table or self.order != other.order:
+        if self.ctx.table != other.ctx.table or self.order != other.order:
             raise ExprError("vector fields live on different jet spaces")
 
     def components(self) -> list[Expr]:

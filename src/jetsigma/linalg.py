@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
 
-from .exprs import Expr, ExprError, _field_values, _sum_quotients, normalize, print_expr
+from .exprs import ZERO, Expr, ExprError, _field_values, _sum_quotients, normalize, print_expr
 
 __all__ = [
     "ExprMatrix",
@@ -151,11 +151,14 @@ class ExprMatrix:
             raise ExprError(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
-        n = self.ncols
 
         def entry(row, col) -> Expr:
-            values = _field_values([*row, *col])
-            pairs = [(a.numer * b.numer, a.denom * b.denom) for a, b in zip(values[:n], values[n:]) if a and b]
+            # only the nonzero products enter the subfield union
+            factors = [x for a, b in zip(row, col) if not (a.is_rational_zero or b.is_rational_zero) for x in (a, b)]
+            if not factors:
+                return ZERO
+            values = _field_values(factors)
+            pairs = [(a.numer * b.numer, a.denom * b.denom) for a, b in zip(values[::2], values[1::2])]
             return Expr._of(_sum_quotients(values[0].field, pairs))
 
         return ExprMatrix([[entry(row, col) for col in zip(*other.entries)] for row in self.entries])

@@ -9,6 +9,11 @@ index, the step is
                      + sum_b Lambda[a][b] psi[i][b][k]
                      + sum_j S[i][j] (psi[j][a][k] - u^a_{k+1} xi_j)
 
+With Psi_k the r x p matrix of the order-k coefficients, Xi the column of the
+xi_i and U the row of the u^a_{k+1}, it is one matrix expression,
+
+    Psi_{k+1} = D_x Psi_k - (D_x Xi) U + Psi_k Lambda^T + S (Psi_k - Xi U),
+
 and the public functions fix its parts:
 
     standard_prolong      one field, Lambda = 0, S = 0
@@ -25,8 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
-
-import sympy as sp
 
 from .exprs import CheckResult, Expr, ExprError, print_expr
 from .jets import JetContext, VectorField, VectorFieldSet, total_derivative
@@ -49,15 +52,15 @@ class NonVerticalFieldError(ExprError):
     """An operation restricted to vertical fields received one with xi != 0."""
 
 
-class SigmaMatrix:
+class SigmaMatrix(ExprMatrix):
     """Square matrix of twist functions; every entry must live on the first
     jet bundle (depend only on x, u^a, u^a_1)."""
 
     def __init__(self, ctx: JetContext, entries: Sequence[Sequence[Expr]]):
-        self.mat = ExprMatrix(entries)
-        if not self.mat.is_square:
-            raise ExprError(f"twist matrix must be square, got {self.mat.nrows}x{self.mat.ncols}")
-        for row in self.mat.entries:
+        super().__init__(entries)
+        if not self.is_square:
+            raise ExprError(f"twist matrix must be square, got {self.nrows}x{self.ncols}")
+        for row in self.entries:
             for e in row:
                 if ctx.jet_order_of(e) > 1:
                     raise ExprError(
@@ -76,22 +79,7 @@ class SigmaMatrix:
 
     @property
     def r(self) -> int:
-        return self.mat.nrows
-
-    def __getitem__(self, ij) -> Expr:
-        return self.mat[ij]
-
-    def scaled(self, factor: Expr | int) -> "SigmaMatrix":
-        return SigmaMatrix(self.ctx, self.mat.scaled(factor).entries)
-
-    def is_zero_matrix(self) -> bool:
-        return self.mat.is_zero_matrix()
-
-    def __eq__(self, other):
-        return isinstance(other, SigmaMatrix) and self.mat == other.mat
-
-    def __repr__(self):
-        return f"SigmaMatrix{self.mat!r}"
+        return self.nrows
 
 
 @dataclass(frozen=True)
@@ -106,33 +94,29 @@ class ChiData:
 def _prolong(
     Xs: Sequence[VectorField], n: int, Lambda: ExprMatrix | None = None, S: ExprMatrix | None = None
 ) -> list[VectorField]:
-    """Iterate the general step of the module docstring from the fields on the
+    """Iterate the matrix step of the module docstring from the fields on the
     base to order n; a missing matrix is the zero matrix."""
     for X in Xs:
         if X.order != 0:
             raise ExprError("prolongation starts from fields on the base (order 0)")
     ctx = Xs[0].ctx
-    r = len(Xs)
-    dxi = [total_derivative(X.xi, ctx) for X in Xs]
-    psis = [[[X.phi(a)] for a in range(ctx.p)] for X in Xs]
+    Xi = ExprMatrix([[X.xi] for X in Xs])
+    dXi = Xi.total_derivative(ctx)
+    Psis = [ExprMatrix([[X.phi(a) for a in range(ctx.p)] for X in Xs])]
     for k in range(n):
-        for i in range(r):
-            for a in range(ctx.p):
-                u_next = Expr(ctx.coord(a, k + 1))
-                coeff = total_derivative(psis[i][a][k], ctx) - u_next * dxi[i]
-                if Lambda is not None:
-                    for b in range(ctx.p):
-                        lab = Lambda[a, b]
-                        if not lab.is_rational_zero:
-                            coeff = coeff + lab * psis[i][b][k]
-                if S is not None:
-                    for j in range(r):
-                        s = S[i, j]
-                        if not s.is_rational_zero:
-                            coeff = coeff + s * (psis[j][a][k] - u_next * Xs[j].xi)
-                psis[i][a].append(coeff)
+        Psi = Psis[-1]
+        U = ExprMatrix([[Expr(ctx.coord(a, k + 1)) for a in range(ctx.p)]])
+        step = Psi.total_derivative(ctx) - dXi @ U
+        if Lambda is not None:
+            step = step + Psi @ Lambda.transpose()
+        if S is not None:
+            step = step + S @ (Psi - Xi @ U)
+        Psis.append(step)
     out_ctx = ctx if ctx.max_order >= n else ctx.extended(n)
-    return [VectorField(out_ctx, n, X.xi, psis[i]) for i, X in enumerate(Xs)]
+    return [
+        VectorField(out_ctx, n, X.xi, [[Psi[i, a] for Psi in Psis] for a in range(ctx.p)])
+        for i, X in enumerate(Xs)
+    ]
 
 
 def standard_prolong(X: VectorField, n: int) -> VectorField:
@@ -142,14 +126,14 @@ def standard_prolong(X: VectorField, n: int) -> VectorField:
 
 def lambda_prolong(X: VectorField, lam: Expr, n: int) -> VectorField:
     """Scalar twist by a function on the first jet bundle."""
-    return _prolong([X], n, S=SigmaMatrix.scalar(X.ctx, lam).mat)[0]
+    return _prolong([X], n, S=SigmaMatrix.scalar(X.ctx, lam))[0]
 
 
 def sigma_prolong(Xs: VectorFieldSet, sigma: SigmaMatrix, n: int) -> VectorFieldSet:
     """Joint twisted prolongation of the whole set."""
     if len(Xs) != sigma.r:
         raise ExprError(f"twist matrix is {sigma.r}x{sigma.r} but the set has {len(Xs)} fields")
-    return VectorFieldSet(_prolong(list(Xs), n, S=sigma.mat))
+    return VectorFieldSet(_prolong(list(Xs), n, S=sigma))
 
 
 def mu_prolong_vertical(Xs: VectorFieldSet, Lambda: ExprMatrix, n: int) -> VectorFieldSet:
@@ -193,28 +177,24 @@ def check_prolongation_commutation(
 
     for c ranging over x and the jet coordinates of order <= n-1.  Both sides
     are derivations, so agreement on the coordinates settles the identity.
-    The residuals are keyed by (field index, coordinate name)."""
+    With C the row of those coordinates, Xi the column of the xi_i and Y C
+    the r x m matrix of the Y_i(c), the residuals are the entries of
+
+        R = Y(D_x C) - D_x(Y C) - sigma (Y C) + (D_x Xi + sigma Xi) (D_x C),
+
+    keyed by (field index, coordinate name)."""
     ctx = Ys.ctx
     n = Ys.order
     if n < 1:
         raise ExprError("the commutation identity needs order >= 1")
     if len(Ys) != sigma.r:
         raise ExprError("twist matrix size does not match the set")
-    coords: list[sp.Symbol] = [ctx.x] + [ctx.coord(a, k) for a in range(ctx.p) for k in range(n)]
-    residuals = {}
-    for i, Y in enumerate(Ys):
-        dx_xi = total_derivative(Y.xi, ctx)
-        twist_scalar = dx_xi
-        for j in range(len(Ys)):
-            twist_scalar = twist_scalar + sigma[i, j] * Ys[j].xi
-        for c in coords:
-            ce = Expr(c)
-            dc = total_derivative(ce, ctx)
-            lhs = Y.apply(dc) - total_derivative(Y.apply(ce), ctx)
-            rhs = -twist_scalar * dc
-            for j in range(len(Ys)):
-                s = sigma[i, j]
-                if not s.is_rational_zero:
-                    rhs = rhs + s * Ys[j].apply(ce)
-            residuals[(i, str(c))] = lhs - rhs
+    coords = [ctx.x] + [ctx.coord(a, k) for a in range(ctx.p) for k in range(n)]
+    C = [Expr(c) for c in coords]
+    dC = ExprMatrix([[total_derivative(c, ctx) for c in C]])
+    YC = ExprMatrix([[Y.apply(c) for c in C] for Y in Ys])
+    YdC = ExprMatrix([[Y.apply(dc) for dc in dC.row(0)] for Y in Ys])
+    Xi = ExprMatrix([[Y.xi] for Y in Ys])
+    R = YdC - YC.total_derivative(ctx) - sigma @ YC + (Xi.total_derivative(ctx) + sigma @ Xi) @ dC
+    residuals = {(i, str(c)): R[i, m] for i in range(len(Ys)) for m, c in enumerate(coords)}
     return CheckResult.test(residuals, trials=trials, seed=seed)

@@ -3,7 +3,7 @@ import random
 import pytest
 import sympy as sp
 
-from jetsigma.exprs import Expr, eval_numeric
+from jetsigma.exprs import Expr, ExprError, eval_numeric
 from jetsigma.jets import JetContext, VectorField, VectorFieldSet, lie_bracket, total_derivative
 
 from fuzzing import random_expr, random_polynomial
@@ -85,6 +85,31 @@ def test_bracket_quotient_case():
     br = lie_bracket(y1, y2)
     expected = VectorField.from_coefficients(ctx, {("v", 1): P("u_1/u^3")}, 1)
     assert br == expected
+
+
+def test_equal_contexts_are_compatible():
+    """Fields on two separately built but equal contexts combine, and bracket
+    as fields on one context do; contexts with other declarations do not."""
+
+    def fields(ctx):
+        P = ctx.parse
+        V = VectorField.on_base(ctx, P("x"), [P("u*v"), P("1")])
+        W = VectorField.on_base(ctx, P("0"), [P("v"), P("u^2")])
+        return V, W
+
+    one, other = JetContext("x", ["u", "v"], 2), JetContext("x", ["u", "v"], 2)
+    assert one is not other and one.table is not other.table and one == other
+    V, W = fields(one)
+    V2, W2 = fields(other)
+    assert lie_bracket(V, W2) == lie_bracket(V, W) == lie_bracket(V2, W)
+    assert VectorFieldSet([V, W2]) == VectorFieldSet([V2, W])
+    assert V.plus(W2) == V.plus(W)
+    for declared in (JetContext("x", ["u", "w"], 2), JetContext("x", ["u", "v"], 2, parameters=["c"])):
+        U = VectorField.on_base(declared, 0, [declared.parse("u"), declared.parse("x")])
+        with pytest.raises(ExprError, match="different jet spaces"):
+            lie_bracket(V, U)
+        with pytest.raises(ExprError, match="different jet spaces"):
+            VectorFieldSet([U, V])
 
 
 def test_jacobi_identity_fuzzed():

@@ -166,7 +166,7 @@ def test_combined_twist_degenerations(ctx):
     sigma = random_sigma(rng, ctx)
     zero_p = ExprMatrix.zero(2, 2)
     # set-index part alone, with Theta = -sigma^T, reproduces the joint twist
-    chi = ChiData(zero_p, sigma.mat.transpose().scaled(-1))
+    chi = ChiData(zero_p, sigma.transpose().scaled(-1))
     assert chi_prolong(Xs, chi, 2) == sigma_prolong(Xs, sigma, 2)
     # dependent-index part alone reproduces the per-field twist
     base = [ctx.x, ctx.coord(0, 0), ctx.coord(1, 0)]
@@ -189,7 +189,7 @@ def test_combined_twist_both_parts(ctx):
     from fuzzing import random_polynomial
 
     Lambda = ExprMatrix([[random_polynomial(rng, base) for _ in range(2)] for _ in range(2)])
-    Theta = random_sigma(rng, ctx).mat
+    Theta = random_sigma(rng, ctx)
     assert not Lambda.is_zero_matrix() and not Theta.is_zero_matrix()
     out = chi_prolong(Xs, ChiData(Lambda, Theta), 2)
     psi = [[[X.phi(a)] for a in range(2)] for X in Xs]
