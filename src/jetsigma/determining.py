@@ -10,7 +10,7 @@ from typing import Sequence
 
 import sympy as sp
 
-from .exprs import Expr, ExprError, _generators, _name_symbol, _opaque_applications
+from .exprs import Expr, ExprError, _generators, _name_symbol, _opaque_applications, _sum_quotients
 from .jets import JetContext, VectorField, VectorFieldSet
 from .prolong import SigmaMatrix
 from .reduction import ODESystem, symmetry_residuals
@@ -142,4 +142,4 @@ def collect_coefficients(residual: Expr, collect_vars: Sequence[sp.Symbol | str]
     for monom, c in numer.iterterms():
         rest = tuple(0 if i in slots else k for i, k in enumerate(monom))
         groups.setdefault(tuple(monom[i] for i in slots), {})[rest] = c
-    return [Expr._of(field.new(field.ring(groups[k]), denom)) for k in sorted(groups, reverse=True)]
+    return [Expr._of(_sum_quotients(field, [(field.ring(groups[k]), denom)])) for k in sorted(groups, reverse=True)]

@@ -15,8 +15,9 @@ never leaves the field (Bronstein's monomial-extension tower):
 A derivation is given by its image map, from each symbol to its image, and
 resolves each generator with one lookup: ``diff`` maps one symbol to 1, a
 vector field keeps its map, and D_x has one map per ``SymbolTable``
-(``dx_images``), filled as coordinates are met.  Its terms go over one
-denominator, and terms that share one are added with no multiplication.
+(``dx_images``), filled as coordinates are met.  One rule forms every
+quotient, of an operator, a derivation or a matrix entry: the numerators go
+over the lcm of their denominators, and the result takes one cancel.
 
 The exp generators form a Q-basis of their arguments, the constant 1 among
 them: an argument N/D splits, by division N = q*D + r in the lex order,
@@ -489,8 +490,8 @@ def _exp_terms(g: "Expr"):
     qq = ring.clone(domain=QQ)
     (quotient,), remainder = f.numer.set_ring(qq).div([f.denom.set_ring(qq)])
     lc = f.denom.LC
-    out = [(Expr._of(field.raw_new(ring({m: 1}), ring.one)), c) for m, c in quotient.iterterms()]
-    return out + [(Expr._of(field.new(ring({m: lc}), f.denom)), c / lc) for m, c in remainder.iterterms()]
+    out = [(Expr._of(field.raw_new(ring({m: 1}), ring.one)), c) for m, c in quotient.items()]
+    return out + [(Expr._of(_sum_quotients(field, [(ring({m: lc}), f.denom)])), c / lc) for m, c in remainder.items()]
 
 
 def _field_values(exprs: Sequence["Expr"]) -> list:
@@ -533,22 +534,6 @@ def _opaque_applications(e: "Expr"):
 # ---------------------------------------------------------------------------
 # the Expr wrapper
 # ---------------------------------------------------------------------------
-
-
-def _binary(op, exact: bool = False):
-    """An operator on the field elements.  An ``exact`` one (+, -, *) of two
-    polynomials is taken on the numerators with no cancel: gcd(N, 1) = 1."""
-
-    def method(self, other):
-        a, b = _field_values((self, normalize(other)))
-        if exact and _is_one(a.denom) and _is_one(b.denom):
-            return Expr._of(a.raw_new(op(a.numer, b.numer), a.denom))
-        try:
-            return Expr._of(op(a, b))
-        except ZeroDivisionError:
-            raise ExprError("division by zero") from None
-
-    return method
 
 
 class Expr:
@@ -604,13 +589,13 @@ class Expr:
             object.__setattr__(self, "_frac", f)
         return f
 
-    # -- arithmetic ---------------------------------------------------------
-    __add__ = __radd__ = _binary(lambda a, b: a + b, exact=True)
-    __sub__ = _binary(lambda a, b: a - b, exact=True)
-    __rsub__ = _binary(lambda a, b: b - a, exact=True)
-    __mul__ = __rmul__ = _binary(lambda a, b: a * b, exact=True)
-    __truediv__ = _binary(lambda a, b: a / b)
-    __rtruediv__ = _binary(lambda a, b: b / a)
+    # -- arithmetic: ``_sum`` and ``_product`` form each result with ``_sum_quotients``
+    __add__ = __radd__ = lambda self, other: _sum(self, normalize(other), 1)
+    __sub__ = lambda self, other: _sum(self, normalize(other), -1)
+    __rsub__ = lambda self, other: _sum(normalize(other), self, -1)
+    __mul__ = __rmul__ = lambda self, other: _product(self, normalize(other), False)
+    __truediv__ = lambda self, other: _product(self, normalize(other), True)
+    __rtruediv__ = lambda self, other: _product(normalize(other), self, True)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -805,8 +790,8 @@ def derivation(e: Expr, images: Mapping[sp.Symbol, Expr]) -> Expr:
     ambient field: the chain rule over the generators of e, one lookup per
     generator, with each atom's own derivative.  With e = N/D and
     c_g = a_g/b_g the image of generator g, the terms a_g*(N'_g*D - N*D'_g)
-    are summed over the product of the distinct b_g times D^2
-    (``_sum_quotients``); D^2 is not formed when D = 1."""
+    are summed over the lcm of the b_g times D^2 (``_sum_quotients``); D^2 is
+    not formed when D = 1."""
     f = e._field()
     found = []
     for _, g, atom in _generators(f):
@@ -840,21 +825,42 @@ def _times(a, b):
 
 def _sum_quotients(field, pairs: Sequence[tuple], denom=None):
     """The sum of n/d over the (n, d) polynomial ``pairs``, divided by
-    ``denom``: one numerator over the product of the distinct d (times
-    ``denom``), so the result takes one cancel, and none when that
-    denominator is 1.  Numerators over one shared d are added as they are."""
-    ring = field.ring
-    dens = list(dict.fromkeys(d for _, d in pairs))
-    if len(dens) > 1:
-        numer = sum((n * prod((b for b in dens if b != d), start=ring.one) for n, d in pairs), ring.zero)
-    else:
-        numer = sum((n for n, _ in pairs), ring.zero)
-    for d in dens:
-        if not _is_one(d):
-            denom = d if denom is None else denom * d
-    if denom is None or _is_one(denom):
-        return field.raw_new(numer, ring.one)
-    return field.new(numer, denom)
+    ``denom``: the one rule that forms field elements.  Pairs with n = 0 are
+    skipped; the rest go over the lcm L of their denominators other than 1,
+    each n times L/d, and the sum over L (times ``denom``) takes one cancel,
+    or none when that is 1."""
+    pairs = [(n, d) for n, d in pairs if n]
+    if not pairs:
+        return field.zero
+    dens = [d for _, d in pairs if not _is_one(d)]
+    if not dens and denom is None:
+        return field.raw_new(sum((n for n, _ in pairs[1:]), pairs[0][0]), pairs[0][1])
+    dens = list(dict.fromkeys(dens))
+    lcm, scales = dens[0] if dens else pairs[0][1], {}
+    for d in dens[1:]:
+        # L/e for each e so far; with L = g*a and d = g*b the lcm is L*b = d*a
+        _, a, b = lcm.cofactors(d)
+        scales = {e: _times(s, b) for e, s in (scales or {dens[0]: lcm.ring.one}).items()} | {d: a}
+        lcm = lcm * b
+    terms = [_times(n, lcm) if _is_one(d) else _times(n, scales[d]) if scales else n for n, d in pairs]
+    return field.new(sum(terms[1:], terms[0]), lcm if denom is None else _times(lcm, denom))
+
+
+def _sum(x: Expr, y: Expr, sign: int) -> Expr:
+    """x + sign*y; a zero operand leaves the other, in lowest terms already."""
+    if x.is_rational_zero or y.is_rational_zero:
+        return x if y.is_rational_zero else y if sign > 0 else -y
+    a, b = _field_values((x, y))
+    return Expr._of(_sum_quotients(a.field, [(a.numer, a.denom), (b.numer if sign > 0 else -b.numer, b.denom)]))
+
+
+def _product(x: Expr, y: Expr, divide: bool) -> Expr:
+    """x*y, or x/y when ``divide``."""
+    if divide and y.is_rational_zero:
+        raise ExprError("division by zero")
+    a, b = _field_values((x, y))
+    n, d = (b.denom, b.numer) if divide else (b.numer, b.denom)
+    return Expr._of(_sum_quotients(a.field, [(_times(a.numer, n), _times(a.denom, d))]))
 
 
 def _powers(x, k: int) -> list:
@@ -919,7 +925,7 @@ def substitute(e: Expr, bindings: Mapping) -> Expr:
     n2, d2 = _compose(f.denom, values)
     if not n2:
         raise ExprError("substitution makes a denominator vanish")
-    return Expr._of(f.field.new(n1 * d2, d1 * n2))
+    return Expr._of(_sum_quotients(f.field, [(n1 * d2, d1 * n2)]))
 
 
 # ---------------------------------------------------------------------------

@@ -84,10 +84,6 @@ class InvariantTable:
             out.extend(chain)
         return out
 
-    def level(self, k: int) -> list[Expr]:
-        """Entries that are k differentiation steps beyond their seed."""
-        return [chain[k] for chain in self.chains if len(chain) > k]
-
     def __repr__(self):
         lines = [f"eta = {print_expr(self.eta)}"]
         for b in self.extra_base:

@@ -146,9 +146,6 @@ class VectorField:
             raise ExprError("cannot truncate to a higher order")
         return VectorField(self.ctx, order, self.xi, [row[: order + 1] for row in self.psi])
 
-    def restriction_to_base(self) -> "VectorField":
-        return self.truncated(0)
-
     # -- algebra -------------------------------------------------------------
     def scaled(self, factor: Expr | int) -> "VectorField":
         f = normalize(factor)

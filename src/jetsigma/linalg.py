@@ -66,12 +66,16 @@ def linear_solve(mat: Sequence[Sequence[Expr]], rhs: Sequence[Expr]) -> LinearSo
     equation with zero coefficients and nonzero right side; in reduced row
     echelon form that right side is 1), or an underdetermined result whose
     particular solution sets the free variables to zero.  Pivot columns are
-    the first columns that are independent over the expression field.  With
-    no equations the number of unknowns is unknown, so that raises.
+    the first columns that are independent over the expression field.  No
+    equations, ragged rows and a right side of another length all raise.
     """
     if not mat:
         raise ExprError("a linear system needs at least one equation")
     n = len(mat[0])
+    if any(len(row) != n for row in mat):
+        raise ExprError("ragged matrix")
+    if len(rhs) != len(mat):
+        raise ExprError(f"{len(mat)} equation(s) but {len(rhs)} right side(s)")
     reduced, pivots = _lift([[*row, b] for row, b in zip(mat, rhs)]).rref()
     rows = reduced.to_list()
     if n in pivots:
@@ -191,9 +195,6 @@ class ExprMatrix:
         from .jets import total_derivative
 
         return self.map(lambda e: total_derivative(e, ctx))
-
-    def is_zero_matrix(self) -> bool:
-        return all(e.is_rational_zero for row in self.entries for e in row)
 
     def __eq__(self, other):
         return isinstance(other, ExprMatrix) and self.entries == other.entries

@@ -6,7 +6,7 @@ from math import isclose, isfinite
 
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.fields import FracElement
 from sympy.polys.rings import PolyElement
@@ -393,17 +393,42 @@ def _grammar_value(text_tail):
     return parse("({}) + {}".format(*text_tail), GRAMMAR_TABLE)
 
 
+_EXAMPLE_IMAGES = {sp.Symbol("u"): ("v", "0"), sp.Symbol("x"): ("1", "1/(u + 2)")}
+
+
+def _operand_example(a: str, b: str):
+    return example((a, "0"), (b, "0"), _EXAMPLE_IMAGES, _EXAMPLE_IMAGES, Fraction(-3, 2))
+
+
 @settings(derandomize=True, max_examples=30, database=None, deadline=None)
 @given(_OPERAND, _OPERAND, _IMAGES, _IMAGES, st.fractions(-5, 5, max_denominator=7))
+@_operand_example("1/(u*(u + 1))", "v/(u*(u + 2))")  # denominators sharing a factor
+@_operand_example("u/(v + 1)", "v_1/(u + 2)")  # coprime denominators
+@_operand_example("(u - v)/(x^2 - 1)", "(u + 1)/(2*x + 2)")  # one divides the other, up to a constant
+@_operand_example("0", "u/(x + 1)")  # zero operands
+@_operand_example("exp(u)/(v + 3)", "0")
+@_operand_example("3/4", "-5")  # numbers
+@_operand_example("u*v/(x + 1)", "-2")  # division by a negative constant
+@_operand_example("-x/(u + 1)", "-3/7")
 def test_derivation_laws_over_grammar_text(a, b, t1, t2, q):
     """Linearity in e, additivity in the image map and the Leibniz rule,
     for derivations with 2-3 images that carry denominators and kernel
-    atoms."""
+    atoms; and the operators on the two operands, the reflected ones too,
+    against sympy's own rational-function operators on the same elements."""
     try:
         a, b = _grammar_value(a), _grammar_value(b)
         T1, T2 = ({s: _grammar_value(c) for s, c in t.items()} for t in (t1, t2))
     except ExprError:
         return  # a documented failure, such as a division by zero
+    fa, fb = exprs._field_values((a, b))
+    assert a + b == Expr._of(fa + fb) and a - b == Expr._of(fa - fb) and a * b == Expr._of(fa * fb)
+    assert 2 + a == Expr._of(2 + fa) and 2 - a == Expr._of(2 - fa) and 2 * a == Expr._of(2 * fa)
+    for x, y, fx, fy in ((a, b, fa, fb), (2, a, 2, fa)):
+        if y.is_rational_zero:
+            with pytest.raises(ExprError, match="division by zero"):
+                x / y
+        else:
+            assert x / y == Expr._of(fx / fy)
     q = Expr.number(q)
     T12 = {s: T1.get(s, ZERO) + T2.get(s, ZERO) for s in T1.keys() | T2.keys()}
     assert derivation(a + q * b, T1) == derivation(a, T1) + q * derivation(b, T1)
@@ -457,6 +482,20 @@ def test_cancel_runs_once_per_result(table, monkeypatch):
     monkeypatch.setattr(exprs, "_from_tree", no_tree)
     assert Expr(u) == P("u")
     assert Expr(sp.Symbol("u_1")) == P("u_x")
+
+
+def test_sum_goes_over_the_lcm_of_the_denominators(table, monkeypatch):
+    """Denominators u*(u + 1) and u*(u + 2) share the factor u: the sum is
+    formed over their lcm, of degree 3, not over their product, of degree 4,
+    and cancelled once."""
+    a, b = parse("1/(u*(u + 1))", table), parse("1/(u*(u + 2))", table)
+    calls = []
+    cancel = PolyElement.cancel
+    monkeypatch.setattr(PolyElement, "cancel", lambda p, q: calls.append(q) or cancel(p, q))
+    total = a + b
+    assert [q.degree() for q in calls] == [3]
+    monkeypatch.setattr(PolyElement, "cancel", cancel)
+    assert total == parse("(2*u + 3)/(u*(u + 1)*(u + 2))", table)
 
 
 def test_finite_difference_agreement(table):

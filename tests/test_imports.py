@@ -7,7 +7,9 @@ expression's sympy tree (``.sym``) is read only by the few functions that
 print, compile or reshape it (``TREE_READERS``); outside ``exprs`` a
 zero-test verdict is read only by the few functions that word an error or
 write a report entry (``VERDICT_READERS``), so every set of verdicts is
-folded by ``exprs.CheckResult``; and only the zero test
+folded by ``exprs.CheckResult``; a field element is formed from a numerator
+and a denominator by one routine, ``exprs._sum_quotients``
+(``FIELD_NEW_CALLERS``); and only the zero test
 (``exprs``) and the jet-point sampler (``oracle``) draw random numbers, so no
 other verdict depends on a seed.  No library call picks its own sample count
 or seed either: ``trials=`` and ``seed=`` only forward the caller's values.
@@ -101,6 +103,43 @@ def test_trees_read_only_at_the_edges(module):
     with open(os.path.join(SRC, module), encoding="utf-8") as fh:
         tree = ast.parse(fh.read(), module)
     assert [(scope, line) for scope, line in _tree_reads(tree) if (module, scope) not in TREE_READERS] == []
+
+
+# (module, qualified function name) pairs allowed to call ``.new(`` on a
+# field, which cancels; ``raw_new`` (moves, numbers, signs) does not cancel,
+# and ``_from_tree``'s ``field_new`` reads a sympy tree at the edge
+FIELD_NEW_CALLERS = {("exprs.py", "_sum_quotients")}
+
+
+def _field_new_calls(tree: ast.Module) -> list[tuple[str, int]]:
+    """(qualified name of the enclosing function, line) of each ``.new(`` call."""
+    calls = []
+
+    def visit(node: ast.AST, scope: str):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "new":
+            calls.append((scope, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return calls
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_quotients_formed_in_one_routine(module):
+    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), module)
+    assert [
+        (scope, line) for scope, line in _field_new_calls(tree) if (module, scope) not in FIELD_NEW_CALLERS
+    ] == []
+
+
+def test_field_new_guard_sees_a_call():
+    """The guard flags a quotient formed outside the routine, and only that."""
+    tree = ast.parse("def f(field, n, d):\n    field.raw_new(n, d)\n    return field.new(n, d)\n")
+    assert _field_new_calls(tree) == [("f", 3)]
 
 
 # (module, qualified function name) pairs allowed to read a verdict's

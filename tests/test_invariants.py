@@ -67,7 +67,7 @@ def test_generate_invariants_coupled_pair():
     Ys = sigma_prolong(case.fields, case.sigma, 2)
     table = generate_invariants(Ys, case.eta, case.seeds, 2)
     P = case.ctx.parse
-    assert table.level(1) == [P("exp(-u)*(v_2 - u_1*v_1)"), P("exp(-v)*(u_2 - u_1*v_1)")]
+    assert [chain[1] for chain in table.chains] == [P("exp(-u)*(v_2 - u_1*v_1)"), P("exp(-v)*(u_2 - u_1*v_1)")]
     # rank-n set over n dependents: qn + 1 independent invariants up to order q
     assert len(table.all_entries()) == 2 * 2 + 1
 
@@ -79,7 +79,7 @@ def test_generate_invariants_three_component():
         Ys, case.eta, case.seeds, 2, extra_base=case.extra_base, deny=case.deny
     )
     P = case.ctx.parse
-    assert table.level(1) == [
+    assert [chain[1] for chain in table.chains] == [
         P("exp(-(u-v-w))*(u_2 + w_2 + u_1*v_1 + v_1*w_1 - u_1^2 + w_1^2)"),
         P("exp(-(u+w))*(u_2 - v_2 - w_2 + u_1*v_1 + v_1*w_1 - u_1^2 + w_1^2)"),
         P("u_2 - v_2"),

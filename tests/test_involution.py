@@ -4,7 +4,7 @@ import pytest
 
 import cases
 from jetsigma import gallery
-from jetsigma.exprs import Expr, _field_values, is_zero
+from jetsigma.exprs import Expr, _field_values, eval_numeric, is_zero
 from jetsigma.jets import JetContext, VectorField, VectorFieldSet, lie_bracket
 from jetsigma.involution import (
     ClosureExceededError,
@@ -234,3 +234,31 @@ def test_closure_size_counts_field_terms_and_atom_arguments():
     # one numerator term over 1, and the argument u + v over 1
     assert _size(P("u*sin(u + v)")) == 5
     assert _size(P("exp(u)/(1 + exp(u))")) == 5
+
+
+def test_transfer_on_rational_fields_that_are_not_vertical():
+    """Three fields, two of them not vertical, whose coefficients lie over
+    distinct denominators: their structure functions are quotients of tens
+    of terms, whose products the contractions sum over denominators that
+    share factors.  With the zero twist the check takes seconds; both
+    conditions fail, each with a witness that reproduces.  The same fields
+    with a twist that has rational entries take several times longer and
+    are not run in this suite."""
+    ctx = JetContext("x", ["u", "v"], 2)
+    P = ctx.parse
+    Xs = VectorFieldSet(
+        [
+            VectorField.on_base(ctx, P("1/(x + 1)"), [P("u*exp(v)"), P("2")]),
+            VectorField.on_base(ctx, P("x"), [P("u"), P("1/(u - 2)")]),
+            VectorField.on_base(ctx, P("0"), [P("v"), P("x/(v + 3)")]),
+        ]
+    )
+    rep = check_involution_transfer(Xs, SigmaMatrix.zero(ctx, 3))
+    values = []
+    for check in (rep.pointwise, rep.contracted):
+        failure = check.failure
+        assert failure.verdict.is_nonzero
+        value = eval_numeric(failure.expr, failure.verdict.witness)
+        assert value == failure.verdict.value
+        values.append(value)
+    assert values == [pytest.approx(1.8698, rel=1e-4), pytest.approx(13.991, rel=1e-4)]

@@ -28,6 +28,21 @@ def test_linear_solve_without_equations_raises():
         linear_solve([], [])
 
 
+@pytest.mark.parametrize(
+    "mat, rhs, message",
+    [
+        ([[1, 0], [0, 1]], [2], r"2 equation\(s\) but 1 right side"),
+        ([[1]], [1, 5], r"1 equation\(s\) but 2 right side"),
+        ([[1, 0], [1]], [1, 2], "ragged matrix"),
+    ],
+)
+def test_linear_solve_checks_its_shapes(mat, rhs, message):
+    """A right side of another length than the system, or rows of unequal
+    length, are refused rather than paired off until the shorter runs out."""
+    with pytest.raises(ExprError, match=message):
+        linear_solve([[Expr(c) for c in row] for row in mat], [Expr(b) for b in rhs])
+
+
 def test_bracket_expansion_coefficients(ctx):
     """Expressing a bracket in the set's own basis gives (0, 1) for the
     scaling/transvection pair."""

@@ -190,7 +190,7 @@ def test_combined_twist_both_parts(ctx):
 
     Lambda = ExprMatrix([[random_polynomial(rng, base) for _ in range(2)] for _ in range(2)])
     Theta = random_sigma(rng, ctx)
-    assert not Lambda.is_zero_matrix() and not Theta.is_zero_matrix()
+    assert Lambda != ExprMatrix.zero(2, 2) and Theta != ExprMatrix.zero(Theta.r, Theta.r)
     out = chi_prolong(Xs, ChiData(Lambda, Theta), 2)
     psi = [[[X.phi(a)] for a in range(2)] for X in Xs]
     for k in range(2):
