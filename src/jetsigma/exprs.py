@@ -13,11 +13,13 @@ never leaves the field (Bronstein's monomial-extension tower):
     F(g1, ..., gk)' = sum_i D(F, e_i)(g1, ..., gk)*gi'
 
 A derivation is given by its image map, from each symbol to its image, and
-resolves each generator with one lookup: ``diff`` maps one symbol to 1, a
-vector field keeps its map, and D_x has one map per ``SymbolTable``
-(``dx_images``), filled as coordinates are met.  One rule forms every
-quotient, of an operator, a derivation or a matrix entry: the numerators go
-over the lcm of their denominators, and the result takes one cancel.
+resolves each generator with one lookup; a lone symbol is mapped to its
+image object as it is.  ``diff`` maps one symbol to 1, a vector field keeps
+its map, and D_x has one map per ``SymbolTable`` (``dx_images``), filled as
+coordinates are met; ``jets.total_derivative`` keeps each result on its
+expression with that map.  One rule forms every quotient, of an operator, a
+derivation or a matrix entry: the numerators go over the lcm of their
+denominators, and the result takes one cancel.
 
 The exp generators form a Q-basis of their arguments, the constant 1 among
 them: an argument N/D splits, by division N = q*D + r in the lex order,
@@ -53,7 +55,6 @@ import re
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
 from operator import itemgetter
 from sys import float_info
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
@@ -397,9 +398,12 @@ class _AmbientField:
         return u
 
     def convert(self, f, field):
-        """``f`` moved into ``field``; ExprError if ``field`` lacks one of its generators."""
+        """``f`` moved into ``field``, a number with no move map; ExprError
+        if ``field`` lacks one of its generators."""
         if f.field is field:
             return f
+        if f.numer.is_ground and f.denom.is_ground:
+            return field.raw_new(field.ring.ground_new(f.numer.LC), field.ring.ground_new(f.denom.LC))
         move = self.moves.get((id(f.field), id(field)))
         if move is None:
             # a gather of the target's exponents; those the source lacks read the padding 0
@@ -442,7 +446,9 @@ class _AmbientField:
                     atom = new
                 powers[atom.symbol] = int(c * atom.scale)
             field = self.field(powers)
-            return prod((field.gens[self.indices[id(field)][s]] ** k for s, k in powers.items()), start=field.one)
+            m = [powers[s] for s in field.symbols]
+            n, d = (field.ring({tuple(max(0, sign * k) for k in m): 1}) for sign in (1, -1))
+            return field.raw_new(n, d)  # a monomial over a monomial, with no cancel
 
     def refresh(self, f):
         """``f`` with each retired exp generator replaced by its rescaled
@@ -538,9 +544,11 @@ def _opaque_applications(e: "Expr"):
 
 class Expr:
     """An immutable symbolic expression: an element ``_frac`` of the ambient
-    field, with its sympy tree (``sym``) built on first use."""
+    field, with its sympy tree (``sym``) built on first use and its total
+    derivative (``_dx``, an (image map, result) pair) kept by
+    ``jets.total_derivative``."""
 
-    __slots__ = ("_sym", "_frac")
+    __slots__ = ("_sym", "_frac", "_dx")
 
     def __init__(self, raw):
         if isinstance(raw, Expr):
@@ -555,12 +563,14 @@ class Expr:
             raise TypeError(f"cannot interpret {raw!r} as an expression")
         object.__setattr__(self, "_sym", sym)
         object.__setattr__(self, "_frac", frac)
+        object.__setattr__(self, "_dx", None)
 
     @staticmethod
     def _of(frac) -> "Expr":
         e = object.__new__(Expr)
         object.__setattr__(e, "_sym", None)
         object.__setattr__(e, "_frac", frac)
+        object.__setattr__(e, "_dx", None)
         return e
 
     @staticmethod
@@ -788,11 +798,16 @@ def derivation(e: Expr, images: Mapping[sp.Symbol, Expr]) -> Expr:
     """The sum of c * de/ds over the symbols s with image c =
     ``images.get(s)`` (None, or absent, for an image 0), computed in the
     ambient field: the chain rule over the generators of e, one lookup per
-    generator, with each atom's own derivative.  With e = N/D and
-    c_g = a_g/b_g the image of generator g, the terms a_g*(N'_g*D - N*D'_g)
-    are summed over the lcm of the b_g times D^2 (``_sum_quotients``); D^2 is
-    not formed when D = 1."""
+    generator, with each atom's own derivative.  A lone symbol s is mapped
+    to its image object as it is.  Otherwise, with e = N/D and c_g = a_g/b_g
+    the image of generator g, the terms a_g*(N'_g*D - N*D'_g) are summed
+    over the lcm of the b_g times D^2 (``_sum_quotients``); D^2 is not
+    formed when D = 1."""
     f = e._field()
+    if len(f.numer) == 1 and _is_one(f.denom):
+        ((m, c),) = f.numer.items()
+        if c == 1 and sum(m) == 1 and (g := f.field.symbols[m.index(1)]) not in _AMBIENT.atoms:
+            return images.get(g) or ZERO
     found = []
     for _, g, atom in _generators(f):
         if atom is None:

@@ -2,8 +2,9 @@
 
 Both derivations here are ``exprs.derivation`` over an image map built once:
 the total derivative reads its symbol table's ``dx_images`` (x -> 1,
-u_k -> u_{k+1}, shared by every ``extended`` context), and each vector field
-maps its coordinates to its nonzero coefficients when it is built."""
+u_k -> u_{k+1}, shared by every ``extended`` context) and keeps each result
+on its expression, and each vector field maps its coordinates to its
+nonzero coefficients when it is built."""
 
 from __future__ import annotations
 
@@ -81,8 +82,13 @@ class JetContext:
 def total_derivative(e: Expr, ctx: JetContext) -> Expr:
     """D_x e = d_x e + sum over present coordinates of u^a_{k+1} * de/du^a_k,
     through the image map of ``ctx``'s symbol table, which every
-    ``ctx.extended(n)`` shares."""
-    return derivation(e, ctx.table.dx_images)
+    ``ctx.extended(n)`` shares.  The result is kept on ``e`` with that map,
+    and returned again while the map is the same object."""
+    images, kept = ctx.table.dx_images, e._dx
+    if kept is None or kept[0] is not images:
+        kept = (images, derivation(e, images))
+        object.__setattr__(e, "_dx", kept)
+    return kept[1]
 
 
 class VectorField:

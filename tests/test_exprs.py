@@ -35,6 +35,10 @@ from jetsigma.jets import JetContext, total_derivative
 from fuzzing import random_expr, random_point
 from test_grammar import TABLE as GRAMMAR_TABLE, _grammar_text
 
+GRAMMAR_CTX = JetContext(
+    GRAMMAR_TABLE.independent, GRAMMAR_TABLE.dependents, 2, GRAMMAR_TABLE.parameters, GRAMMAR_TABLE.functions
+)
+
 
 @pytest.fixture
 def table():
@@ -413,8 +417,10 @@ def _operand_example(a: str, b: str):
 def test_derivation_laws_over_grammar_text(a, b, t1, t2, q):
     """Linearity in e, additivity in the image map and the Leibniz rule,
     for derivations with 2-3 images that carry denominators and kernel
-    atoms; and the operators on the two operands, the reflected ones too,
-    against sympy's own rational-function operators on the same elements."""
+    atoms; the operators on the two operands, the reflected ones too,
+    against sympy's own rational-function operators on the same elements;
+    and the total derivative kept on each value: asked again, it is the same
+    object, equal to a fresh derivation over the table's image map."""
     try:
         a, b = _grammar_value(a), _grammar_value(b)
         T1, T2 = ({s: _grammar_value(c) for s, c in t.items()} for t in (t1, t2))
@@ -434,6 +440,10 @@ def test_derivation_laws_over_grammar_text(a, b, t1, t2, q):
     assert derivation(a + q * b, T1) == derivation(a, T1) + q * derivation(b, T1)
     assert derivation(a, T12) == derivation(a, T1) + derivation(a, T2)
     assert derivation(a * b, T1) == derivation(a, T1) * b + a * derivation(b, T1)
+    for e in (a, b, a * b):
+        kept = total_derivative(e, GRAMMAR_CTX)
+        assert total_derivative(e, GRAMMAR_CTX) is kept
+        assert kept == derivation(e, GRAMMAR_CTX.table.dx_images)
 
 
 @settings(derandomize=True, max_examples=30, database=None, deadline=None)
@@ -453,6 +463,40 @@ def test_derivation_is_the_sum_of_its_partials(text, images):
     for s, c in images.items():
         expected += c * diff(e, s)
     assert derivation(e, images) == expected
+
+
+def test_a_lone_symbol_maps_to_its_image(monkeypatch):
+    """A lone symbol's derivation is its image, the very object, or 0 when
+    it has none, with no pass over generators; exp(u), F(u) and 2*u still
+    take the chain rule."""
+    P = lambda text: parse(text, GRAMMAR_TABLE)  # noqa: E731
+    image = P("v/(x + 1)")
+    images = {sp.Symbol("u"): image}
+    chained = {"exp(u)": image * P("exp(u)"), "F(u)": image * P("D(F,1)(u)"), "2*u": 2 * image}
+    walks = []
+    generators = exprs._generators
+    monkeypatch.setattr(exprs, "_generators", lambda f: walks.append(f) or generators(f))
+    assert derivation(P("u"), images) is image and derivation(P("v"), images) == ZERO
+    assert walks == []
+    for text, expected in chained.items():
+        assert derivation(P(text), images) == expected, text
+        assert walks, text
+        walks.clear()
+    assert diff(P("u"), "u") == Expr.number(1) and diff(P("v"), "u") == ZERO
+
+
+def test_exp_monomials_take_no_cancel(monkeypatch):
+    """exp of a sum is a monomial over a monomial in the exp generators,
+    formed with no gcd."""
+    table = SymbolTable("x", ["ecu", "ecv"])
+    calls = []
+    cancel = PolyElement.cancel
+    monkeypatch.setattr(PolyElement, "cancel", lambda p, q: calls.append(q) or cancel(p, q))
+    e = parse("exp(2*ecu - 3*ecv + 1)", table)
+    assert calls == []
+    monkeypatch.setattr(PolyElement, "cancel", cancel)
+    assert e == parse("exp(ecu)^2*exp(1)/exp(ecv)^3", table)
+    assert str(e) == "exp(1 + 2*ecu - 3*ecv)"
 
 
 def test_cancel_runs_once_per_result(table, monkeypatch):
@@ -945,6 +989,20 @@ def test_retired_exp_generators_refresh_to_equal_values(order):
         assert Expr._of(raw[k]) == after and hash(Expr._of(raw[k])) == hash(after)
     sixth = parse(f"exp({w}/6)", table)
     assert parse(f"exp({w})", table) == sixth**6 and parse(f"exp({w}/2)", table) == sixth**3
+
+
+def test_a_number_moves_with_no_move_map():
+    """A value with no generator enters any subfield as it is, from the
+    subfield of numbers or from a larger one: no move map is built."""
+    ambient = exprs._AMBIENT
+    over_u = ambient.field([sp.Symbol("u")])
+    numbers = [Expr.number(-3, 4)._field(), over_u.raw_new(over_u.ring(2), over_u.ring.one), over_u.zero]
+    target = ambient.field([sp.Symbol("nm1"), sp.Symbol("nm2")])
+    moves = len(ambient.moves)
+    moved = [ambient.convert(f, target) for f in numbers]
+    assert len(ambient.moves) == moves
+    assert all(f.field is target for f in moved)
+    assert [Expr._of(f) for f in moved] == [Expr.number(-3, 4), Expr.number(2), ZERO]
 
 
 def test_move_into_a_subfield_without_a_generator_is_an_error(table):

@@ -9,7 +9,9 @@ zero-test verdict is read only by the few functions that word an error or
 write a report entry (``VERDICT_READERS``), so every set of verdicts is
 folded by ``exprs.CheckResult``; a field element is formed from a numerator
 and a denominator by one routine, ``exprs._sum_quotients``
-(``FIELD_NEW_CALLERS``); and only the zero test
+(``FIELD_NEW_CALLERS``); one function, ``jets.total_derivative``, keeps a
+result in an expression's ``_dx`` slot, which the constructors only clear
+(``DX_WRITERS``); and only the zero test
 (``exprs``) and the jet-point sampler (``oracle``) draw random numbers, so no
 other verdict depends on a seed.  No library call picks its own sample count
 or seed either: ``trials=`` and ``seed=`` only forward the caller's values.
@@ -140,6 +142,60 @@ def test_field_new_guard_sees_a_call():
     """The guard flags a quotient formed outside the routine, and only that."""
     tree = ast.parse("def f(field, n, d):\n    field.raw_new(n, d)\n    return field.new(n, d)\n")
     assert _field_new_calls(tree) == [("f", 3)]
+
+
+# (module, qualified function name) pairs allowed to write an expression's
+# kept total derivative; the constructors' ``_dx`` of None is no write
+DX_WRITERS = {("jets.py", "total_derivative")}
+
+
+def _dx_writes(tree: ast.Module) -> list[tuple[str, int]]:
+    """(qualified name of the enclosing function, line) of each write of a
+    value other than None to ``_dx``: an assignment to ``._dx`` or a
+    ``setattr``/``__setattr__`` call naming "_dx"."""
+    writes = []
+
+    def visit(node: ast.AST, scope: str):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Assign):
+            writes.extend((scope, node.lineno) for t in node.targets if isinstance(t, ast.Attribute) and t.attr == "_dx")
+        if isinstance(node, ast.Call):
+            name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+            args = node.args
+            if (
+                name in ("setattr", "__setattr__")
+                and len(args) == 3
+                and isinstance(args[1], ast.Constant)
+                and args[1].value == "_dx"
+                and not (isinstance(args[2], ast.Constant) and args[2].value is None)
+            ):
+                writes.append((scope, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return writes
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_total_derivatives_kept_by_one_function(module):
+    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), module)
+    assert [(scope, line) for scope, line in _dx_writes(tree) if (module, scope) not in DX_WRITERS] == []
+
+
+def test_dx_guard_sees_a_write():
+    """The guard flags a result kept outside the one function, and not a
+    constructor's clearing of the slot."""
+    tree = ast.parse(
+        "def f(e, images, d):\n"
+        "    object.__setattr__(e, '_dx', None)\n"
+        "    object.__setattr__(e, '_dx', (images, d))\n"
+        "    setattr(e, '_dx', (images, d))\n"
+        "    e._dx = (images, d)\n"
+    )
+    assert _dx_writes(tree) == [("f", 3), ("f", 4), ("f", 5)]
 
 
 # (module, qualified function name) pairs allowed to read a verdict's

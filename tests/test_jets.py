@@ -3,7 +3,8 @@ import random
 import pytest
 import sympy as sp
 
-from jetsigma.exprs import Expr, ExprError, eval_numeric
+from jetsigma import exprs
+from jetsigma.exprs import Expr, ExprError, derivation, eval_numeric
 from jetsigma.jets import JetContext, VectorField, VectorFieldSet, lie_bracket, total_derivative
 
 from fuzzing import random_expr, random_polynomial
@@ -36,6 +37,32 @@ def test_extended_contexts_share_the_total_derivative_images(ctx):
     assert wider.table.dx_images is ctx.table.dx_images
     assert total_derivative(wider.parse("v_4"), wider) == ctx.parse("v_5")
     assert ctx.table.dx_images[sp.Symbol("v_4")] == ctx.parse("v_5")
+
+
+@pytest.mark.parametrize("first", ["dependent", "parameter"])
+def test_a_kept_total_derivative_belongs_to_one_image_map(first):
+    """One Expr(u), differentiated where u is a dependent (D_x u = u_1) and
+    where u is a parameter (D_x u = 0), in either order and back: each
+    table's image map gets its own result."""
+    contexts = {"dependent": JetContext("x", ["u"], 1), "parameter": JetContext("x", ["v"], 1, parameters=["u"])}
+    expected = {"dependent": Expr(sp.Symbol("u_1")), "parameter": Expr.number(0)}
+    u = Expr(sp.Symbol("u"))
+    second = "parameter" if first == "dependent" else "dependent"
+    for kind in (first, second, first):
+        assert total_derivative(u, contexts[kind]) == expected[kind], kind
+
+
+def test_a_kept_total_derivative_survives_exp_retirement():
+    """D_x exp(rdx) is kept before exp(rdx/2) retires the generator exp(rdx)
+    for exp(rdx/2)^2; the kept result still equals a fresh derivation."""
+    ctx = JetContext("x", ["rdx"], 2)
+    e = ctx.parse("exp(rdx)")
+    kept = total_derivative(e, ctx)
+    (generator,) = e._frac.field.symbols
+    half = ctx.parse("exp(rdx/2)")
+    assert generator in exprs._AMBIENT.retired
+    assert total_derivative(e, ctx) is kept
+    assert kept == derivation(e, ctx.table.dx_images) == ctx.parse("rdx_1") * half**2
 
 
 def test_apply_uses_the_coefficients_of_a_derived_field(ctx):
