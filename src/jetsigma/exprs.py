@@ -18,8 +18,9 @@ image object as it is.  ``diff`` maps one symbol to 1, a vector field keeps
 its map, and D_x has one map per ``SymbolTable`` (``dx_images``), filled as
 coordinates are met; ``jets.total_derivative`` keeps each result on its
 expression with that map.  One rule forms every quotient, of an operator, a
-derivation or a matrix entry: the numerators go over the lcm of their
-denominators, and the result takes one cancel.
+derivation, a matrix entry or a sympy tree read in: the numerators go over
+the lcm of their denominators, and the result takes one cancel, or none over
+the denominator 1.
 
 The exp generators form a Q-basis of their arguments, the constant 1 among
 them: an argument N/D splits, by division N = q*D + r in the lex order,
@@ -41,7 +42,12 @@ Atoms are built unevaluated.  The kernel rewrites are exactly these:
 so exp(log(u)), log(2*u) and sin(u)^2 + cos(u)^2 stay as they are.  sympy
 trees are built only at the edges: to print, to compile in ``oracle``, to
 read an ``Expr(sp.Expr)`` input and to name atoms; each product in them
-carries one merged ``exp(...)``.  Hashing reads the field element, and
+carries one merged ``exp(...)``.  An input tree is read in one walk
+(``_from_tree``), with no sympy field arithmetic and no private sympy
+method: each product adds its generators' exponents into one vector and
+multiplies its rational coefficients, each sum collects its terms as
+numerator and denominator pairs, and the element is formed once, by the
+quotient rule above.  Hashing reads the field element, and
 numeric evaluation and the zero test walk the generators (``_value``): exact
 in Q without kernel atoms, to 30 digits with them.  No float ever enters a
 symbolic expression.
@@ -690,34 +696,96 @@ def _kernel(name: str, arg: Expr) -> Expr:
 
 
 def _from_tree(tree: sp.Expr):
-    """The field element of a sympy tree: symbols and atoms first, then
-    sympy's own rebuild of the tree's sums, products and integer powers."""
-    values: dict[sp.Expr, Expr] = {}
+    """The field element of a sympy tree, read in one walk over the subfield
+    of its symbols and atoms, once ``scan`` has found the symbols and
+    interned the atoms (the value of each is a monomial over a monomial).  A
+    product adds its factors' exponents into one vector and multiplies their
+    rational coefficients; only its other factors (sums, alone or under a
+    power) are multiplied as polynomials.  A sum collects its terms'
+    numerator and denominator pairs, and ``_sum_quotients`` forms the tree's
+    element once, with no cancel when every denominator is 1.  A zero under
+    a negative power raises before any quotient is formed."""
+    symbols: set[sp.Symbol] = set()
+    atoms: dict[sp.Expr, Expr] = {}
 
     def scan(e):
-        if e in values or e.is_Rational:
-            return
-        if e.is_Symbol:
-            values[e] = Expr._of(_AMBIENT.gen(e))
-        elif e is sp.E:
-            values[e] = _kernel("exp", ONE)
-        elif e.func in _KERNEL_OF_TREE:
-            values[e] = _kernel(_KERNEL_OF_TREE[e.func], Expr(e.args[0]))
-        elif _is_opaque(e):
-            values[e] = _atom(type(e), tuple(Expr(a) for a in e.args))
-        elif e.is_Add or e.is_Mul or e.is_Pow and e.exp.is_Integer:
+        if e.is_Add or e.is_Mul or e.is_Pow and e.exp.is_Integer:
             for a in e.args:
                 scan(a)
+        elif e.is_Symbol:
+            symbols.add(e)
+        elif e.is_Rational or e in atoms:
+            return
+        elif e is sp.E:
+            atoms[e] = _kernel("exp", ONE)
+        elif e.func in _KERNEL_OF_TREE:
+            atoms[e] = _kernel(_KERNEL_OF_TREE[e.func], Expr(e.args[0]))
+        elif _is_opaque(e):
+            atoms[e] = _atom(type(e), tuple(Expr(a) for a in e.args))
         else:
             raise ExprError(f"{e} is outside the supported expression fragment")
 
     scan(tree)
-    fracs = _field_values([ONE, *values.values()])
-    field = fracs[0].field
-    try:
-        return _signed(field.field_new(field._rebuild_expr(tree, dict(zip(values, fracs[1:])))))
-    except ZeroDivisionError:
-        raise ExprError(f"division by zero in {tree}") from None
+    fracs = [v._field() for v in atoms.values()]
+    field = _AMBIENT.field([*symbols, *(s for f in fracs for s in f.field.symbols)])
+    ring, one, unit, index = field.ring, field.ring.one, [0] * field.ngens, _AMBIENT.indices[id(field)]
+    leaves = {}
+    for e, f in zip(atoms, fracs):
+        ((dm, dc),) = f.denom.items()
+        ((nm, nc),) = f.numer.items() or [(dm, 0)]
+        m = list(unit)
+        for s, a, b in zip(f.field.symbols, nm, dm):
+            m[index[s]] = a - b
+        leaves[e] = (int(nc) if dc == 1 else Fraction(int(nc), int(dc)), m, one, one)
+
+    def term(e) -> tuple:
+        """``e`` as (c, m, n, d): the value c * g^m * n/d over the
+        generators g, with c an int or a Fraction and n, d polynomials."""
+        if e.is_Rational:
+            return int(e.p) if e.q == 1 else Fraction(int(e.p), int(e.q)), unit, one, one
+        if e.is_Symbol:
+            m = list(unit)
+            m[index[e]] = 1
+            return 1, m, one, one
+        leaf = leaves.get(e)
+        if leaf is not None:
+            return leaf
+        if e.is_Add:
+            return (1, unit, *_over_lcm(ring, pairs(e.args)))
+        if e.is_Mul:
+            c, m, n, d = term(e.args[0])
+            for a in e.args[1:]:
+                ac, am, an, ad = term(a)
+                c, m, n, d = c * ac, [x + y for x, y in zip(m, am)], _times(n, an), _times(d, ad)
+            return c, m, n, d
+        # a power with an integer exponent, the one node left after ``scan``
+        c, m, n, d = term(e.base)
+        k = int(e.exp)
+        if k < 0:
+            if not c or not n:
+                raise ExprError(f"division by zero in {tree}")
+            c, n, d = 1 / Fraction(c), d, n
+        j = abs(k)
+        return c**j, [x * k for x in m], n if _is_one(n) else n**j, d if _is_one(d) else d**j
+
+    def pairs(nodes) -> list:
+        """The (n, d) pairs of the sum of ``nodes``: its integer multiples
+        of monomials added in one ring dict, and each other term c*g^m*n/d
+        split into a numerator and a denominator."""
+        monomials, out = {}, []
+        for e in nodes:
+            c, m, n, d = term(e)
+            if not c:
+                continue
+            if c.denominator == 1 and min(m, default=0) >= 0 and _is_one(n) and _is_one(d):
+                key = tuple(m)
+                monomials[key] = monomials.get(key, 0) + c
+                continue
+            numer = _times(ring.dtype({tuple(max(x, 0) for x in m): ZZ(c.numerator)}), n)
+            out.append((numer, _times(ring.dtype({tuple(max(-x, 0) for x in m): ZZ(c.denominator)}), d)))
+        return [(ring.dtype({m: ZZ(int(c)) for m, c in monomials.items() if c}), one), *out]
+
+    return _sum_quotients(field, pairs(tree.args if tree.is_Add else (tree,)))
 
 
 def _tree(f) -> sp.Expr:
@@ -838,27 +906,38 @@ def _times(a, b):
     return b if _is_one(a) else a if _is_one(b) else a * b
 
 
-def _sum_quotients(field, pairs: Sequence[tuple], denom=None):
-    """The sum of n/d over the (n, d) polynomial ``pairs``, divided by
-    ``denom``: the one rule that forms field elements.  Pairs with n = 0 are
-    skipped; the rest go over the lcm L of their denominators other than 1,
-    each n times L/d, and the sum over L (times ``denom``) takes one cancel,
-    or none when that is 1."""
+def _over_lcm(ring, pairs: Sequence[tuple]) -> tuple:
+    """The sum of n/d over the (n, d) polynomial ``pairs`` as a numerator
+    and a denominator, with no cancel: pairs with n = 0 are skipped, and the
+    rest go over the lcm L of their denominators other than 1, each n times
+    L/d."""
     pairs = [(n, d) for n, d in pairs if n]
     if not pairs:
-        return field.zero
-    dens = [d for _, d in pairs if not _is_one(d)]
-    if not dens and denom is None:
-        return field.raw_new(sum((n for n, _ in pairs[1:]), pairs[0][0]), pairs[0][1])
-    dens = list(dict.fromkeys(dens))
-    lcm, scales = dens[0] if dens else pairs[0][1], {}
+        return ring.zero, ring.one
+    dens = list(dict.fromkeys(d for _, d in pairs if not _is_one(d)))
+    if not dens:
+        return sum((n for n, _ in pairs[1:]), pairs[0][0]), ring.one
+    lcm, scales = dens[0], {}
     for d in dens[1:]:
         # L/e for each e so far; with L = g*a and d = g*b the lcm is L*b = d*a
         _, a, b = lcm.cofactors(d)
-        scales = {e: _times(s, b) for e, s in (scales or {dens[0]: lcm.ring.one}).items()} | {d: a}
+        scales = {e: _times(s, b) for e, s in (scales or {dens[0]: ring.one}).items()} | {d: a}
         lcm = lcm * b
     terms = [_times(n, lcm) if _is_one(d) else _times(n, scales[d]) if scales else n for n, d in pairs]
-    return field.new(sum(terms[1:], terms[0]), lcm if denom is None else _times(lcm, denom))
+    return sum(terms[1:], terms[0]), lcm
+
+
+def _sum_quotients(field, pairs: Sequence[tuple], denom=None):
+    """The sum of n/d over the (n, d) polynomial ``pairs``, divided by
+    ``denom``: the one rule that forms field elements.  The pairs go over the
+    lcm of their denominators (``_over_lcm``), and the sum over it (times
+    ``denom``) takes one cancel, or none when that is 1 or the sum is 0."""
+    numer, lcm = _over_lcm(field.ring, pairs)
+    if not numer:
+        return field.zero
+    if denom is None and _is_one(lcm):
+        return field.raw_new(numer, lcm)
+    return field.new(numer, lcm if denom is None else _times(lcm, denom))
 
 
 def _sum(x: Expr, y: Expr, sign: int) -> Expr:
@@ -954,13 +1033,19 @@ _MP_KERNELS = {"exp": _MP.exp, "log": _MP.log, "sin": _MP.sin, "cos": _MP.cos, "
 
 
 def _poly_at(p, point) -> Fraction:
-    """p with generator i at ``point[i]``; exact over Fractions."""
+    """p with generator i at ``point[i]``; exact over Fractions.  Each power
+    point[i]**k is taken once, and each term multiplies its powers in the
+    order of the generators."""
+    powers = {}
     total = Fraction(0)
     for monom, c in p.iterterms():
         term = Fraction(int(c))
         for i, k in enumerate(monom):
             if k:
-                term *= point[i] ** k
+                power = powers.get((i, k))
+                if power is None:
+                    power = powers[i, k] = point[i] ** k
+                term *= power
         total += term
     return total
 

@@ -170,6 +170,36 @@ def test_eval_log_domain(table):
         eval_numeric(parse("exp(2*log(u))", table), {"u": -2})
 
 
+def _poly_at_by_terms(p, point):
+    """``exprs._poly_at`` without its power table: each power is taken anew
+    in every term."""
+    total = Fraction(0)
+    for monom, c in p.iterterms():
+        term = Fraction(int(c))
+        for i, k in enumerate(monom):
+            if k:
+                term *= point[i] ** k
+        total += term
+    return total
+
+
+def test_poly_at_power_table_keeps_every_bit(table):
+    """Taking each power once changes no exact value and no bit of a
+    30-digit one, on Fraction, mpf and mixed points."""
+    p = parse("3*u^4*v^2 - 5*u^2*v^3*x + u*v*x^2 - 7*u^4 + x^3*v^2 - 2", table)._field().numer
+    mp = exprs._MP
+    points = [
+        [Fraction(2, 3), Fraction(-5, 7), Fraction(11, 4)],
+        [mp.mpf(2) / 3, mp.exp(mp.mpf(-5) / 7), mp.mpf(11) / 10],
+        [Fraction(2, 3), mp.sin(mp.mpf(3) / 7), Fraction(-9, 8)],
+    ]
+    for values in points:
+        point = dict(enumerate(values))
+        got, expected = exprs._poly_at(p, point), _poly_at_by_terms(p, point)
+        assert type(got) is type(expected)
+        assert getattr(got, "_mpf_", got) == getattr(expected, "_mpf_", expected)
+
+
 def test_is_zero_verdicts(table):
     assert is_zero(parse("exp(u)*exp(v) - exp(u + v)", table)).is_zero
     nz = is_zero(parse("u_1 - v_1", table))

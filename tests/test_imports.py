@@ -107,20 +107,25 @@ def test_trees_read_only_at_the_edges(module):
     assert [(scope, line) for scope, line in _tree_reads(tree) if (module, scope) not in TREE_READERS] == []
 
 
-# (module, qualified function name) pairs allowed to call ``.new(`` on a
-# field, which cancels; ``raw_new`` (moves, numbers, signs) does not cancel,
-# and ``_from_tree``'s ``field_new`` reads a sympy tree at the edge
+# (module, qualified function name) pairs allowed to call ``.new(`` or
+# ``.field_new(`` on a field, which cancel; ``raw_new`` (moves, numbers,
+# signs) does not cancel
 FIELD_NEW_CALLERS = {("exprs.py", "_sum_quotients")}
 
 
 def _field_new_calls(tree: ast.Module) -> list[tuple[str, int]]:
-    """(qualified name of the enclosing function, line) of each ``.new(`` call."""
+    """(qualified name of the enclosing function, line) of each ``.new(`` and
+    ``.field_new(`` call."""
     calls = []
 
     def visit(node: ast.AST, scope: str):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = f"{scope}.{node.name}" if scope else node.name
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "new":
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("new", "field_new")
+        ):
             calls.append((scope, node.lineno))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
@@ -140,8 +145,10 @@ def test_quotients_formed_in_one_routine(module):
 
 def test_field_new_guard_sees_a_call():
     """The guard flags a quotient formed outside the routine, and only that."""
-    tree = ast.parse("def f(field, n, d):\n    field.raw_new(n, d)\n    return field.new(n, d)\n")
-    assert _field_new_calls(tree) == [("f", 3)]
+    tree = ast.parse(
+        "def f(field, n, d):\n    field.raw_new(n, d)\n    field.field_new(n)\n    return field.new(n, d)\n"
+    )
+    assert _field_new_calls(tree) == [("f", 3), ("f", 4)]
 
 
 # (module, qualified function name) pairs allowed to write an expression's
