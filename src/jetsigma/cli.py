@@ -29,7 +29,7 @@ from .jets import lie_bracket
 from .oracle import integrate
 from .prolong import SigmaMatrix
 from .reduction import reduce_system, solve_for_highest, verify_sigma_symmetry
-from .session import MissingSessionDataError, Session, dump_reduced_session, load_session
+from .session import Session, dump_reduced_session, load_session
 
 SCHEMA = "jetsigma-report/1"
 
@@ -80,12 +80,6 @@ class Report:
     def show(self, name: str, lines):
         self.objects.append((name, [str(ln) for ln in lines]))
 
-    def merge(self, other: "Report"):
-        self.entries.extend(other.entries)
-        self.objects.extend(other.objects)
-        if other.reduced_session is not None:
-            self.reduced_session = other.reduced_session
-
     @property
     def exit_status(self) -> int:
         if any(not e.passed and not e.unknown for e in self.entries):
@@ -131,29 +125,23 @@ class Report:
         return json.dumps(payload, indent=2, sort_keys=False)
 
 
-def _run_prolong(session: Session, order: int, trials: int, seed: int) -> Report:
-    rep = Report("prolong")
-    Ys = session.prolonged(order)
-    for name, Y in zip(session.field_names, Ys):
+def _run_prolong(session: Session, rep: Report, order: int, trials: int, seed: int):
+    for name, Y in zip(session.field_names, session.prolonged(order)):
         rep.show(f"prolonged field {name}", [str(Y)])
-    return rep
 
 
-def _run_bracket(session: Session, order: int, trials: int, seed: int) -> Report:
-    rep = Report("bracket")
+def _run_bracket(session: Session, rep: Report, order: int, trials: int, seed: int):
     Ys = session.prolonged(order)
     for i in range(len(Ys)):
         for j in range(i + 1, len(Ys)):
             br = lie_bracket(Ys[i], Ys[j])
             n1, n2 = session.field_names[i], session.field_names[j]
             rep.show(f"[{n1},{n2}]", [str(br)])
-    return rep
 
 
-def _run_involution(session: Session, order: int, trials: int, seed: int) -> Report:
+def _run_involution(session: Session, rep: Report, order: int, trials: int, seed: int):
     """Purely a report: involutivity is a finding about the set, not a check
     that can fail, so this command never drives a nonzero exit on its own."""
-    rep = Report("involution")
     Ys = session.prolonged(order)
     try:
         sf = structure_functions(Ys)
@@ -171,14 +159,10 @@ def _run_involution(session: Session, order: int, trials: int, seed: int) -> Rep
             rep.show("closed structure functions", [repr(crep.structure)])
         except (ClosureExceededError, NotInvolutiveError) as exc2:
             rep.show("closure", [str(exc2)])
-    return rep
 
 
-def _run_theorem2(session: Session, order: int, trials: int, seed: int) -> Report:
-    rep = Report("theorem2")
-    fields = session.require("fields")
-    sigma = session.require("sigma")
-    tr = check_involution_transfer(fields, sigma, trials=trials, seed=seed)
+def _run_theorem2(session: Session, rep: Report, order: int, trials: int, seed: int):
+    tr = check_involution_transfer(session.fields, session.sigma, trials=trials, seed=seed)
     for (i, j), q in sorted(tr.Q.items()):
         rep.show(
             f"Q[{i + 1}{j + 1}]",
@@ -186,31 +170,24 @@ def _run_theorem2(session: Session, order: int, trials: int, seed: int) -> Repor
         )
     rep.check("pointwise twist condition", tr.pointwise)
     rep.check("contracted twist condition", tr.contracted)
-    return rep
 
 
-def _run_check_symmetry(session: Session, order: int, trials: int, seed: int, zero_sigma=False) -> Report:
-    rep = Report("check-symmetry")
-    fields = session.require("fields")
-    system = session.solved_system()
+def _run_check_symmetry(session: Session, rep: Report, order: int, trials: int, seed: int, zero_sigma=False):
+    fields = session.fields
     sigma = session.sigma
     if zero_sigma or sigma is None:
         sigma = SigmaMatrix.zero(session.ctx, len(fields))
     sym = verify_sigma_symmetry(
-        fields, sigma, system, trials=trials, seed=seed, deny=session.deny
+        fields, sigma, session.solved_system(), trials=trials, seed=seed, deny=session.deny
     )
     for (i, h), verdict in sorted(sym.verdicts.items()):
         rep.check(f"field {session.field_names[i]} on equation {h + 1}", verdict, sym.residuals[(i, h)])
-    return rep
 
 
-def _run_ibdp(session: Session, order: int, trials: int, seed: int) -> Report:
-    rep = Report("ibdp")
-    session.require("seeds")
-    Ys = session.prolonged(order)
+def _run_ibdp(session: Session, rep: Report, order: int, trials: int, seed: int):
     table = generate_invariants(
-        Ys,
-        session.require("eta"),
+        session.prolonged(order),
+        session.eta,
         session.seeds,
         order,
         extra_base=session.extra_base,
@@ -220,15 +197,10 @@ def _run_ibdp(session: Session, order: int, trials: int, seed: int) -> Report:
     )
     rep.show("invariant table", repr(table).splitlines())
     rep.check("all entries verified and independent", RAN)
-    return rep
 
 
-def _run_reduce(session: Session, order: int, trials: int, seed: int) -> Report:
-    rep = Report("reduce")
-    session.require("system")
-    change = session.require("coordinate_change")
-    system = session.solved_system()
-    reduced, rrep = reduce_system(system, None, change)
+def _run_reduce(session: Session, rep: Report, order: int, trials: int, seed: int):
+    reduced, rrep = reduce_system(session.solved_system(), None, session.change)
     rep.show(
         "reduced system",
         [f"{print_expr(e)} = 0" for e in reduced.equations],
@@ -249,18 +221,13 @@ def _run_reduce(session: Session, order: int, trials: int, seed: int) -> Report:
         pass
     rep.check("reduction emitted", RAN)
     rep.reduced_session = dump_reduced_session(reduced, solved_text or None)
-    return rep
 
 
-def _run_equivalence(session: Session, order: int, trials: int, seed: int) -> Report:
-    rep = Report("equivalence")
-    fields = session.require("fields")
-    if "A" not in session.matrices:
-        raise MissingSessionDataError("matrix A")
+def _run_equivalence(session: Session, rep: Report, order: int, trials: int, seed: int):
     A = session.matrices["A"]
     convention = session.conventions.get("A", "inverse_dx")
     rt = standardizing_roundtrip(
-        fields, A, order, convention, trials=trials, seed=seed, deny=session.deny
+        session.fields, A, order, convention, trials=trials, seed=seed, deny=session.deny
     )
     sigma = rt.sigma
     rep.show("induced twist", [repr(sigma)])
@@ -276,44 +243,32 @@ def _run_equivalence(session: Session, order: int, trials: int, seed: int) -> Re
         else:
             transport = verify_A_sigma(A.inverse(), session.sigma, session.ctx, trials=trials, seed=seed)
             rep.check("transport equation D_x A^-1 = A^-1 sigma", transport)
-    return rep
 
 
-def _run_gauge(session: Session, order: int, trials: int, seed: int) -> Report:
-    rep = Report("gauge")
-    sigma = session.require("sigma")
-    if "B" not in session.matrices:
-        raise MissingSessionDataError("matrix B")
-    out = gauge_transform_sigma(session.matrices["B"], sigma, session.ctx)
+def _run_gauge(session: Session, rep: Report, order: int, trials: int, seed: int):
+    out = gauge_transform_sigma(session.matrices["B"], session.sigma, session.ctx)
     rep.show("gauged twist", [repr(out)])
     rep.check("gauge transform computed", RAN)
-    return rep
 
 
-def _run_bridge(session: Session, order: int, trials: int, seed: int) -> Report:
-    rep = Report("bridge")
-    if "Phi" not in session.matrices:
-        raise MissingSessionDataError("matrix Phi")
-    S = session.matrices.get("S")
-    M = session.matrices.get("M")
-    if S is None and M is None:
-        raise MissingSessionDataError("matrix S or M")
+def _run_bridge(session: Session, rep: Report, order: int, trials: int, seed: int):
     result = mu_sigma_bridge(
-        session.matrices["Phi"], session.ctx, S=S, M=M, trials=trials, seed=seed
+        session.matrices["Phi"],
+        session.ctx,
+        S=session.matrices.get("S"),
+        M=session.matrices.get("M"),
+        trials=trials,
+        seed=seed,
     )
     rep.show("S", [repr(result.S)])
     rep.show("M", [repr(result.M)])
     rep.check("twists agree on the first jet bundle", result.lift)
-    return rep
 
 
-def _run_determining(session: Session, order: int, trials: int, seed: int) -> Report:
-    rep = Report("determining")
-    system = session.require("system")
-    ansatz = session.require("ansatz")
+def _run_determining(session: Session, rep: Report, order: int, trials: int, seed: int):
     from .determining import generate_determining
 
-    result = generate_determining(system, ansatz)
+    result = generate_determining(session.system, session.ansatz)
     for (i, h), r in sorted(result.residuals.items()):
         rep.show(f"residual field {i + 1} / equation {h + 1}", [print_expr(r)])
     if result.coefficient_equations is not None:
@@ -321,17 +276,14 @@ def _run_determining(session: Session, order: int, trials: int, seed: int) -> Re
             "coefficient equations",
             [print_expr(e) for e in result.coefficient_equations] or ["0"],
         )
-    if not ansatz.has_opaque() and not session.ctx.table.parameters:
+    if not session.ansatz.has_opaque() and not session.ctx.table.parameters:
         for (i, h), r in sorted(result.residuals.items()):
             rep.check(f"residual {i + 1}/{h + 1}", is_zero(r, trials=trials, seed=seed), r)
     rep.check("determining residuals generated", RAN)
-    return rep
 
 
-def _run_oracle(session: Session, order: int, trials: int, seed: int) -> Report:
-    rep = Report("oracle")
-    session.require("system")
-    spec = session.require("oracle")
+def _run_oracle(session: Session, rep: Report, order: int, trials: int, seed: int):
+    spec = session.oracle
     system = session.solved_system()
     h = float(spec.step)
     traj = integrate(system, spec.initial, (0.0, float(spec.t1)), h)
@@ -345,54 +297,65 @@ def _run_oracle(session: Session, order: int, trials: int, seed: int) -> Report:
         errs.append(abs(traj.samples[n][-1] - half.samples[n][-1]))
     rep.show("halved-step endpoint deviation", [f"{max(errs):.3e}"])
     rep.check("integration finite", RAN)
-    return rep
 
 
-def _run_all(session: Session, order: int, trials: int, seed: int) -> Report:
-    rep = Report("all")
-    for runner, applies in COMMANDS.values():
-        if applies is not None and applies(session):
-            rep.merge(runner(session, order, trials, seed))
-    return rep
+def _run_all(session: Session, rep: Report, order: int, trials: int, seed: int):
+    for name, (runner, needs) in COMMANDS.items():
+        skip = name == "all" or (session.equivalence_style and name in _TWISTED_SET_ONLY)
+        if not skip and session.has(*needs):
+            runner(session, rep, order, trials, seed)
 
 
-# Every command with its runner and the session data without which `all`
-# skips it, in the order `all` runs them.
+# Every command with its runner and the session data it needs (as
+# `Session.has` names them), in the order a single run names the first one
+# missing.  A runner writes into the report it is given and reads the data
+# directly.  `all` runs, in table order, each command whose needs the session
+# holds, except as `_TWISTED_SET_ONLY` says.
 COMMANDS = {
-    "prolong": (_run_prolong, lambda s: s.fields is not None),
-    "bracket": (_run_bracket, lambda s: s.fields is not None),
-    "involution": (_run_involution, lambda s: s.fields is not None and "A" not in s.matrices),
-    "theorem2": (
-        _run_theorem2,
-        lambda s: s.fields is not None and s.sigma is not None and "A" not in s.matrices,
-    ),
-    "check-symmetry": (_run_check_symmetry, lambda s: s.fields is not None and s.system is not None),
-    "ibdp": (_run_ibdp, lambda s: bool(s.seeds)),
-    "reduce": (_run_reduce, lambda s: s.system is not None and s.change is not None),
-    "equivalence": (_run_equivalence, lambda s: "A" in s.matrices and s.fields is not None),
-    "gauge": (_run_gauge, lambda s: "B" in s.matrices and s.sigma is not None),
-    "bridge": (_run_bridge, lambda s: "Phi" in s.matrices),
-    "determining": (_run_determining, lambda s: s.ansatz is not None and s.system is not None),
-    "oracle": (_run_oracle, lambda s: s.oracle is not None and s.system is not None),
-    "all": (_run_all, None),
+    "prolong": (_run_prolong, ("fields",)),
+    "bracket": (_run_bracket, ("fields",)),
+    "involution": (_run_involution, ("fields",)),
+    "theorem2": (_run_theorem2, ("fields", "sigma")),
+    "check-symmetry": (_run_check_symmetry, ("fields", "system")),
+    "ibdp": (_run_ibdp, ("seeds", "fields", "eta")),
+    "reduce": (_run_reduce, ("system", "coordinate_change")),
+    "equivalence": (_run_equivalence, ("fields", "matrix A")),
+    "gauge": (_run_gauge, ("sigma", "matrix B")),
+    "bridge": (_run_bridge, ("matrix Phi", "matrix S or M")),
+    "determining": (_run_determining, ("system", "ansatz")),
+    "oracle": (_run_oracle, ("system", "oracle")),
+    "all": (_run_all, ()),
 }
+
+# The one rule of `all` that is not a need.  An equivalence-style session's
+# fields are standard-prolongation generators and its twist describes the
+# set A transforms them into, not a twisted set of these fields, so `all`
+# leaves out the two reports on the fields' twisted set; a single run still
+# gives them.
+_TWISTED_SET_ONLY = ("involution", "theorem2")
 
 
 def run(
     command: str, session: Session, order: int | None = None, trials: int = 20, seed: int = 0, zero_sigma: bool = False
 ) -> Report:
-    """Dispatch a command against a loaded session.  The report's
+    """Run a command against a loaded session and return its one report.
+    The session must hold the command's needs (`COMMANDS`), or
+    `MissingSessionDataError` names the first it lacks; `all` runs, into its
+    own report, each command whose needs the session holds.  The report's
     `reduced_session` holds the reduced system as session text after reduce
     (and after `all` when it runs reduce).  `zero_sigma` applies to
     check-symmetry only; any other command given it raises `ExprError`."""
     if command not in COMMANDS:
         raise ExprError(f"unknown command {command!r}")
-    runner, _ = COMMANDS[command]
+    runner, needs = COMMANDS[command]
     if zero_sigma:
         if command != "check-symmetry":
             raise ExprError("--zero-sigma applies to check-symmetry only")
         runner = partial(_run_check_symmetry, zero_sigma=True)
-    return runner(session, order if order is not None else session.ctx.max_order, trials, seed)
+    session.require(*needs)
+    rep = Report(command)
+    runner(session, rep, order if order is not None else session.ctx.max_order, trials, seed)
+    return rep
 
 
 def main(argv: list[str] | None = None) -> int:

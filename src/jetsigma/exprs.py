@@ -703,8 +703,9 @@ def _from_tree(tree: sp.Expr):
     rational coefficients; only its other factors (sums, alone or under a
     power) are multiplied as polynomials.  A sum collects its terms'
     numerator and denominator pairs, and ``_sum_quotients`` forms the tree's
-    element once, with no cancel when every denominator is 1.  A zero under
-    a negative power raises before any quotient is formed."""
+    element once, with no cancel when every denominator is 1.  A zeroth
+    power is 1, and a zero under a negative power raises before any quotient
+    is formed."""
     symbols: set[sp.Symbol] = set()
     atoms: dict[sp.Expr, Expr] = {}
 
@@ -761,6 +762,9 @@ def _from_tree(tree: sp.Expr):
         # a power with an integer exponent, the one node left after ``scan``
         c, m, n, d = term(e.base)
         k = int(e.exp)
+        if k == 0:
+            # 1 whatever the base's value, as sympy reads 0**0
+            return 1, unit, one, one
         if k < 0:
             if not c or not n:
                 raise ExprError(f"division by zero in {tree}")

@@ -60,30 +60,55 @@ class Session:
     _prolonged: dict[int, VectorFieldSet] = field(default_factory=dict, init=False, repr=False, compare=False)
     _solved: ODESystem | None = field(default=None, init=False, repr=False, compare=False)
 
-    def require(self, what: str):
-        value = getattr(self, what if what != "coordinate_change" else "change")
-        if value is None or (isinstance(value, (list, dict)) and not value):
-            raise MissingSessionDataError(what)
-        return value
+    @property
+    def equivalence_style(self) -> bool:
+        """A transformation matrix A is present: the fields are
+        standard-prolongation generators, and the twist describes the set A
+        transforms them into."""
+        return "A" in self.matrices
+
+    def has(self, *needs: str) -> bool:
+        """Whether the session holds every datum of `needs`: an attribute
+        (``coordinate_change`` names ``change``) that is set and not empty,
+        ``matrix N`` for the matrix named N, or ``matrix S or M`` for either."""
+        for what in needs:
+            kind, _, names = what.partition(" ")
+            if kind == "matrix":
+                if not any(n in self.matrices for n in names.split(" or ")):
+                    return False
+            else:
+                value = getattr(self, "change" if what == "coordinate_change" else what)
+                if value is None or (isinstance(value, (list, dict)) and not value):
+                    return False
+        return True
+
+    def require(self, *needs: str) -> None:
+        """Raise `MissingSessionDataError` naming the first datum of `needs`
+        (as `has` reads it) that the session lacks.  This is the one place
+        that error is raised."""
+        for what in needs:
+            if not self.has(what):
+                raise MissingSessionDataError(what)
 
     def prolonged(self, order: int) -> VectorFieldSet:
         """The fields prolonged to `order`, built once per order.  They are
-        twisted-prolonged with the session twist, except in equivalence-style
-        sessions (a transformation matrix A present): those hold
-        standard-prolongation generators, whose twist describes the
-        transformed set instead."""
+        twisted-prolonged with the session twist, except in an
+        equivalence-style session (`equivalence_style`), whose fields get
+        standard prolongations, since its twist describes the transformed
+        set instead."""
         if order not in self._prolonged:
-            fields = self.require("fields")
-            if self.sigma is not None and "A" not in self.matrices:
-                self._prolonged[order] = sigma_prolong(fields, self.sigma, order)
+            self.require("fields")
+            if self.sigma is not None and not self.equivalence_style:
+                self._prolonged[order] = sigma_prolong(self.fields, self.sigma, order)
             else:
-                self._prolonged[order] = VectorFieldSet([standard_prolong(X, order) for X in fields])
+                self._prolonged[order] = VectorFieldSet([standard_prolong(X, order) for X in self.fields])
         return self._prolonged[order]
 
     def solved_system(self) -> ODESystem:
         """The system solved for its highest derivatives, solved once."""
         if self._solved is None:
-            self._solved = solve_for_highest(self.require("system"))
+            self.require("system")
+            self._solved = solve_for_highest(self.system)
         return self._solved
 
 

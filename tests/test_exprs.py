@@ -660,7 +660,10 @@ def test_generators_are_the_ones_an_element_uses(table):
     e = parse("v*exp(u) + sin(x)", table)
     gens = exprs._generators(e._field())
     assert [(s, atom is None) for _, s, atom in gens][0] == (sp.Symbol("v"), True)
-    assert sorted(print_expr(Expr(s)) for _, s, atom in gens if atom is not None) == ["exp(u)", "sin(x)"]
+    # heads and arguments, not printed generators: once any read of exp(u/2)
+    # has retired the generator exp(u), its square stands for exp(u)
+    atoms = sorted((atom.head, [print_expr(a) for a in atom.args]) for _, _, atom in gens if atom is not None)
+    assert atoms == [("exp", ["u"]), ("sin", ["x"])]
     assert all(e._field().field.symbols[i] == s for i, s, _ in gens)
     # a zero numerator uses no generator, whatever its subfield
     assert exprs._generators((e - e)._field()) == []

@@ -11,7 +11,9 @@ folded by ``exprs.CheckResult``; a field element is formed from a numerator
 and a denominator by one routine, ``exprs._sum_quotients``
 (``FIELD_NEW_CALLERS``); one function, ``jets.total_derivative``, keeps a
 result in an expression's ``_dx`` slot, which the constructors only clear
-(``DX_WRITERS``); and only the zero test
+(``DX_WRITERS``); ``MissingSessionDataError`` is raised by
+``Session.require`` alone, so a command's needs are checked in one place
+(``MISSING_DATA_RAISERS``); and only the zero test
 (``exprs``) and the jet-point sampler (``oracle``) draw random numbers, so no
 other verdict depends on a seed.  No library call picks its own sample count
 or seed either: ``trials=`` and ``seed=`` only forward the caller's values.
@@ -203,6 +205,53 @@ def test_dx_guard_sees_a_write():
         "    e._dx = (images, d)\n"
     )
     assert _dx_writes(tree) == [("f", 3), ("f", 4), ("f", 5)]
+
+
+# the one (module, qualified function name) pair allowed to construct
+# ``MissingSessionDataError``
+MISSING_DATA_RAISERS = {("session.py", "Session.require")}
+
+
+def _missing_data_errors(tree: ast.Module) -> list[tuple[str, int]]:
+    """(qualified name of the enclosing function, line) of each
+    ``MissingSessionDataError(`` call, by bare or dotted name."""
+    calls = []
+
+    def visit(node: ast.AST, scope: str):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Call):
+            name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+            if name == "MissingSessionDataError":
+                calls.append((scope, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return calls
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_missing_data_raised_in_one_place(module):
+    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), module)
+    assert [
+        (scope, line) for scope, line in _missing_data_errors(tree) if (module, scope) not in MISSING_DATA_RAISERS
+    ] == []
+
+
+def test_missing_data_guard_sees_a_raise():
+    """The guard flags an error raised outside ``Session.require``, and only
+    a construction of it."""
+    tree = ast.parse(
+        "def f(s):\n"
+        "    if s.fields is None:\n"
+        "        raise MissingSessionDataError('fields')\n"
+        "    if 'A' not in s.matrices:\n"
+        "        raise session.MissingSessionDataError('matrix A')\n"
+        "    return isinstance(s, MissingSessionDataError)\n"
+    )
+    assert _missing_data_errors(tree) == [("f", 3), ("f", 5)]
 
 
 # (module, qualified function name) pairs allowed to read a verdict's

@@ -394,6 +394,118 @@ solved=u_2:0
     assert "coordinate_change" in str(err.value)
 
 
+# Each command with a bundled session that runs it and the session data it
+# needs, in the order a single run names the first one missing.
+NEEDS = {
+    "prolong": ("exp_coupled_pair", ("fields",)),
+    "bracket": ("exp_coupled_pair", ("fields",)),
+    "involution": ("exp_coupled_pair", ("fields",)),
+    "theorem2": ("transposed_twist", ("fields", "sigma")),
+    "check-symmetry": ("exp_coupled_pair", ("fields", "system")),
+    "ibdp": ("exp_coupled_pair", ("seeds", "fields", "eta")),
+    "reduce": ("exp_coupled_pair", ("system", "coordinate_change")),
+    "equivalence": ("identity_twist_quotient", ("fields", "matrix A")),
+    "gauge": ("identity_twist_quotient", ("sigma", "matrix B")),
+    "bridge": ("component_bridge", ("matrix Phi", "matrix S or M")),
+    "determining": ("determining_ansatz", ("system", "ansatz")),
+    "oracle": ("exp_coupled_pair", ("system", "oracle")),
+}
+NEED_CASES = [(command, what) for command, (_, needs) in NEEDS.items() for what in needs]
+
+
+def _without(name: str, what: str):
+    """The bundled session ``name`` with the one datum ``what`` removed."""
+    s = load_session(_path(name))
+    kind, _, matrices = what.partition(" ")
+    if kind == "matrix":
+        for m in matrices.split(" or "):
+            s.matrices.pop(m, None)
+    elif what == "seeds":
+        s.seeds = []
+    else:
+        setattr(s, "change" if what == "coordinate_change" else what, None)
+    return s
+
+
+def _commands_run_by_all(monkeypatch, session) -> list[str]:
+    """The commands `all` runs on ``session``, each runner wrapped to record
+    its name."""
+    import jetsigma.cli
+
+    ran = []
+    for name, (runner, needs) in list(jetsigma.cli.COMMANDS.items()):
+        def recorded(*args, runner=runner, name=name):
+            ran.append(name)
+            return runner(*args)
+
+        monkeypatch.setitem(jetsigma.cli.COMMANDS, name, (recorded, needs))
+    run("all", session)
+    monkeypatch.undo()
+    return [name for name in ran if name != "all"]
+
+
+def test_needs_table():
+    from jetsigma.cli import COMMANDS
+
+    assert {c: needs for c, (_, needs) in COMMANDS.items()} == {
+        **{c: needs for c, (_, needs) in NEEDS.items()},
+        "all": (),
+    }
+
+
+@pytest.mark.parametrize("command, what", NEED_CASES)
+def test_a_single_run_names_the_missing_datum(command, what):
+    with pytest.raises(MissingSessionDataError) as err:
+        run(command, _without(NEEDS[command][0], what))
+    assert str(err.value) == f"the session lacks required data: {what}"
+    assert err.value.what == what
+
+
+@pytest.mark.parametrize("command, what", NEED_CASES)
+def test_all_skips_a_command_whose_datum_is_missing(command, what, monkeypatch):
+    name = NEEDS[command][0]
+    assert command in _commands_run_by_all(monkeypatch, load_session(_path(name)))
+    assert command not in _commands_run_by_all(monkeypatch, _without(name, what))
+
+
+def test_all_leaves_twisted_set_reports_out_of_equivalence_style_sessions(monkeypatch):
+    """A session with a [matrix A] holds every need of involution and
+    theorem2, which a single run gives, but `all` leaves them out."""
+    s = load_session(_path("identity_twist_quotient"))
+    assert s.equivalence_style
+    assert _commands_run_by_all(monkeypatch, s) == ["prolong", "bracket", "equivalence", "gauge"]
+    for command in ("involution", "theorem2"):
+        rep = run(command, load_session(_path("identity_twist_quotient")))
+        assert rep.objects or rep.entries
+
+
+def _without_sections(tmp_path, name: str, *headers: str) -> str:
+    """The path of a copy of the bundled session ``name`` without the
+    sections whose header lines are ``headers``."""
+    with open(_path(name), encoding="utf-8") as fh:
+        lines, keep = [], True
+        for line in fh.read().splitlines():
+            if line.startswith("["):
+                keep = line not in headers
+            if keep:
+                lines.append(line)
+    path = tmp_path / f"{name}.session"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "name, headers",
+    [
+        ("exp_coupled_pair", ("[field X1]", "[field X2]")),  # [invariant] without [field]
+        ("component_bridge", ("[matrix S]",)),  # [matrix Phi] without S or M
+    ],
+)
+def test_all_runs_what_a_partial_session_enables(name, headers, tmp_path, capsys):
+    assert main(["all", "--session", _without_sections(tmp_path, name, *headers)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 _SOLVED_ONLY = """
 [context]
 independent=x

@@ -132,6 +132,20 @@ def test_unevaluated_first_power_is_its_base():
     assert print_expr(Expr(tree)) == "2*ru + rv"
 
 
+@pytest.mark.parametrize(
+    "tree",
+    [
+        sp.Pow(sp.Add(U, -U, evaluate=False), 0, evaluate=False),
+        sp.Pow(sp.Mul(0, U, evaluate=False), 0, evaluate=False),
+        sp.Pow(0, 0, evaluate=False),
+        sp.Pow(U + V, 0, evaluate=False),
+    ],
+)
+def test_zeroth_power_is_one(tree):
+    """sympy's ring raised ValueError('0**0') on a zero sum to the power 0."""
+    assert Expr(tree) == exprs.ONE
+
+
 def test_zero_denominator_is_caught_before_any_quotient(monkeypatch):
     def no_quotient(*args, **kwargs):
         raise AssertionError("a quotient was formed")
