@@ -24,7 +24,7 @@ from .involution import (
     check_involution_transfer,
     structure_functions,
 )
-from .invariants import generate_invariants
+from .invariants import SeedNotInvariantError, generate_invariants
 from .jets import lie_bracket
 from .oracle import integrate
 from .prolong import SigmaMatrix
@@ -185,16 +185,21 @@ def _run_check_symmetry(session: Session, rep: Report, order: int, trials: int, 
 
 
 def _run_ibdp(session: Session, rep: Report, order: int, trials: int, seed: int):
-    table = generate_invariants(
-        session.prolonged(order),
-        session.eta,
-        session.seeds,
-        order,
-        extra_base=session.extra_base,
-        trials=trials,
-        seed=seed,
-        deny=session.deny,
-    )
+    try:
+        table = generate_invariants(
+            session.prolonged(order),
+            session.eta,
+            session.seeds,
+            order,
+            extra_base=session.extra_base,
+            trials=trials,
+            seed=seed,
+            deny=session.deny,
+        )
+    except SeedNotInvariantError as exc:
+        name = f"seed {print_expr(exc.seed)} annihilated by field {session.field_names[exc.field_index]}"
+        rep.check(name, exc.verdict)
+        return
     rep.show("invariant table", repr(table).splitlines())
     rep.check("all entries verified and independent", RAN)
 

@@ -18,9 +18,10 @@ image object as it is.  ``diff`` maps one symbol to 1, a vector field keeps
 its map, and D_x has one map per ``SymbolTable`` (``dx_images``), filled as
 coordinates are met; ``jets.total_derivative`` keeps each result on its
 expression with that map.  One rule forms every quotient, of an operator, a
-derivation, a matrix entry or a sympy tree read in: the numerators go over
-the lcm of their denominators, and the result takes one cancel, or none over
-the denominator 1.
+derivation, a matrix entry, an elimination's result or a sympy tree read in:
+the numerators go over the lcm of their denominators (``_on_lcm``, the one
+lcm routine, which also clears the rows an elimination runs on), and the
+result takes one cancel, or none over the denominator 1.
 
 The exp generators form a Q-basis of their arguments, the constant 1 among
 them: an argument N/D splits, by division N = q*D + r in the lex order,
@@ -913,22 +914,27 @@ def _times(a, b):
 def _over_lcm(ring, pairs: Sequence[tuple]) -> tuple:
     """The sum of n/d over the (n, d) polynomial ``pairs`` as a numerator
     and a denominator, with no cancel: pairs with n = 0 are skipped, and the
-    rest go over the lcm L of their denominators other than 1, each n times
-    L/d."""
+    rest go over the lcm of their denominators (``_on_lcm``)."""
     pairs = [(n, d) for n, d in pairs if n]
     if not pairs:
         return ring.zero, ring.one
+    terms, lcm = _on_lcm(ring, pairs)
+    return sum(terms[1:], terms[0]), lcm
+
+
+def _on_lcm(ring, pairs: Sequence[tuple]) -> tuple:
+    """The n*(L/d) for the (n, d) polynomial ``pairs``, and L, the lcm of
+    their denominators other than 1: the one lcm routine, with no cancel."""
     dens = list(dict.fromkeys(d for _, d in pairs if not _is_one(d)))
     if not dens:
-        return sum((n for n, _ in pairs[1:]), pairs[0][0]), ring.one
+        return [n for n, _ in pairs], ring.one
     lcm, scales = dens[0], {}
     for d in dens[1:]:
         # L/e for each e so far; with L = g*a and d = g*b the lcm is L*b = d*a
         _, a, b = lcm.cofactors(d)
         scales = {e: _times(s, b) for e, s in (scales or {dens[0]: ring.one}).items()} | {d: a}
         lcm = lcm * b
-    terms = [_times(n, lcm) if _is_one(d) else _times(n, scales[d]) if scales else n for n, d in pairs]
-    return sum(terms[1:], terms[0]), lcm
+    return [_times(n, lcm) if _is_one(d) else _times(n, scales[d]) if scales else n for n, d in pairs], lcm
 
 
 def _sum_quotients(field, pairs: Sequence[tuple], denom=None):

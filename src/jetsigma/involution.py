@@ -10,7 +10,7 @@ from typing import Sequence
 
 import sympy as sp
 
-from .exprs import CheckResult, Expr, ExprError, _field_values, _generators, print_expr
+from .exprs import CheckResult, Expr, ExprError, _field_values, _generators, _on_lcm, print_expr
 from .jets import VectorField, VectorFieldSet, lie_bracket
 from .linalg import ExprMatrix, linear_solve
 from .prolong import SigmaMatrix, sigma_prolong
@@ -91,8 +91,8 @@ def _denominator_factors(values) -> set:
 def _constant_expansion(bracket: VectorField, basis: Sequence[VectorField]) -> list[Expr] | None:
     """Rational constants c with bracket = sum_k c_k basis[k], or None.
 
-    Component by component, the r + 1 entries N_k/D_k are brought over the
-    lcm L of their denominators; then every monomial coefficient of
+    Component by component, the r + 1 entries N_k/D_k go over the lcm L of
+    their denominators (``_on_lcm``); then every monomial coefficient of
     sum_k c_k N_k (L/D_k) - N_T (L/D_T) in the field generators must vanish,
     one linear system over Q for all components together, each distinct
     equation once."""
@@ -102,11 +102,7 @@ def _constant_expansion(bracket: VectorField, basis: Sequence[VectorField]) -> l
     values = _field_values([c for cs in comps for c in cs])
     equations: dict[tuple[int, ...], None] = {}
     for comp in range(ncomp):
-        entries = values[comp::ncomp]
-        lcm = entries[0].denom
-        for f in entries[1:]:
-            lcm = lcm.lcm(f.denom)
-        polys = [f.numer * lcm.exquo(f.denom) for f in entries]
+        polys, _ = _on_lcm(values[0].field.ring, [(f.numer, f.denom) for f in values[comp::ncomp]])
         for monom in set().union(*polys):
             equations[tuple(int(p.get(monom, 0)) for p in polys)] = None
     if not equations:

@@ -1,12 +1,12 @@
 """Exact linear algebra over the expression field, and small symbolic matrices.
 
 Every elimination goes through one routine, ``_lift``: the entries are
-already elements of the one ambient differential field of ``exprs`` (the
-symbols plus the kernel and opaque atoms as generators), so they become a
-``DomainMatrix`` over that field's domain as they are, sympy's ``rref``,
-``det`` or ``inv`` runs there, and each result is an ``Expr`` again with no
-conversion.  The exp generators form a basis of their arguments, so the
-field obeys exp(a)*exp(b) = exp(a + b): the determinant of
+elements of the one ambient field of ``exprs``, so each row goes over the
+lcm of its denominators (``exprs._on_lcm``) into a ``DomainMatrix`` over
+that field's polynomial ring, sympy's fraction-free ``rref_den`` or ``det``
+runs there with no cancel, and each result is one quotient formed by the
+quotient rule of ``exprs``.  The exp generators form a basis of their
+arguments, so the field obeys exp(a)*exp(b) = exp(a + b): the determinant of
 [[exp(u), exp(u + v)], [1, exp(v)]] is zero there, and so is that of
 [[exp(1/(u + 1)), exp(1)], [1, exp(u/(u + 1))]].  A pivot is an exact
 nonzero test in that field.  Nothing is sampled, so no verdict depends on a
@@ -16,13 +16,13 @@ rewrite set are not seen: sin^2 + cos^2 - 1 is a nonzero pivot.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from sympy.polys.matrices import DomainMatrix
-from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
 
-from .exprs import ZERO, Expr, ExprError, _field_values, _sum_quotients, normalize, print_expr
+from .exprs import ZERO, Expr, ExprError, _field_values, _on_lcm, _sum_quotients, normalize, print_expr
 
 __all__ = [
     "ExprMatrix",
@@ -36,15 +36,15 @@ class SingularMatrixError(ExprError):
     """A matrix required to be invertible has identically vanishing determinant."""
 
 
-def _lift(rows: Sequence[Sequence[Expr]]) -> DomainMatrix:
-    """The entries as a DomainMatrix over the ambient field."""
+def _lift(rows: Sequence[Sequence[Expr]]) -> tuple:
+    """The entries, each row over the lcm of its denominators, as a
+    DomainMatrix over the ambient ring; the quotient n/d in that field; the lcms."""
     ncols = len(rows[0])
     elems = _field_values([normalize(e) for row in rows for e in row])
-    return DomainMatrix(
-        [elems[i : i + ncols] for i in range(0, len(elems), ncols)],
-        (len(rows), ncols),
-        elems[0].field.to_domain(),
-    )
+    field, pairs = elems[0].field, [(f.numer, f.denom) for f in elems]
+    cleared = [_on_lcm(field.ring, pairs[i : i + ncols]) for i in range(0, len(pairs), ncols)]
+    matrix = DomainMatrix([r for r, _ in cleared], (len(rows), ncols), field.ring.to_domain())
+    return matrix, lambda n, d: Expr._of(_sum_quotients(field, [(n, d)])), [d for _, d in cleared]
 
 
 @dataclass
@@ -76,13 +76,14 @@ def linear_solve(mat: Sequence[Sequence[Expr]], rhs: Sequence[Expr]) -> LinearSo
         raise ExprError("ragged matrix")
     if len(rhs) != len(mat):
         raise ExprError(f"{len(mat)} equation(s) but {len(rhs)} right side(s)")
-    reduced, pivots = _lift([[*row, b] for row, b in zip(mat, rhs)]).rref()
+    matrix, quotient, _ = _lift([[*row, b] for row, b in zip(mat, rhs)])
+    reduced, den, pivots = matrix.rref_den()
     rows = reduced.to_list()
     if n in pivots:
-        return LinearSolveResult("inconsistent", witness=Expr._of(rows[len(pivots) - 1][n]))
+        return LinearSolveResult("inconsistent", witness=quotient(rows[len(pivots) - 1][n], den))
     solution = [Expr.number(0)] * n
     for i, col in enumerate(pivots):
-        solution[col] = Expr._of(rows[i][n])
+        solution[col] = quotient(rows[i][n], den)
     free = [c for c in range(n) if c not in pivots]
     if free:
         return LinearSolveResult("underdetermined", solution, free)
@@ -174,22 +175,24 @@ class ExprMatrix:
     def det(self) -> Expr:
         if not self.is_square:
             raise ExprError("determinant of a non-square matrix")
-        return Expr._of(_lift(self.entries).det())
+        matrix, quotient, lcms = _lift(self.entries)
+        return quotient(matrix.det(), math.prod(lcms))
 
     def inverse(self) -> "ExprMatrix":
-        """Exact inverse over the expression field; the determinant must not
-        vanish identically."""
+        """Exact inverse over the expression field, the right half of the
+        reduced form of [A | I]; the determinant must not vanish identically."""
         if not self.is_square:
             raise ExprError("inverse of a non-square matrix")
-        try:
-            inv = _lift(self.entries).inv()
-        except DMNonInvertibleMatrixError:
-            raise SingularMatrixError("matrix determinant vanishes identically") from None
-        return ExprMatrix([[Expr._of(e) for e in row] for row in inv.to_list()])
+        n = self.nrows
+        matrix, quotient, _ = _lift([[*a, *e] for a, e in zip(self.entries, ExprMatrix.identity(n).entries)])
+        reduced, den, pivots = matrix.rref_den()
+        if pivots != tuple(range(n)):
+            raise SingularMatrixError("matrix determinant vanishes identically")
+        return ExprMatrix([[quotient(e, den) for e in row[n:]] for row in reduced.to_list()])
 
     def pivot_columns(self) -> list[int]:
         """Indices of the columns outside the span of the columns before them."""
-        return list(_lift(self.entries).rref()[1])
+        return list(_lift(self.entries)[0].rref_den()[2])
 
     def total_derivative(self, ctx) -> "ExprMatrix":
         from .jets import total_derivative

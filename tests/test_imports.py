@@ -9,8 +9,10 @@ zero-test verdict is read only by the few functions that word an error or
 write a report entry (``VERDICT_READERS``), so every set of verdicts is
 folded by ``exprs.CheckResult``; a field element is formed from a numerator
 and a denominator by one routine, ``exprs._sum_quotients``
-(``FIELD_NEW_CALLERS``); one function, ``jets.total_derivative``, keeps a
-result in an expression's ``_dx`` slot, which the constructors only clear
+(``FIELD_NEW_CALLERS``), and over one lcm routine, ``exprs._on_lcm``, so
+no ``.lcm(`` or ``.exquo(`` call appears; one function,
+``jets.total_derivative``, keeps a result in an expression's ``_dx`` slot,
+which the constructors only clear
 (``DX_WRITERS``); ``MissingSessionDataError`` is raised by
 ``Session.require`` alone, so a command's needs are checked in one place
 (``MISSING_DATA_RAISERS``); and only the zero test
@@ -318,6 +320,35 @@ def test_verdict_guard_sees_a_fold():
         "    return all(v.is_zero for v in vs) or vs[0].status == 'unknown' or vs[0].is_nonzero\n"
     )
     assert _verdict_reads(tree) == [("f", 4), ("f", 4), ("f", 4)]
+
+
+def _lcm_calls(tree: ast.Module) -> list[int]:
+    """Lines of ``.lcm(`` and ``.exquo(`` calls: a polynomial lcm taken, or a
+    denominator divided out of one, outside ``exprs._on_lcm``'s cofactors."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in ("lcm", "exquo")
+    ]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_one_lcm_routine(module):
+    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), module)
+    assert _lcm_calls(tree) == []
+
+
+def test_lcm_guard_sees_a_call():
+    """The guard flags an lcm or an exact quotient taken on its own, and not
+    the cofactors the one routine uses."""
+    tree = ast.parse(
+        "def f(a, b):\n"
+        "    _, x, y = a.cofactors(b)\n"
+        "    m = a.lcm(b)\n"
+        "    return m.exquo(b), math.lcm(2, 3), lcm\n"
+    )
+    assert _lcm_calls(tree) == [3, 4, 4]
 
 
 def _imports_random(tree: ast.Module) -> bool:

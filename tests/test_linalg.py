@@ -1,9 +1,14 @@
+import sys
+
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
 from sympy.polys.rings import PolyElement
 
+from jetsigma import exprs
 from jetsigma.exprs import Expr, ExprError
 from jetsigma.jets import JetContext, VectorField, VectorFieldSet, lie_bracket
 from jetsigma.linalg import ExprMatrix, SingularMatrixError, linear_solve
@@ -185,3 +190,126 @@ def test_exp_basis_comes_from_the_arguments(ctx):
         M.inverse()
     result = linear_solve([list(M.row(0)), list(M.row(1))], [P("1"), P("0")])
     assert result.status == "inconsistent"
+
+
+# The elimination the library ran before it went fraction-free, kept here
+# only as the reference: a DomainMatrix over the field's own domain, where
+# every entry operation of sympy's rref, inv and det takes one cancel.
+
+
+def _field_domain_matrix(rows) -> DomainMatrix:
+    ncols = len(rows[0])
+    elems = exprs._field_values([e for row in rows for e in row])
+    return DomainMatrix(
+        [elems[i : i + ncols] for i in range(0, len(elems), ncols)], (len(rows), ncols), elems[0].field.to_domain()
+    )
+
+
+def _reference_solve(mat, rhs) -> tuple:
+    n = len(mat[0])
+    reduced, pivots = _field_domain_matrix([[*row, b] for row, b in zip(mat, rhs)]).rref()
+    rows = reduced.to_list()
+    if n in pivots:
+        return "inconsistent", None, [], Expr._of(rows[len(pivots) - 1][n])
+    solution = [Expr.number(0)] * n
+    for i, col in enumerate(pivots):
+        solution[col] = Expr._of(rows[i][n])
+    free = [c for c in range(n) if c not in pivots]
+    return "underdetermined" if free else "solved", solution, free, None
+
+
+_P = JetContext("x", ["u", "v"], 2).parse
+# denominators that share factors (u, u + 1, u^2 + u, u*v + u), exp atoms
+# whose products are exp atoms again, and constants
+_POOL = [
+    _P(t)
+    for t in [
+        "0", "1", "-2", "1/3", "v", "1/u", "1/(u + 1)", "v/(u^2 + u)", "(u - v)/(u*v + u)",
+        "exp(u)", "exp(-u)", "exp(v)/u", "exp(u + v)", "u*exp(-v)/(u + 1)",
+    ]
+]
+_ZERO = Expr.number(0)
+
+
+@st.composite
+def _systems(draw):
+    """[M | b] of 1 to 3 rows and columns: the rows drawn, but for at most
+    one, which is zero or a sum of multiples of the rows before it; b drawn
+    (often inconsistent then) or M x for a drawn x."""
+    ncols, nrows = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    entry = st.sampled_from(_POOL)
+    special, dependent = draw(st.sampled_from([None, None, *range(nrows)])), draw(st.booleans())
+    mat = []
+    for i in range(nrows):
+        if i != special:
+            mat.append([draw(entry) for _ in range(ncols)])
+        elif dependent and mat:
+            coeffs = [draw(entry) for _ in mat]
+            mat.append([sum((c * row[j] for c, row in zip(coeffs, mat)), _ZERO) for j in range(ncols)])
+        else:
+            mat.append([_ZERO] * ncols)
+    if draw(st.booleans()):
+        x = [draw(entry) for _ in range(ncols)]
+        rhs = [sum((a * b for a, b in zip(row, x)), _ZERO) for row in mat]
+    else:
+        rhs = [draw(entry) for _ in mat]
+    return mat, rhs
+
+
+_SINGULAR = [[_P("exp(u)"), _P("exp(u + v)")], [_P("1"), _P("exp(v)")]]
+
+
+@settings(derandomize=True, max_examples=150, database=None, deadline=None)
+@given(_systems())
+@example((_SINGULAR, [_P("1"), _P("1")]))
+@example((_SINGULAR, [_P("exp(u)"), _P("1")]))
+def test_eliminations_match_the_field_domain_reference(system):
+    """linear_solve, pivot_columns, det and inverse agree with the rref, det
+    and inv of a DomainMatrix over the field itself."""
+    mat, rhs = system
+    result = linear_solve(mat, rhs)
+    assert (result.status, result.solution, result.free_indices, result.witness) == _reference_solve(mat, rhs)
+    M = ExprMatrix(mat)
+    reference = _field_domain_matrix(mat)
+    assert M.pivot_columns() == list(reference.rref()[1])
+    if M.is_square:
+        assert M.det() == Expr._of(reference.det())
+        try:
+            inverse = ExprMatrix([[Expr._of(e) for e in row] for row in reference.inv().to_list()])
+        except DMNonInvertibleMatrixError:
+            with pytest.raises(SingularMatrixError):
+                M.inverse()
+        else:
+            assert M.inverse() == inverse
+
+
+def _cancels(monkeypatch, call) -> tuple[int, int]:
+    """The cancels ``call()`` makes in all, and those made from inside
+    ``sympy.polys.matrices``."""
+    counts = [0, 0]
+    cancel = PolyElement.cancel
+
+    def counting(p, q):
+        counts[0] += 1
+        frame = sys._getframe(1)
+        while frame is not None and not frame.f_globals.get("__name__", "").startswith("sympy.polys.matrices"):
+            frame = frame.f_back
+        counts[1] += frame is not None
+        return cancel(p, q)
+
+    monkeypatch.setattr(PolyElement, "cancel", counting)
+    call()
+    monkeypatch.setattr(PolyElement, "cancel", cancel)
+    return tuple(counts)
+
+
+def test_eliminations_cancel_only_their_results(ctx, monkeypatch):
+    """An elimination runs in the polynomial ring: no cancel is made inside
+    sympy's matrices, and at most one per result entry."""
+    P = ctx.parse
+    mat = [[P("1/u"), P("v/(u + 1)"), P("u")], [P("u_1"), P("1/(u*v)"), P("1/(u^2 + u)")], [P("2"), P("u/v"), P("1/3")]]
+    rhs = [P("1/(u + 1)"), P("v"), P("u/(u - v)")]
+    M = ExprMatrix(mat)
+    for call, results in [(lambda: linear_solve(mat, rhs), 3), (M.inverse, 9), (M.det, 1), (M.pivot_columns, 0)]:
+        total, inside = _cancels(monkeypatch, call)
+        assert inside == 0 and total <= results

@@ -506,6 +506,23 @@ def test_all_runs_what_a_partial_session_enables(name, headers, tmp_path, capsys
     assert capsys.readouterr().err == ""
 
 
+def test_all_records_a_seed_that_is_not_invariant(tmp_path, capsys):
+    """Without its twist, the fields of exp_coupled_pair do not annihilate
+    the seed v_1*exp(-u): ibdp writes a NonZero FAIL entry naming the seed,
+    the field and the witness, and the rest of the run is kept."""
+    assert main(["all", "--json", "--session", _without_sections(tmp_path, "exp_coupled_pair", "[sigma]")]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    report = json.loads(out)
+    (seed,) = [e for e in report["entries"] if e["name"].startswith("seed ")]
+    assert seed["name"] == "seed v_1*exp(-u) annihilated by field X1"
+    assert seed["verdict"] == "NonZero" and seed["witness"]
+    names = [e["name"] for e in report["entries"]]
+    assert "field X1 on equation 1" in names and "reduction emitted" in names and "integration finite" in names
+    objects = [o["name"] for o in report["objects"]]
+    assert "reduced system" in objects and "trajectory endpoint" in objects
+
+
 _SOLVED_ONLY = """
 [context]
 independent=x
