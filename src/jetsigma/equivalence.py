@@ -56,7 +56,7 @@ def verify_A_sigma(
 ) -> CheckResult:
     """Check D_x A = A sigma; the residuals are the entries of D_x A - A sigma,
     keyed by (row, column)."""
-    return _entry_checks(A.total_derivative(ctx) - (A @ sigma), trials, seed)
+    return _entry_checks(ExprMatrix.combination([(1, A.total_derivative(ctx), None), (-1, A, sigma)]), trials, seed)
 
 
 def _entry_checks(M: ExprMatrix, trials: int, seed: int) -> CheckResult:
@@ -117,7 +117,7 @@ def gauge_transform_sigma(B: ExprMatrix, sigma: SigmaMatrix, ctx: JetContext) ->
     """Twist under a change of module generators: B sigma B^-1 + B D_x(B^-1)."""
     _check_base_matrix(B, ctx, "gauge matrix")
     Binv = B.inverse()
-    raw = (B @ sigma @ Binv) + (B @ Binv.total_derivative(ctx))
+    raw = ExprMatrix.combination([(1, B @ sigma, Binv), (1, B, Binv.total_derivative(ctx))])
     return SigmaMatrix(ctx, raw.entries)
 
 
@@ -138,7 +138,7 @@ def theta_from_mu(A: ExprMatrix, Ys: VectorFieldSet, mu: StructureFunctions) -> 
     for h in range(r):
         Mu_h = ExprMatrix([[mu[m, l, h] for l in range(r)] for m in range(r)])
         AG = A @ ExprMatrix([[Y.apply(A[j, h]) for j in range(r)] for Y in Ys])
-        T.append(A @ Mu_h @ A.transpose() + AG - AG.transpose())
+        T.append(ExprMatrix.combination([(1, A @ Mu_h, A.transpose()), (1, AG, None), (-1, AG.transpose(), None)]))
     upper = {
         (i, j): (ExprMatrix([[T_h[i, j] for T_h in T]]) @ Ainv).row(0) for i in range(r) for j in range(i + 1, r)
     }
@@ -178,4 +178,4 @@ def mu_sigma_bridge(
         S = (Phinv @ M @ Phi).transpose()
     st = S.transpose()
     core = Phinv @ Phi.total_derivative(ctx)
-    return BridgeResult(S, M, _entry_checks((core @ st) - (st @ core), trials, seed))
+    return BridgeResult(S, M, _entry_checks(ExprMatrix.combination([(1, core, st), (-1, st, core)]), trials, seed))

@@ -42,16 +42,16 @@ Atoms are built unevaluated.  The kernel rewrites are exactly these:
 
 so exp(log(u)), log(2*u) and sin(u)^2 + cos(u)^2 stay as they are.  sympy
 trees are built only at the edges: to print, to compile in ``oracle``, to
-read an ``Expr(sp.Expr)`` input and to name atoms; each product in them
-carries one merged ``exp(...)``.  An input tree is read in one walk
-(``_from_tree``), with no sympy field arithmetic and no private sympy
-method: each product adds its generators' exponents into one vector and
-multiplies its rational coefficients, each sum collects its terms as
+read an ``Expr(sp.Expr)`` input or parsed text and to name atoms; each
+product in them carries one merged ``exp(...)``.  An input tree is read in
+one walk (``_from_tree``), with no sympy field arithmetic and no private
+sympy method: each product adds its generators' exponents into one vector
+and multiplies its rational coefficients, each sum collects its terms as
 numerator and denominator pairs, and the element is formed once, by the
-quotient rule above.  Hashing reads the field element, and
-numeric evaluation and the zero test walk the generators (``_value``): exact
-in Q without kernel atoms, to 30 digits with them.  No float ever enters a
-symbolic expression.
+quotient rule above, with at most one cancel per text outside its kernel and
+opaque arguments.  Hashing reads the field element; numeric evaluation and
+the zero test walk the generators (``_value``): exact in Q without kernel
+atoms, to 30 digits with them.  No float ever enters a symbolic expression.
 """
 
 from __future__ import annotations
@@ -704,9 +704,9 @@ def _from_tree(tree: sp.Expr):
     rational coefficients; only its other factors (sums, alone or under a
     power) are multiplied as polynomials.  A sum collects its terms'
     numerator and denominator pairs, and ``_sum_quotients`` forms the tree's
-    element once, with no cancel when every denominator is 1.  A zeroth
-    power is 1, and a zero under a negative power raises before any quotient
-    is formed."""
+    element once, with no cancel when every denominator is 1 or the tree is
+    one term c*g^m.  A zeroth power is 1, and a zero under a negative power
+    raises before any quotient is formed."""
     symbols: set[sp.Symbol] = set()
     atoms: dict[sp.Expr, Expr] = {}
 
@@ -753,7 +753,7 @@ def _from_tree(tree: sp.Expr):
         if leaf is not None:
             return leaf
         if e.is_Add:
-            return (1, unit, *_over_lcm(ring, pairs(e.args)))
+            return (1, unit, *_over_lcm(ring, pairs(map(term, e.args))))
         if e.is_Mul:
             c, m, n, d = term(e.args[0])
             for a in e.args[1:]:
@@ -773,13 +773,12 @@ def _from_tree(tree: sp.Expr):
         j = abs(k)
         return c**j, [x * k for x in m], n if _is_one(n) else n**j, d if _is_one(d) else d**j
 
-    def pairs(nodes) -> list:
-        """The (n, d) pairs of the sum of ``nodes``: its integer multiples
+    def pairs(terms) -> list:
+        """The (n, d) pairs of the sum of ``terms``: its integer multiples
         of monomials added in one ring dict, and each other term c*g^m*n/d
         split into a numerator and a denominator."""
         monomials, out = {}, []
-        for e in nodes:
-            c, m, n, d = term(e)
+        for c, m, n, d in terms:
             if not c:
                 continue
             if c.denominator == 1 and min(m, default=0) >= 0 and _is_one(n) and _is_one(d):
@@ -790,7 +789,10 @@ def _from_tree(tree: sp.Expr):
             out.append((numer, _times(ring.dtype({tuple(max(-x, 0) for x in m): ZZ(c.denominator)}), d)))
         return [(ring.dtype({m: ZZ(int(c)) for m, c in monomials.items() if c}), one), *out]
 
-    return _sum_quotients(field, pairs(tree.args if tree.is_Add else (tree,)))
+    terms = [term(e) for e in (tree.args if tree.is_Add else (tree,))]
+    if len(terms) == 1 and _is_one(terms[0][2]) and _is_one(terms[0][3]):
+        return field.raw_new(*pairs(terms)[-1])  # a monomial over a coprime monomial
+    return _sum_quotients(field, pairs(terms))
 
 
 def _tree(f) -> sp.Expr:
@@ -1274,11 +1276,9 @@ def _tokenize(text: str):
     return tokens
 
 
-_BINARY = {"+": Expr.__add__, "-": Expr.__sub__, "*": Expr.__mul__, "/": Expr.__truediv__}
-
-
 class _Parser:
-    """Recursive descent over the grammar; builds field elements directly."""
+    """Recursive descent over the grammar into the tree ``_from_tree`` reads:
+    one flat Add or Mul per production, a - b as a + (-1)*b, a/b as a*b^-1."""
 
     def __init__(self, text: str, table: SymbolTable):
         self.table = table
@@ -1304,41 +1304,40 @@ class _Parser:
         if self.accept(op) is None:
             raise ExprSyntaxError(f"expected '{op}'", self.peek()[2])
 
-    def parse(self) -> Expr:
+    def parse(self) -> sp.Expr:
         e = self.expr()
         kind, text, offset = self.peek()
         if kind != "end":
             raise ExprSyntaxError(f"trailing input {text!r}", offset)
         return e
 
-    def expr(self, ops: str = "+-") -> Expr:
-        operand = self.term if ops == "+-" else self.factor
-        e = operand()
+    def expr(self, ops: str = "+-") -> sp.Expr:
+        operand = self.factor if ops == "*/" else lambda: self.expr("*/")
+        args = [operand()]
         while op := self.accept(ops):
-            e = _BINARY[op](e, operand())
-        return e
+            e = operand()
+            if op in "-/":
+                e = sp.Mul(-1, e, evaluate=False) if op == "-" else sp.Pow(e, -1, evaluate=False)
+            args.append(e)
+        return args[0] if len(args) == 1 else (sp.Add if ops == "+-" else sp.Mul)(*args, evaluate=False)
 
-    def term(self) -> Expr:
-        return self.expr("*/")
-
-    def factor(self) -> Expr:
-        sign = self.accept("+-")
-        if sign:
+    def factor(self) -> sp.Expr:
+        if sign := self.accept("+-"):
             inner = self.factor()
-            return inner if sign == "+" else -inner
+            return inner if sign == "+" else sp.Mul(-1, inner, evaluate=False)
         base = self.primary()
         if not self.accept("^"):
             return base
         off = self.peek()[2]
-        f = self.factor()._frac
-        if not (f.numer.is_ground and f.denom == f.field.ring.one):
+        f = Expr(self.factor())._frac
+        if not (f.numer.is_ground and _is_one(f.denom)):
             raise ExprSyntaxError("exponent must be an integer", off)
-        return base ** int(f.numer.LC)
+        return sp.Pow(base, int(f.numer.LC), evaluate=False)
 
-    def primary(self) -> Expr:
+    def primary(self) -> sp.Expr:
         kind, text, offset = self.next()
         if kind == "num":
-            return Expr.number(int(text))
+            return sp.Integer(int(text))
         if kind == "op" and text == "(":
             e = self.expr()
             self.expect_op(")")
@@ -1347,16 +1346,15 @@ class _Parser:
             raise ExprSyntaxError(f"unexpected token {text!r}" if text else "unexpected end of input", offset)
         if text == "D":
             return self.derivative_node(offset)
-        if text in _KERNELS:
-            return _kernel(text, *self.call_args(text, 1, offset))
-        if text in self.table.functions:
-            arity = self.table.functions[text]
-            return _atom(_opaque_class(text, arity), self.call_args(text, arity, offset))
+        if text in _KERNELS or text in self.table.functions:
+            arity = self.table.functions.get(text, 1)
+            head = _KERNELS[text] if text in _KERNELS else _opaque_class(text, arity)
+            return head(*self.call_args(text, arity, offset), evaluate=False)
         if self.peek()[:2] == ("op", "("):
             raise UndeclaredSymbolError(text, offset)
-        return Expr._of(_AMBIENT.gen(self.table.lookup(text, offset)))
+        return self.table.lookup(text, offset)
 
-    def call_args(self, name: str, arity: int, offset: int) -> tuple[Expr, ...]:
+    def call_args(self, name: str, arity: int, offset: int) -> tuple[sp.Expr, ...]:
         self.expect_op("(")
         args = [self.expr()]
         while self.accept(","):
@@ -1366,7 +1364,7 @@ class _Parser:
             raise ArityMismatchError(name, arity, len(args), offset)
         return tuple(args)
 
-    def derivative_node(self, offset: int) -> Expr:
+    def derivative_node(self, offset: int) -> sp.Expr:
         self.expect_op("(")
         kind, name, noff = self.next()
         if kind != "name":
@@ -1383,12 +1381,12 @@ class _Parser:
         self.expect_op(")")
         if len(orders) != arity:
             raise ArityMismatchError(name, arity, len(orders), offset)
-        return _atom(_opaque_class(name, arity, tuple(orders)), self.call_args(name, arity, offset))
+        return _opaque_class(name, arity, tuple(orders))(*self.call_args(name, arity, offset))
 
 
 def parse(text: str, table: SymbolTable) -> Expr:
     """Parse grammar text against the declared symbols; result is normalized."""
-    return _Parser(text, table).parse()
+    return Expr(_Parser(text, table).parse())
 
 
 # ---------------------------------------------------------------------------

@@ -378,7 +378,8 @@ def check_involution_transfer(
         for j in range(i + 1, r):
             Q_ij = ExprMatrix([[Ys[i].apply(sigma[j, k]) - Ys[j].apply(sigma[i, k]) for k in range(r)]])
             mu_ij = ExprMatrix([mu.mu[i][j]])
-            R_ij = Q_ij + mu_ij.total_derivative(ctx) + sigma_rows[i] @ M[j] - sigma_rows[j] @ M[i] - mu_ij @ sigma
+            terms = [(1, Q_ij, None), (1, mu_ij.total_derivative(ctx), None), (-1, mu_ij, sigma)]
+            R_ij = ExprMatrix.combination([*terms, (1, sigma_rows[i], M[j]), (-1, sigma_rows[j], M[i])])
             Q[(i, j)] = Q_ij.row(0)
             q_contracted[(i, j)] = (Q_ij @ Phi).row(0)
             R.update(((i, j, k), e) for k, e in enumerate(R_ij.row(0)))

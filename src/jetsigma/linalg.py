@@ -5,24 +5,26 @@ elements of the one ambient field of ``exprs``, so each row goes over the
 lcm of its denominators (``exprs._on_lcm``) into a ``DomainMatrix`` over
 that field's polynomial ring, sympy's fraction-free ``rref_den`` or ``det``
 runs there with no cancel, and each result is one quotient formed by the
-quotient rule of ``exprs``.  The exp generators form a basis of their
-arguments, so the field obeys exp(a)*exp(b) = exp(a + b): the determinant of
-[[exp(u), exp(u + v)], [1, exp(v)]] is zero there, and so is that of
-[[exp(1/(u + 1)), exp(1)], [1, exp(u/(u + 1))]].  A pivot is an exact
-nonzero test in that field.  Nothing is sampled, so no verdict depends on a
-seed or on the size of a value.  Identities outside the normal form's
-rewrite set are not seen: sin^2 + cos^2 - 1 is a nonzero pivot.
+quotient rule of ``exprs``.  Every other matrix formula is a signed sum of
+products whose entries that rule forms once each, ``ExprMatrix.combination``,
+with ``+``, ``-`` and ``@`` its one- and two-term cases.  The exp generators
+form a basis of their arguments, so the field obeys exp(a)*exp(b) =
+exp(a + b): the determinant of [[exp(u), exp(u + v)], [1, exp(v)]] is zero
+there, and so is that of [[exp(1/(u + 1)), exp(1)], [1, exp(u/(u + 1))]].
+A pivot is an exact nonzero test in that field.  Nothing is sampled, so no
+verdict depends on a seed or on the size of a value.  Identities outside the
+normal form's rewrite set are not seen: sin^2 + cos^2 - 1 is a nonzero pivot.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 from sympy.polys.matrices import DomainMatrix
 
-from .exprs import ZERO, Expr, ExprError, _field_values, _on_lcm, _sum_quotients, normalize, print_expr
+from .exprs import ZERO, Expr, ExprError, _field_values, _on_lcm, _sum_quotients, _times, normalize, print_expr
 
 __all__ = [
     "ExprMatrix",
@@ -132,45 +134,52 @@ class ExprMatrix:
     def row(self, i: int) -> list[Expr]:
         return list(self.entries[i])
 
-    def map(self, fn: Callable[[Expr], Expr]) -> "ExprMatrix":
-        return ExprMatrix([[fn(e) for e in row] for row in self.entries])
-
     def transpose(self) -> "ExprMatrix":
         return ExprMatrix(
             [[self.entries[i][j] for i in range(self.nrows)] for j in range(self.ncols)]
         )
 
-    def _zip(self, other: "ExprMatrix", op) -> "ExprMatrix":
-        if self.nrows != other.nrows or self.ncols != other.ncols:
+    @staticmethod
+    def combination(terms: Sequence[tuple[int, "ExprMatrix", "ExprMatrix | None"]]) -> "ExprMatrix":
+        """The sum of sign*A*B over the (sign, A, B) ``terms`` (sign*A where B
+        is None; each sign 1 or -1), each entry formed once from its nonzero
+        products by the quotient rule of ``exprs``; a lone plain entry as it is."""
+        for _, A, B in terms:
+            if B is not None and A.ncols != B.nrows:
+                raise ExprError(f"cannot multiply {A.nrows}x{A.ncols} by {B.nrows}x{B.ncols}")
+        shapes = {(A.nrows, (A if B is None else B).ncols) for _, A, B in terms}
+        if len(shapes) != 1:
             raise ExprError("matrix shapes differ")
-        return ExprMatrix([[op(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)])
+        ((nrows, ncols),) = shapes
+        rows = [[] for _ in range(nrows)]
+        for i in range(nrows):
+            for j in range(ncols):
+                products = [  # (sign, factors) of each nonzero product
+                    (sign, factors)
+                    for sign, A, B in terms
+                    for factors in ([(A.entries[i][j],)] if B is None else zip(A.entries[i], (r[j] for r in B.entries)))
+                    if not any(x.is_rational_zero for x in factors)
+                ]
+                if len(products) < 2 and all(len(factors) == 1 for _, factors in products):
+                    sign, (e,) = products[0] if products else (1, (ZERO,))
+                    rows[i].append(e if sign > 0 else -e)
+                    continue
+                values, pairs = iter(_field_values([x for _, factors in products for x in factors])), []
+                for sign, factors in products:
+                    f, *g = [next(values) for _ in factors]
+                    n, d = (_times(f.numer, g[0].numer), _times(f.denom, g[0].denom)) if g else (f.numer, f.denom)
+                    pairs.append((n if sign > 0 else -n, d))
+                rows[i].append(Expr._of(_sum_quotients(f.field, pairs)))
+        return ExprMatrix(rows)
 
     def __add__(self, other: "ExprMatrix") -> "ExprMatrix":
-        return self._zip(other, Expr.__add__)
+        return ExprMatrix.combination([(1, self, None), (1, other, None)])
 
     def __sub__(self, other: "ExprMatrix") -> "ExprMatrix":
-        return self._zip(other, Expr.__sub__)
+        return ExprMatrix.combination([(1, self, None), (-1, other, None)])
 
     def __matmul__(self, other: "ExprMatrix") -> "ExprMatrix":
-        if self.ncols != other.nrows:
-            raise ExprError(
-                f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
-            )
-
-        def entry(row, col) -> Expr:
-            # only the nonzero products enter the subfield union
-            factors = [x for a, b in zip(row, col) if not (a.is_rational_zero or b.is_rational_zero) for x in (a, b)]
-            if not factors:
-                return ZERO
-            values = _field_values(factors)
-            pairs = [(a.numer * b.numer, a.denom * b.denom) for a, b in zip(values[::2], values[1::2])]
-            return Expr._of(_sum_quotients(values[0].field, pairs))
-
-        return ExprMatrix([[entry(row, col) for col in zip(*other.entries)] for row in self.entries])
-
-    def scaled(self, factor: Expr | int) -> "ExprMatrix":
-        f = normalize(factor)
-        return self.map(lambda e: f * e)
+        return ExprMatrix.combination([(1, self, other)])
 
     def det(self) -> Expr:
         if not self.is_square:
@@ -197,7 +206,7 @@ class ExprMatrix:
     def total_derivative(self, ctx) -> "ExprMatrix":
         from .jets import total_derivative
 
-        return self.map(lambda e: total_derivative(e, ctx))
+        return ExprMatrix([[total_derivative(e, ctx) for e in row] for row in self.entries])
 
     def __eq__(self, other):
         return isinstance(other, ExprMatrix) and self.entries == other.entries

@@ -12,7 +12,7 @@ index, the step is
 With Psi_k the r x p matrix of the order-k coefficients, Xi the column of the
 xi_i and U the row of the u^a_{k+1}, it is one matrix expression,
 
-    Psi_{k+1} = D_x Psi_k - (D_x Xi) U + Psi_k Lambda^T + S (Psi_k - Xi U),
+    Psi_{k+1} = D_x Psi_k - (D_x Xi + S Xi) U + Psi_k Lambda^T + S Psi_k,
 
 and the public functions fix its parts:
 
@@ -102,16 +102,17 @@ def _prolong(
     ctx = Xs[0].ctx
     Xi = ExprMatrix([[X.xi] for X in Xs])
     dXi = Xi.total_derivative(ctx)
+    W = dXi if S is None else ExprMatrix.combination([(1, dXi, None), (1, S, Xi)])  # D_x Xi + S Xi
     Psis = [ExprMatrix([[X.phi(a) for a in range(ctx.p)] for X in Xs])]
     for k in range(n):
         Psi = Psis[-1]
         U = ExprMatrix([[Expr(ctx.coord(a, k + 1)) for a in range(ctx.p)]])
-        step = Psi.total_derivative(ctx) - dXi @ U
+        terms = [(1, Psi.total_derivative(ctx), None), (-1, W, U)]
         if Lambda is not None:
-            step = step + Psi @ Lambda.transpose()
+            terms.append((1, Psi, Lambda.transpose()))
         if S is not None:
-            step = step + S @ (Psi - Xi @ U)
-        Psis.append(step)
+            terms.append((1, S, Psi))
+        Psis.append(ExprMatrix.combination(terms))
     out_ctx = ctx if ctx.max_order >= n else ctx.extended(n)
     return [
         VectorField(out_ctx, n, X.xi, [[Psi[i, a] for Psi in Psis] for a in range(ctx.p)])
@@ -157,7 +158,7 @@ def chi_prolong(Xs: VectorFieldSet, chi: ChiData, n: int) -> VectorFieldSet:
         raise ExprError(f"dependent-index part must be {ctx.p}x{ctx.p}")
     if not (chi.Theta.is_square and chi.Theta.nrows == r):
         raise ExprError(f"set-index part must be {r}x{r}")
-    S = chi.Theta.transpose().scaled(-1)
+    S = ExprMatrix.combination([(-1, chi.Theta.transpose(), None)])
     return VectorFieldSet(_prolong(list(Xs), n, Lambda=chi.Lambda, S=S))
 
 
@@ -195,6 +196,7 @@ def check_prolongation_commutation(
     YC = ExprMatrix([[Y.apply(c) for c in C] for Y in Ys])
     YdC = ExprMatrix([[Y.apply(dc) for dc in dC.row(0)] for Y in Ys])
     Xi = ExprMatrix([[Y.xi] for Y in Ys])
-    R = YdC - YC.total_derivative(ctx) - sigma @ YC + (Xi.total_derivative(ctx) + sigma @ Xi) @ dC
+    W = ExprMatrix.combination([(1, Xi.total_derivative(ctx), None), (1, sigma, Xi)])
+    R = ExprMatrix.combination([(1, YdC, None), (-1, YC.total_derivative(ctx), None), (-1, sigma, YC), (1, W, dC)])
     residuals = {(i, str(c)): R[i, m] for i in range(len(Ys)) for m, c in enumerate(coords)}
     return CheckResult.test(residuals, trials=trials, seed=seed)

@@ -74,6 +74,38 @@ def test_parse_errors_carry_offsets(table):
         parse("u ^ v", table)  # exponents must be integers
 
 
+@pytest.mark.parametrize(
+    "text, error, message, offset",
+    [
+        ("u + ", ExprSyntaxError, "unexpected end of input (at byte 4)", 4),
+        ("u + q", UndeclaredSymbolError, "undeclared symbol 'q'", -1),
+        ("q(u)", UndeclaredSymbolError, "undeclared symbol 'q' (at byte 0)", 0),
+        ("A(u)", ArityMismatchError, "function 'A' expects 2 argument(s), got 1 (at byte 0)", None),
+        ("exp(u, v)", ArityMismatchError, "function 'exp' expects 1 argument(s), got 2 (at byte 0)", None),
+        ("u ^ v", ExprSyntaxError, "exponent must be an integer (at byte 4)", 4),
+        ("(u", ExprSyntaxError, "expected ')' (at byte 2)", 2),
+        ("u)", ExprSyntaxError, "trailing input ')' (at byte 1)", 1),
+        ("u $", ExprSyntaxError, "unexpected character '$' (at byte 2)", 2),
+        ("D(q,1)(u)", UndeclaredSymbolError, "undeclared symbol 'q' (at byte 2)", 2),
+        ("D(F,x)(u)", ExprSyntaxError, "expected a nonnegative integer in D(...) (at byte 4)", 4),
+    ],
+)
+def test_parse_error_table(text, error, message, offset):
+    """Each malformed text raises its error class with its message and
+    offset (None where the class carries none)."""
+    with pytest.raises(ExprError) as err:
+        parse(text, GRAMMAR_TABLE)
+    assert type(err.value) is error
+    assert str(err.value) == message
+    assert getattr(err.value, "offset", None) == offset
+
+
+@pytest.mark.parametrize("text", ["1/(u - u)", "0^-1"])
+def test_parse_division_by_zero(text):
+    with pytest.raises(ExprError, match="division by zero"):
+        parse(text, GRAMMAR_TABLE)
+
+
 def test_normalize_exp_merge(table):
     assert parse("exp(u)*exp(v)", table) == parse("exp(u + v)", table)
     assert parse("exp(0)", table).sym == 1
@@ -527,6 +559,22 @@ def test_exp_monomials_take_no_cancel(monkeypatch):
     monkeypatch.setattr(PolyElement, "cancel", cancel)
     assert e == parse("exp(ecu)^2*exp(1)/exp(ecv)^3", table)
     assert str(e) == "exp(1 + 2*ecu - 3*ecv)"
+
+
+@pytest.mark.parametrize(
+    "text, cancels",
+    [("u/(v + 1) - v_1/(u + 2) + (u/v)/(v/u)*x/3 - 1/(u*v)", 1), ("-u^2/(3*v)", 0), ("(x/2)^-3", 0), ("u*v - 2", 0)],
+)
+def test_a_text_takes_at_most_one_cancel(table, text, cancels, monkeypatch):
+    """A text is read as one tree, so its element is formed once however
+    many operators it has, and a lone monomial over a monomial with no gcd."""
+    calls = []
+    cancel = PolyElement.cancel
+    monkeypatch.setattr(PolyElement, "cancel", lambda p, q: calls.append(q) or cancel(p, q))
+    e = parse(text, table)
+    assert len(calls) == cancels
+    monkeypatch.setattr(PolyElement, "cancel", cancel)
+    assert print_expr(parse(print_expr(e), table)) == print_expr(e)
 
 
 def test_cancel_runs_once_per_result(table, monkeypatch):

@@ -9,7 +9,8 @@ zero-test verdict is read only by the few functions that word an error or
 write a report entry (``VERDICT_READERS``), so every set of verdicts is
 folded by ``exprs.CheckResult``; a field element is formed from a numerator
 and a denominator by one routine, ``exprs._sum_quotients``
-(``FIELD_NEW_CALLERS``), and over one lcm routine, ``exprs._on_lcm``, so
+(``FIELD_NEW_CALLERS``), which only the callers in
+``SUM_QUOTIENTS_CALLERS`` call, and over one lcm routine, ``exprs._on_lcm``, so
 no ``.lcm(`` or ``.exquo(`` call appears; one function,
 ``jets.total_derivative``, keeps a result in an expression's ``_dx`` slot,
 which the constructors only clear
@@ -153,6 +154,81 @@ def test_field_new_guard_sees_a_call():
         "def f(field, n, d):\n    field.raw_new(n, d)\n    field.field_new(n)\n    return field.new(n, d)\n"
     )
     assert _field_new_calls(tree) == [("f", 3), ("f", 4)]
+
+
+# (module, qualified function name) pairs allowed to call
+# ``exprs._sum_quotients``: the field operations of ``exprs``, the tree
+# reader, and in ``linalg`` only the elimination results and the entries of
+# ``ExprMatrix.combination``, so a matrix formula forms each entry once
+SUM_QUOTIENTS_CALLERS = {
+    ("exprs.py", "_exp_terms"),
+    ("exprs.py", "_from_tree"),
+    ("exprs.py", "derivation"),
+    ("exprs.py", "_sum"),
+    ("exprs.py", "_product"),
+    ("exprs.py", "substitute"),
+    ("determining.py", "collect_coefficients"),
+    ("linalg.py", "_lift"),
+    ("linalg.py", "ExprMatrix.combination"),
+}
+
+
+def _sum_quotients_calls(tree: ast.Module) -> list[tuple[str, int]]:
+    """(qualified name of the enclosing function, line) of each
+    ``_sum_quotients(`` call, by bare or dotted name."""
+    calls = []
+
+    def visit(node: ast.AST, scope: str):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Call):
+            name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+            if name == "_sum_quotients":
+                calls.append((scope, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return calls
+
+
+def test_sum_quotients_callers_are_pinned():
+    """Every caller of the one quotient rule is listed, and every listed
+    caller still calls it."""
+    found = set()
+    for module in MODULES:
+        with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+            found.update((module, scope) for scope, _ in _sum_quotients_calls(ast.parse(fh.read(), module)))
+    assert found == SUM_QUOTIENTS_CALLERS
+
+
+def test_sum_quotients_guard_sees_a_call():
+    """The guard flags a call by bare and by dotted name, in a method, and
+    not the name read without a call."""
+    tree = ast.parse(
+        "class M:\n"
+        "    def f(self, field, pairs):\n"
+        "        a = _sum_quotients(field, pairs)\n"
+        "        b = exprs._sum_quotients(field, pairs)\n"
+        "        return _sum_quotients\n"
+    )
+    assert _sum_quotients_calls(tree) == [("M.f", 3), ("M.f", 4)]
+
+
+def test_parser_forms_no_field_element():
+    """The parser builds a tree for the one tree reader: it names no kernel
+    or atom constructor, no number constructor and not the ambient field."""
+    with open(os.path.join(SRC, "exprs.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), "exprs.py")
+    (parser,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_Parser"]
+    names = {n.id for n in ast.walk(parser) if isinstance(n, ast.Name)}
+    numbers = [
+        n.lineno
+        for n in ast.walk(parser)
+        if isinstance(n, ast.Attribute) and n.attr == "number" and isinstance(n.value, ast.Name) and n.value.id == "Expr"
+    ]
+    assert names & {"_kernel", "_atom", "_AMBIENT"} == set()
+    assert numbers == []
 
 
 # (module, qualified function name) pairs allowed to write an expression's

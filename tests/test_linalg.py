@@ -161,6 +161,9 @@ def test_matmul_cancels_once_per_entry(ctx, monkeypatch):
     monkeypatch.setattr(PolyElement, "cancel", lambda p, q: calls.append(q) or cancel(p, q))
     product = A @ B
     assert len(calls) <= 4
+    calls.clear()
+    chain = ExprMatrix.combination([(1, A, None), (1, B, A), (-1, B, None), (-1, A, B)])
+    assert len(calls) <= 4
     monkeypatch.setattr(PolyElement, "cancel", cancel)
     assert product == ExprMatrix(
         [
@@ -168,6 +171,7 @@ def test_matmul_cancels_once_per_entry(ctx, monkeypatch):
             [P("u*u_1 + (u + 1)/(u*v^2)"), P("u_1/v + (u + v)/(u*v)")],
         ]
     )
+    assert chain == A + B @ A - B - A @ B
 
 
 def test_matrix_algebra(ctx):
@@ -178,6 +182,28 @@ def test_matrix_algebra(ctx):
     assert (A + B)[1, 1] == P("v + 4")
     assert (A - B).transpose()[0, 1] == P("-3")
     assert A.total_derivative(ctx)[0, 0] == P("u_1")
+    C = ExprMatrix([[P("1/u"), P("exp(v)")], [P("u_1"), P("0")]])
+    terms = [(1, A, B), (-1, C, None), (1, C, C), (-1, B, A), (1, A, None)]
+    fused = ExprMatrix.combination(terms)
+    assert fused == A @ B - C + C @ C - B @ A + A
+
+    def entry(i, j):  # the same sum formed with Expr operators, one link at a time
+        total = Expr.number(0)
+        for sign, X, Y in terms:
+            value = X[i, j] if Y is None else sum((X[i, k] * Y[k, j] for k in range(X.ncols)), Expr.number(0))
+            total = total + sign * value
+        return total
+
+    assert fused == ExprMatrix([[entry(i, j) for j in range(2)] for i in range(2)])
+    assert ExprMatrix.combination([(-1, C, None)]) == ExprMatrix.zero(2, 2) - C
+    assert ExprMatrix.combination([(1, A, None), (-1, A, None)]) == ExprMatrix.zero(2, 2)
+    row = ExprMatrix([[P("u"), P("v")]])
+    with pytest.raises(ExprError, match="matrix shapes differ"):
+        ExprMatrix.combination([(1, A, None), (1, row, None)])
+    with pytest.raises(ExprError, match="matrix shapes differ"):
+        ExprMatrix.combination([(1, A, B), (1, row, B)])
+    with pytest.raises(ExprError, match="cannot multiply 2x2 by 1x2"):
+        ExprMatrix.combination([(1, A, row)])
 
 
 def test_exp_basis_comes_from_the_arguments(ctx):

@@ -166,7 +166,7 @@ def test_combined_twist_degenerations(ctx):
     sigma = random_sigma(rng, ctx)
     zero_p = ExprMatrix.zero(2, 2)
     # set-index part alone, with Theta = -sigma^T, reproduces the joint twist
-    chi = ChiData(zero_p, sigma.transpose().scaled(-1))
+    chi = ChiData(zero_p, ExprMatrix.combination([(-1, sigma.transpose(), None)]))
     assert chi_prolong(Xs, chi, 2) == sigma_prolong(Xs, sigma, 2)
     # dependent-index part alone reproduces the per-field twist
     base = [ctx.x, ctx.coord(0, 0), ctx.coord(1, 0)]

@@ -632,6 +632,21 @@ def test_all_json_depends_on_the_seed_only_in_the_seed_line(name, capsys):
     assert differing == [('  "seed": 0,', '  "seed": 1,')]
 
 
+def test_reports_do_not_depend_on_process_history(capsys):
+    """The ambient field interns atoms and retires exp generators for the
+    whole process: `all` text and JSON over the bundled sessions, run in two
+    orders in one process, give the same report for each session."""
+    runs = []
+    for names in (BUNDLED, BUNDLED[::-1]):
+        reports = {}
+        for name in names:
+            for flags in ([], ["--json"]):
+                status = main(["all", "--session", _path(name), *flags])
+                reports[name, *flags] = (status, capsys.readouterr())
+        runs.append(reports)
+    assert runs[0] == runs[1]
+
+
 def _copy(name, tmp_path, old="", new=""):
     """A bundled session copied to ``tmp_path/sp.session``, with one line replaced."""
     with open(_path(name), encoding="utf-8") as fh:
