@@ -249,10 +249,10 @@ class SymbolTable:
             return base, 0
         return (base, int(sub)) if sub.isdigit() else None
 
-    def base_symbol(self, name: str) -> sp.Symbol:
+    def base_symbol(self, name: str, offset: int = -1) -> sp.Symbol:
         if name == self.independent or name in self.dependents or name in self.parameters:
             return sp.Symbol(name)
-        raise UndeclaredSymbolError(name)
+        raise UndeclaredSymbolError(name, offset)
 
     def lookup(self, text: str, offset: int = -1) -> sp.Symbol:
         """Resolve a (possibly subscripted) coordinate name to its symbol."""
@@ -261,7 +261,7 @@ class SymbolTable:
             return self.jet_symbol(*index)
         if "_" in text:
             raise UndeclaredSymbolError(text, offset)
-        return self.base_symbol(text)
+        return self.base_symbol(text, offset)
 
     def _declarations(self) -> tuple:
         return self.independent, self.dependents, self.parameters, frozenset(self.functions.items())

@@ -8,6 +8,7 @@ nonzero coefficients when it is built."""
 
 from __future__ import annotations
 
+import operator
 from typing import Mapping, Sequence
 
 import sympy as sp
@@ -163,16 +164,21 @@ class VectorField:
         )
 
     def plus(self, other: "VectorField") -> "VectorField":
+        return self._entrywise(other, operator.add)
+
+    def minus(self, other: "VectorField") -> "VectorField":
+        return self._entrywise(other, operator.sub)
+
+    def _entrywise(self, other: "VectorField", op) -> "VectorField":
+        """The field whose every coefficient is ``op`` of the two fields'
+        coefficients: one quotient each."""
         self._check_compatible(other)
         return VectorField(
             self.ctx,
             self.order,
-            self.xi + other.xi,
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.psi, other.psi)],
+            op(self.xi, other.xi),
+            [[op(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.psi, other.psi)],
         )
-
-    def minus(self, other: "VectorField") -> "VectorField":
-        return self.plus(other.scaled(-1))
 
     def _check_compatible(self, other: "VectorField"):
         if self.ctx.table != other.ctx.table or self.order != other.order:

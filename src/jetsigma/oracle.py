@@ -1,12 +1,17 @@
 """Independent numeric machinery: fixed-step RK4 integration of solved systems,
-evaluation of invariants along trajectories, and jet-point sampling."""
+evaluation of invariants along trajectories, and jet-point sampling.
+
+A trajectory keeps the grid times and state rows of its RK4 run as Python
+floats; its numpy arrays (``ts``, ``samples``) are built on first read, so a
+caller that reads only the ``end`` point, as the command line does, never
+loads numpy."""
 
 from __future__ import annotations
 
 import functools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -48,10 +53,34 @@ class GridMismatchError(ExprError):
 
 @dataclass
 class Trajectory:
+    """One RK4 run: the grid times and, per time, the row of state values in
+    the order of ``names``, as the integration loop appended them.  The
+    arrays ``ts`` and ``samples`` (coordinate name -> values on the grid) are
+    built from them on first read; ``end`` reads the last row without them."""
+
     ctx: JetContext
-    ts: np.ndarray
-    samples: dict[str, np.ndarray]  # coordinate name -> values on the grid
+    names: tuple[str, ...]
+    times: list[float] = field(repr=False)
+    rows: list[Sequence[float]] = field(repr=False)
     h: float
+
+    @functools.cached_property
+    def ts(self) -> np.ndarray:
+        import numpy as np
+
+        return np.array(self.times)
+
+    @functools.cached_property
+    def samples(self) -> dict[str, np.ndarray]:
+        import numpy as np
+
+        arr = np.array(self.rows)
+        return {n: arr[:, i].copy() for i, n in enumerate(self.names)}
+
+    @property
+    def end(self) -> tuple[float, dict[str, float]]:
+        """The last grid time and the state there, by coordinate name."""
+        return self.times[-1], dict(zip(self.names, self.rows[-1]))
 
     def same_grid(self, other: "Trajectory") -> bool:
         import numpy as np
@@ -195,8 +224,6 @@ def integrate(
 ) -> Trajectory:
     """Classical fixed-step RK4 on the first-order reformulation of a solved
     system; local error O(h^5).  The span must be a whole number of steps."""
-    import numpy as np
-
     if not h > 0:
         raise ExprError("step size must be positive")
     if sys.solved is None:
@@ -226,9 +253,7 @@ def integrate(
     y = [float(initial[n]) for n in names]
     ts, history = [t0], [y]
     _rk4(len(y))(rhs, t0, h, steps, *y, ts, history)
-    arr = np.array(history)
-    samples = {n: arr[:, i].copy() for i, n in enumerate(names)}
-    return Trajectory(ctx, np.array(ts), samples, h)
+    return Trajectory(ctx, tuple(names), ts, history, h)
 
 
 def invariant_along_trajectory(e: Expr, traj: Trajectory):
@@ -238,14 +263,12 @@ def invariant_along_trajectory(e: Expr, traj: Trajectory):
     instead of giving inf."""
     import numpy as np
 
-    ctx = traj.ctx
-    names = [ctx.independent, *traj.samples.keys()]
+    names = [traj.ctx.independent, *traj.names]
     fn = _compile(tuple(sp.Symbol(n) for n in names), (e.sym,))
-    rows = zip(traj.ts.tolist(), *(c.tolist() for c in traj.samples.values()))
     values = []
     try:
-        for row in rows:
-            values.append(fn(*row)[0])
+        for t, row in zip(traj.times, traj.rows):
+            values.append(fn(t, *row)[0])
     except (ZeroDivisionError, ValueError, OverflowError) as exc:
         raise SingularPointError(f"invariant singular at sample {len(values)}: {exc}") from exc
     values = np.array(values)

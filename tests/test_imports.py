@@ -1,6 +1,7 @@
 """Every module-level import of the library is used: referenced somewhere in
 its module or re-exported through ``__all__``; importing the command-line
-front end leaves numpy unloaded; only ``exprs`` splits names at "_", so
+front end, and running it on a session that integrates, leaves numpy
+unloaded, and only the functions in ``NUMPY_IMPORTERS`` import it; only ``exprs`` splits names at "_", so
 how a name such as ``u_3`` encodes a jet coordinate is decided in one module
 (``SymbolTable.lookup`` and ``SymbolTable.jet_index``); outside ``exprs`` an
 expression's sympy tree (``.sym``) is read only by the few functions that
@@ -486,6 +487,112 @@ def test_cli_import_leaves_numpy_unloaded():
         capture_output=True, text=True, env=env, check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def _fresh(code: str) -> list[str]:
+    """The lines a fresh interpreter prints to standard error running
+    ``code`` against this source tree."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(SRC, ".."))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    return out.stderr.split()
+
+
+@pytest.mark.parametrize("session", ["scaling_pair", "exp_coupled_pair"])
+def test_oracle_report_leaves_numpy_unloaded(session):
+    """``all`` on a session with an [oracle] section integrates twice and
+    reports the end points without loading numpy."""
+    path = os.path.join(SRC, "sessions", f"{session}.session")
+    code = (
+        "import sys\n"
+        "from jetsigma.cli import main\n"
+        f"status = main(['all', '--session', {path!r}, '--json'])\n"
+        "print(status, 'numpy' in sys.modules, file=sys.stderr)\n"
+    )
+    assert _fresh(code) == ["0", "False"]
+
+
+def test_trajectory_arrays_load_numpy_on_first_read():
+    """``integrate`` and ``end`` leave numpy unloaded; reading ``samples``
+    builds the arrays and loads it."""
+    code = (
+        "import sys\n"
+        "from jetsigma import gallery\n"
+        "from jetsigma.oracle import integrate\n"
+        "case = gallery.exp_coupled_pair()\n"
+        "traj = integrate(case.system, {'u': 0, 'v': 0, 'u_1': 1, 'v_1': 1}, (0.0, 0.1), 1e-2)\n"
+        "traj.end\n"
+        "print('numpy' in sys.modules, file=sys.stderr)\n"
+        "traj.samples\n"
+        "print('numpy' in sys.modules, file=sys.stderr)\n"
+    )
+    assert _fresh(code) == ["False", "True"]
+
+
+# (module, qualified function name) pairs allowed to import numpy: the
+# trajectory's array builders and the functions that compare or evaluate
+# along whole trajectories; an import under ``if TYPE_CHECKING:`` never runs
+NUMPY_IMPORTERS = {
+    ("oracle.py", "Trajectory.ts"),
+    ("oracle.py", "Trajectory.samples"),
+    ("oracle.py", "Trajectory.same_grid"),
+    ("oracle.py", "invariant_along_trajectory"),
+    ("reduction.py", "reconstruction_check"),
+}
+
+
+def _numpy_imports(tree: ast.Module) -> list[tuple[str, int]]:
+    """(qualified name of the enclosing function, line) of each import of
+    numpy or a numpy submodule, outside ``if TYPE_CHECKING:`` blocks."""
+    imports = []
+
+    def visit(node: ast.AST, scope: str):
+        if isinstance(node, ast.If) and isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING":
+            for child in node.orelse:
+                visit(child, scope)
+            return
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            modules = []
+        if any(m == "numpy" or m.startswith("numpy.") for m in modules):
+            imports.append((scope, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return imports
+
+
+def test_numpy_importers_are_pinned():
+    """numpy is imported only where whole arrays are read or built, so a
+    command that reads only end points never loads it."""
+    found = set()
+    for module in MODULES:
+        with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+            found.update((module, scope) for scope, _ in _numpy_imports(ast.parse(fh.read(), module)))
+    assert found == NUMPY_IMPORTERS
+
+
+def test_numpy_guard_sees_an_import():
+    """The guard flags ``import numpy``, a submodule and ``from numpy
+    import``, at module level and in a method, and skips a type-checking
+    import and a module whose name only starts with numpy."""
+    tree = ast.parse(
+        "if TYPE_CHECKING:\n"
+        "    import numpy as np\n"
+        "import numpy\n"
+        "import numpyx\n"
+        "class T:\n"
+        "    def f(self):\n"
+        "        import numpy.linalg\n"
+        "        from numpy import array\n"
+        "        from . import numpy_tools\n"
+    )
+    assert _numpy_imports(tree) == [("", 3), ("T.f", 7), ("T.f", 8)]
 
 
 def _tracing():

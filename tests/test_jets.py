@@ -2,6 +2,7 @@ import random
 
 import pytest
 import sympy as sp
+from sympy.polys.rings import PolyElement
 
 from jetsigma import exprs
 from jetsigma.exprs import Expr, ExprError, derivation, eval_numeric
@@ -63,6 +64,27 @@ def test_a_kept_total_derivative_survives_exp_retirement():
     assert generator in exprs._AMBIENT.retired
     assert total_derivative(e, ctx) is kept
     assert kept == derivation(e, ctx.table.dx_images) == ctx.parse("rdx_1") * half**2
+
+
+def test_minus_forms_each_coefficient_once(ctx, monkeypatch):
+    """``minus`` forms each coefficient as one quotient a - b, so it takes
+    as many cancels as ``plus`` and gives the field plus(-1 * other) gives."""
+    P = ctx.parse
+    a, b = P("u/(v + 1)"), P("v/(u + 2)")
+    X = VectorField.on_base(ctx, 0, [a, b])
+    Y = VectorField.on_base(ctx, 0, [b, a])
+    expected = X.plus(Y.scaled(-1))
+    calls = []
+    cancel = PolyElement.cancel
+    monkeypatch.setattr(PolyElement, "cancel", lambda p, q: calls.append(q) or cancel(p, q))
+    X.plus(Y)
+    plus_cancels = len(calls)
+    calls.clear()
+    difference = X.minus(Y)
+    assert (plus_cancels, len(calls)) == (2, 2)
+    monkeypatch.setattr(PolyElement, "cancel", cancel)
+    assert difference == expected
+    assert difference.psi == ((a - b,), (b - a,))
 
 
 def test_apply_uses_the_coefficients_of_a_derived_field(ctx):

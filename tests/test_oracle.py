@@ -266,19 +266,19 @@ def _case(name):
     return (case.system if case.system.solved is not None else solve_for_highest(case.system)), case.seeds
 
 
-@pytest.mark.parametrize(
-    "name, initial",
-    [
-        ("exp_coupled_pair", {"u": 0, "v": 0, "u_1": 1, "v_1": 1}),
-        ("scaling_pair", {"u": 1, "v": 0, "u_1": Fraction(1, 2), "v_1": Fraction(1, 2)}),
-        (
-            "partial_rank_triple",
-            {"u": 1, "v": Fraction(1, 2), "w": 1,
-             "u_1": Fraction(3, 10), "v_1": Fraction(1, 5), "w_1": Fraction(1, 10)},
-        ),
-        ("kernel_mix", {"u": 1, "v": Fraction(1, 2), "u_1": Fraction(-1, 3), "v_1": Fraction(2, 5)}),
-    ],
-)
+REFERENCE_CASES = [
+    ("exp_coupled_pair", {"u": 0, "v": 0, "u_1": 1, "v_1": 1}),
+    ("scaling_pair", {"u": 1, "v": 0, "u_1": Fraction(1, 2), "v_1": Fraction(1, 2)}),
+    (
+        "partial_rank_triple",
+        {"u": 1, "v": Fraction(1, 2), "w": 1,
+         "u_1": Fraction(3, 10), "v_1": Fraction(1, 5), "w_1": Fraction(1, 10)},
+    ),
+    ("kernel_mix", {"u": 1, "v": Fraction(1, 2), "u_1": Fraction(-1, 3), "v_1": Fraction(2, 5)}),
+]
+
+
+@pytest.mark.parametrize("name, initial", REFERENCE_CASES)
 def test_integrate_matches_reference_bit_for_bit(name, initial):
     system, invariants = _case(name)
     traj = integrate(system, initial, (0.0, 0.2), 1e-3)
@@ -289,6 +289,20 @@ def test_integrate_matches_reference_bit_for_bit(name, initial):
     for e in invariants:
         values, _ = invariant_along_trajectory(e, traj)
         assert values.tobytes() == _reference_invariant(e, traj).tobytes(), e
+
+
+@pytest.mark.parametrize("name, initial", REFERENCE_CASES)
+def test_end_is_the_last_sample_bit_for_bit(name, initial):
+    """``end`` reads the last grid time and state row, with no array, as the
+    arrays hold them."""
+    system, _ = _case(name)
+    traj = integrate(system, initial, (0.0, 0.2), 1e-3)
+    t, state = traj.end
+    assert type(t) is float and all(type(v) is float for v in state.values())
+    assert np.float64(t).tobytes() == traj.ts[-1].tobytes()
+    assert list(state) == list(traj.samples)
+    for n, values in traj.samples.items():
+        assert np.float64(state[n]).tobytes() == values[-1].tobytes(), n
 
 
 def test_each_tree_compiles_once():
